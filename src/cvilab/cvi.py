@@ -8,18 +8,20 @@ zero max diameter) return ``math.inf`` and are flagged "degenerate" in
 reports instead of being serialized as a float; a genuine division by
 zero (coincident centroids) raises :class:`CoincidentCentroidsError`.
 
-Pairwise-distance scans run in row chunks so memory stays bounded on
-large inputs, and every distance is computed pair by pair (no matrix
-product shortcuts), so a min or max over a subset of the points equals
-the same min or max over the full set bit for bit whenever the attaining
-pair survives the subsetting.
+One chunked pass over all point pairs yields the silhouette's
+per-cluster distance sums, the diameters and the minimum separation;
+rows are chunked so memory stays bounded on large inputs, and every
+distance is computed pair by pair (no matrix product shortcuts), so a
+min or max over a subset of the points equals the same min or max over
+the full set bit for bit whenever the attaining pair survives the
+subsetting.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -43,14 +45,17 @@ class PartitionGeometry:
     """Shared per-cluster statistics of a crisp partition.
 
     ``centroids[i]`` belongs to ``label_values[i]`` (sorted distinct
-    labels). Diameters are max pairwise intra-cluster distances;
-    separations are minima over inter-cluster point pairs and over
-    centroid pairs. Singletons have diameter 0 and scatter 0.
+    labels) and ``canon[p]`` is the position of point p's label there.
+    Diameters are max pairwise intra-cluster distances; separations are
+    minima over inter-cluster point pairs and over centroid pairs.
+    Singletons have diameter 0 and scatter 0. ``distance_sums[p, i]``
+    is the summed distance from point p to the members of cluster i.
     """
 
     points: np.ndarray
     labels: np.ndarray
     label_values: np.ndarray
+    canon: np.ndarray
     centroids: np.ndarray
     data_centroid: np.ndarray
     cluster_sizes: np.ndarray
@@ -58,6 +63,7 @@ class PartitionGeometry:
     mean_scatter: np.ndarray
     min_separation_points: float
     min_separation_centroids: float
+    distance_sums: np.ndarray
 
     @property
     def k(self) -> int:
@@ -76,27 +82,21 @@ def _validate_points_labels(points, labels) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _cluster_distance_sums(x: np.ndarray, canon: np.ndarray, k: int) -> np.ndarray:
-    """N×k matrix of summed distances from each point to each cluster."""
+def _distance_pass(
+    x: np.ndarray, canon: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One chunked scan of all point pairs: the N×k per-cluster distance
+    sums, the cluster diameters and the minimum inter-cluster distance."""
     n = x.shape[0]
     onehot = np.zeros((n, k))
     onehot[np.arange(n), canon] = 1.0
     sums = np.empty((n, k))
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        sums[start:stop] = cdist(x[start:stop], x) @ onehot
-    return sums
-
-
-def _diameters_and_min_separation(
-    x: np.ndarray, canon: np.ndarray, k: int
-) -> tuple[np.ndarray, float]:
-    n = x.shape[0]
     diameters = np.zeros(k)
     min_sep = math.inf
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         dist = cdist(x[start:stop], x)
+        sums[start:stop] = dist @ onehot
         same = canon[start:stop, None] == canon[None, :]
         intra_rowmax = np.where(same, dist, 0.0).max(axis=1)
         np.maximum.at(diameters, canon[start:stop], intra_rowmax)
@@ -104,7 +104,7 @@ def _diameters_and_min_separation(
         chunk_min = inter.min(initial=math.inf)
         if chunk_min < min_sep:
             min_sep = chunk_min
-    return diameters, float(min_sep)
+    return sums, diameters, float(min_sep)
 
 
 def partition_geometry(points, labels) -> PartitionGeometry:
@@ -120,7 +120,7 @@ def partition_geometry(points, labels) -> PartitionGeometry:
         members = x[canon == c]
         centroids[c] = members.mean(axis=0)
         scatter[c] = float(np.linalg.norm(members - centroids[c], axis=1).mean())
-    diameters, min_sep_points = _diameters_and_min_separation(x, canon, k)
+    sums, diameters, min_sep_points = _distance_pass(x, canon, k)
     if k >= 2:
         gaps = cdist(centroids, centroids)
         np.fill_diagonal(gaps, math.inf)
@@ -131,6 +131,7 @@ def partition_geometry(points, labels) -> PartitionGeometry:
         points=x,
         labels=y,
         label_values=label_values,
+        canon=canon,
         centroids=centroids,
         data_centroid=x.mean(axis=0),
         cluster_sizes=sizes,
@@ -138,27 +139,18 @@ def partition_geometry(points, labels) -> PartitionGeometry:
         mean_scatter=scatter,
         min_separation_points=min_sep_points,
         min_separation_centroids=min_sep_centroids,
+        distance_sums=sums,
     )
 
 
-def silhouette(points, labels) -> float:
-    """Mean silhouette width.
-
-    Per point: a = mean distance to co-members (self excluded), b = the
-    smallest over other clusters of the mean distance to that cluster's
-    members, s = (b-a)/max(a,b). Points in singleton clusters contribute
-    s = 0, as does a 0/0 (all relevant distances zero).
-    """
-    x, y = _validate_points_labels(points, labels)
-    label_values, canon = np.unique(y, return_inverse=True)
-    k = label_values.shape[0]
+def _silhouette(geom: PartitionGeometry) -> float:
+    k = geom.k
     if k < 2:
         raise ValueError("silhouette needs at least 2 clusters")
-    n = x.shape[0]
+    n = geom.points.shape[0]
     if n < 3:
         raise ValueError("silhouette needs at least 3 points")
-    sizes = np.bincount(canon, minlength=k)
-    sums = _cluster_distance_sums(x, canon, k)
+    sizes, canon, sums = geom.cluster_sizes, geom.canon, geom.distance_sums
     rows = np.arange(n)
     own_size = sizes[canon]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -173,14 +165,7 @@ def silhouette(points, labels) -> float:
     return float(s.mean())
 
 
-def calinski_harabasz(points, labels) -> float:
-    """Between/within variance ratio, degree-of-freedom adjusted.
-
-    Returns ``math.inf`` when the within-cluster scatter is exactly zero
-    (every point sits on its centroid); callers report that case as
-    degenerate rather than as a number.
-    """
-    geom = partition_geometry(points, labels)
+def _calinski_harabasz(geom: PartitionGeometry) -> float:
     n = geom.points.shape[0]
     k = geom.k
     if k < 2:
@@ -188,22 +173,15 @@ def calinski_harabasz(points, labels) -> float:
     if k >= n:
         raise ValueError("index needs k < N")
     between = float(
-        (
-            geom.cluster_sizes
-            * np.square(geom.centroids - geom.data_centroid).sum(axis=1)
-        ).sum()
+        (geom.cluster_sizes * np.square(geom.centroids - geom.data_centroid).sum(axis=1)).sum()
     )
-    canon = np.searchsorted(geom.label_values, geom.labels)
-    within = float(np.square(geom.points - geom.centroids[canon]).sum())
+    within = float(np.square(geom.points - geom.centroids[geom.canon]).sum())
     if within == 0.0:
         return math.inf
     return (between / (k - 1)) / (within / (n - k))
 
 
-def davies_bouldin(points, labels) -> float:
-    """Mean over clusters of the worst (scatter_i + scatter_j) / gap_ij
-    over partners j, pairwise over distinct clusters."""
-    geom = partition_geometry(points, labels)
+def _davies_bouldin(geom: PartitionGeometry) -> float:
     k = geom.k
     if k < 2:
         raise ValueError("index needs at least 2 clusters")
@@ -217,19 +195,49 @@ def davies_bouldin(points, labels) -> float:
     return float(ratio.max(axis=1).mean())
 
 
-def dunn(points, labels) -> float:
-    """Min single-linkage inter-cluster distance over max cluster diameter.
-
-    Returns ``math.inf`` when the max diameter is zero (every cluster a
-    singleton, or all members coincident); reported as degenerate.
-    """
-    geom = partition_geometry(points, labels)
+def _dunn(geom: PartitionGeometry) -> float:
     if geom.k < 2:
         raise ValueError("index needs at least 2 clusters")
     max_diameter = float(geom.diameters.max())
     if max_diameter == 0.0:
         return math.inf
     return geom.min_separation_points / max_diameter
+
+
+def silhouette(points, labels) -> float:
+    """Mean silhouette width.
+
+    Per point: a = mean distance to co-members (self excluded), b = the
+    smallest over other clusters of the mean distance to that cluster's
+    members, s = (b-a)/max(a,b). Points in singleton clusters contribute
+    s = 0, as does a 0/0 (all relevant distances zero).
+    """
+    return _silhouette(partition_geometry(points, labels))
+
+
+def calinski_harabasz(points, labels) -> float:
+    """Between/within variance ratio, degree-of-freedom adjusted.
+
+    Returns ``math.inf`` when the within-cluster scatter is exactly zero
+    (every point sits on its centroid); callers report that case as
+    degenerate rather than as a number.
+    """
+    return _calinski_harabasz(partition_geometry(points, labels))
+
+
+def davies_bouldin(points, labels) -> float:
+    """Mean over clusters of the worst (scatter_i + scatter_j) / gap_ij
+    over partners j, pairwise over distinct clusters."""
+    return _davies_bouldin(partition_geometry(points, labels))
+
+
+def dunn(points, labels) -> float:
+    """Min single-linkage inter-cluster distance over max cluster diameter.
+
+    Returns ``math.inf`` when the max diameter is zero (every cluster a
+    singleton, or all members coincident); reported as degenerate.
+    """
+    return _dunn(partition_geometry(points, labels))
 
 
 def xie_beni(points, u_or_labels, centroids=None, m: float = 2.0) -> float:
@@ -316,16 +324,17 @@ def _collect(parts: dict, name: str, compute) -> None:
 def evaluate_labels(points, labels) -> CviReport:
     """All five indices on a hard partition; Xie-Beni in crisp mode.
 
-    Per-index failures are recorded in the report instead of aborting
-    the other indices.
+    sh, ch, db and di share one partition geometry, hence one distance
+    pass. Per-index failures are recorded in the report instead of
+    aborting the other indices.
     """
     x, y = _validate_points_labels(points, labels)
-    k_effective = int(np.unique(y).shape[0])
+    geom = partition_geometry(x, y)
     parts: dict = {"degenerate": [], "errors": []}
-    _collect(parts, "sh", lambda: silhouette(x, y))
-    _collect(parts, "ch", lambda: calinski_harabasz(x, y))
-    _collect(parts, "db", lambda: davies_bouldin(x, y))
-    _collect(parts, "di", lambda: dunn(x, y))
+    _collect(parts, "sh", lambda: _silhouette(geom))
+    _collect(parts, "ch", lambda: _calinski_harabasz(geom))
+    _collect(parts, "db", lambda: _davies_bouldin(geom))
+    _collect(parts, "di", lambda: _dunn(geom))
     _collect(parts, "xb", lambda: xie_beni(x, y))
     return CviReport(
         sh=parts["sh"],
@@ -333,7 +342,7 @@ def evaluate_labels(points, labels) -> CviReport:
         db=parts["db"],
         di=parts["di"],
         xb=parts["xb"],
-        k_effective=k_effective,
+        k_effective=geom.k,
         fuzzy=False,
         degenerate=tuple(parts["degenerate"]),
         errors=tuple(parts["errors"]),
@@ -349,8 +358,7 @@ def evaluate_all(points, model, use_memberships: bool = True) -> CviReport:
     count as clusters.
     """
     x = np.asarray(points, dtype=float)
-    labels = np.asarray(model.labels)
-    crisp = evaluate_labels(x, labels)
+    crisp = evaluate_labels(x, np.asarray(model.labels))
     if not use_memberships:
         return crisp
     parts: dict = {"degenerate": [], "errors": []}
@@ -359,20 +367,12 @@ def evaluate_all(points, model, use_memberships: bool = True) -> CviReport:
         "xb",
         lambda: xie_beni(x, model.memberships, model.centroids, model.fuzzifier),
     )
-    errors = tuple(e for e in crisp.errors if e[0] != "xb") + tuple(parts["errors"])
-    degenerate = tuple(
-        n for n in crisp.degenerate if n != "xb"
-    ) + (("xb",) if parts["xb"] is not None and math.isinf(parts["xb"]) else ())
-    return CviReport(
-        sh=crisp.sh,
-        ch=crisp.ch,
-        db=crisp.db,
-        di=crisp.di,
+    return replace(
+        crisp,
         xb=parts["xb"],
-        k_effective=crisp.k_effective,
         fuzzy=True,
-        degenerate=degenerate,
-        errors=errors,
+        degenerate=tuple(n for n in crisp.degenerate if n != "xb") + tuple(parts["degenerate"]),
+        errors=tuple(e for e in crisp.errors if e[0] != "xb") + tuple(parts["errors"]),
     )
 
 

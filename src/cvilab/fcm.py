@@ -10,7 +10,7 @@ over a candidate range, picks the cluster count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -91,7 +91,10 @@ def estimate_fuzzifier(data: np.ndarray, strategy=None) -> float:
 
 
 def _memberships(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
-    dist = cdist(x, centroids)
+    return _memberships_from_distances(cdist(x, centroids), m)
+
+
+def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
     u = np.zeros_like(dist)
     coincident = dist == 0.0
     hit = coincident.any(axis=1)
@@ -110,17 +113,14 @@ def _memberships(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
     return u
 
 
-def _centroids(x: np.ndarray, u: np.ndarray, m: float, previous: np.ndarray) -> np.ndarray:
-    w = u**m
+def _centroids(x: np.ndarray, w: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Weighted means of the points, ``w`` = memberships**m; a cluster with
+    zero total weight keeps its previous centroid."""
     weights = w.sum(axis=0)
     new = previous.copy()
     nonzero = weights > 0
     new[nonzero] = (w.T[nonzero] @ x) / weights[nonzero, None]
     return new
-
-
-def _objective(x: np.ndarray, u: np.ndarray, centroids: np.ndarray, m: float) -> float:
-    return float(((u**m) * cdist(x, centroids) ** 2).sum())
 
 
 def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
@@ -129,7 +129,9 @@ def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
     Each restart initializes centroids at k distinct data points drawn from
     its own child stream, so the fit is bit-deterministic for a given seed
     and config. Iteration stops when the largest centroid displacement
-    drops below ``tol`` or ``max_iter`` is reached.
+    drops below ``tol`` or ``max_iter`` is reached. Each iteration computes
+    the point-centroid distances once: they give this iteration's objective
+    and the next iteration's memberships.
     """
     x = np.ascontiguousarray(np.asarray(data, dtype=float))
     if x.ndim != 2:
@@ -152,13 +154,15 @@ def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
         trace: list[float] = []
         u = _memberships(x, centroids, m)
         for _ in range(config.max_iter):
-            new_centroids = _centroids(x, u, m, centroids)
-            trace.append(_objective(x, u, new_centroids, m))
+            w = u**m
+            new_centroids = _centroids(x, w, centroids)
+            dist = cdist(x, new_centroids)
+            trace.append(float((w * dist**2).sum()))
             shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
             centroids = new_centroids
             if shift < config.tol:
                 break
-            u = _memberships(x, centroids, m)
+            u = _memberships_from_distances(dist, m)
         if best is None or trace[-1] < best[2][-1]:
             best = (centroids, u, trace)
 
@@ -191,13 +195,19 @@ def harden(model: ClusterModel) -> np.ndarray:
 
 
 def select_cluster_count(
-    data: np.ndarray, config: FcmConfig, k_range: tuple[int, int] = (2, K_MAX_DEFAULT)
-) -> tuple[int, list[tuple[int, float]]]:
+    data: np.ndarray,
+    config: FcmConfig,
+    k_range: tuple[int, int] = (2, K_MAX_DEFAULT),
+    *,
+    return_model: bool = False,
+) -> tuple:
     """Fit every k in ``k_range`` and pick the FPC argmax (ties: smaller k).
 
-    Returns the chosen k and the (k, FPC) curve for export. Refitting with
-    ``k=k*`` reproduces the winning model bit for bit, so the curve alone
-    is enough to resume from.
+    Returns the chosen k and the (k, FPC) curve for export, plus the
+    winning model when ``return_model`` is set; the pipeline takes that
+    model rather than fitting k* again. Refitting with ``k=k*`` reproduces
+    the winning model bit for bit, so the curve alone is enough to resume
+    from.
     """
     x = np.asarray(data, dtype=float)
     lo, hi = k_range
@@ -206,19 +216,17 @@ def select_cluster_count(
     if hi > x.shape[0] - 1:
         raise ValueError(f"k range upper bound {hi} exceeds N-1 = {x.shape[0] - 1}")
     curve: list[tuple[int, float]] = []
+    best: tuple[int, float, ClusterModel] | None = None
     for k in range(lo, hi + 1):
-        cfg = FcmConfig(
-            k=k,
-            fuzzifier=config.fuzzifier,
-            max_iter=config.max_iter,
-            tol=config.tol,
-            seed=config.seed,
-            restarts=config.restarts,
-        )
-        model = fit_fcm(x, cfg)
-        curve.append((k, fuzzy_partition_coefficient(model.memberships)))
-    best_k = max(curve, key=lambda kv: (kv[1], -kv[0]))[0]
-    return best_k, curve
+        model = fit_fcm(x, replace(config, k=k))
+        fpc = fuzzy_partition_coefficient(model.memberships)
+        curve.append((k, fpc))
+        # k rises, so a strictly higher FPC is needed to displace a smaller k;
+        # only the best model so far is kept alive.
+        if best is None or fpc > best[1]:
+            best = (k, fpc, model)
+    best_k, _, best_model = best
+    return (best_k, curve, best_model) if return_model else (best_k, curve)
 
 
 def model_to_dict(model: ClusterModel) -> dict:

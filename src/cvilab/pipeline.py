@@ -436,12 +436,12 @@ def _fit_models(
         if k_hi < 2:
             raise ValueError("too few profiles to select a cluster count")
         template = _fcm_template(config, 2)
-        k_star, curve = fcm_mod.select_cluster_count(reduced, template, (2, k_hi))
+        _, curve, model = fcm_mod.select_cluster_count(
+            reduced, template, (2, k_hi), return_model=True
+        )
     else:
-        k_star, curve = int(config.k), []
-    model = fcm_mod.fit_fcm(reduced, _fcm_template(config, k_star))
-    if not curve:
-        curve = [(k_star, fcm_mod.fuzzy_partition_coefficient(model.memberships))]
+        model = fcm_mod.fit_fcm(reduced, _fcm_template(config, int(config.k)))
+        curve = [(model.k, fcm_mod.fuzzy_partition_coefficient(model.memberships))]
     return pca_model, reduced, model, curve
 
 

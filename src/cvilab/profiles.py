@@ -14,7 +14,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -125,13 +125,20 @@ def _parse_timestamp(raw: str, line: int) -> datetime:
     return ts
 
 
+def _offset_name(offset: timedelta | None) -> str:
+    return "naive" if offset is None else timezone(offset).tzname(None)
+
+
 def parse_readings(csv_source) -> list[ReadingSeries]:
     """Parse a readings CSV into one time-sorted series per household.
 
     Expected layout: header ``household_id,timestamp,kw``, ISO-8601
     timestamps on 15-minute boundaries, nonnegative finite kW with a dot
     decimal separator. Rows may arrive in any order; several files may be
-    concatenated upstream. Errors report the offending line number.
+    concatenated upstream. Every row of a household carries the UTC offset
+    of its first row (naive timestamps count as one offset of their own),
+    so its samples slot and de-duplicate by the same wall clock. Errors
+    report the offending line number.
     """
     fh = _open_text(csv_source)
     reader = csv.reader(fh)
@@ -142,8 +149,8 @@ def parse_readings(csv_source) -> list[ReadingSeries]:
     if [h.strip() for h in header] != ["household_id", "timestamp", "kw"]:
         raise CsvFormatError(1, f"unexpected header {header!r}")
 
-    seen: set[tuple[str, datetime]] = set()
-    per_house: dict[str, list[tuple[datetime, float]]] = {}
+    offsets: dict[str, timedelta | None] = {}
+    per_house: dict[str, dict[datetime, float]] = {}
     for line, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -161,15 +168,24 @@ def parse_readings(csv_source) -> list[ReadingSeries]:
             raise CsvFormatError(line, f"non-finite kW value {row[2]!r}")
         if kw < 0:
             raise CsvFormatError(line, f"negative kW value {kw}")
-        key = (hid, ts)
-        if key in seen:
+        offset = ts.utcoffset()
+        samples = per_house.get(hid)
+        if samples is None:
+            samples = per_house[hid] = {}
+            offsets[hid] = offset
+        elif offset != offsets[hid]:
+            raise CsvFormatError(
+                line,
+                f"mixed UTC offsets for {hid}: {_offset_name(offset)} here, "
+                f"{_offset_name(offsets[hid])} on its first row",
+            )
+        if ts in samples:
             raise CsvFormatError(line, f"duplicate reading for {hid} at {ts.isoformat()}")
-        seen.add(key)
-        per_house.setdefault(hid, []).append((ts, kw))
+        samples[ts] = kw
 
     series = []
     for hid in sorted(per_house):
-        samples = sorted(per_house[hid], key=lambda s: s[0])
+        samples = sorted(per_house[hid].items())
         series.append(
             ReadingSeries(
                 household_id=hid,

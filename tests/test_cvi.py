@@ -334,3 +334,105 @@ class TestReports:
         assert all(v is None for v in report.value_map().values())
         assert set(dict(report.errors)) == set(INDEX_NAMES)
         assert report.k_effective == 1
+
+
+def indices_one_by_one(points, labels):
+    """Each index called on its own, errors caught the way reports do."""
+    values, errors = {}, []
+    for name, index in (
+        ("sh", silhouette),
+        ("ch", calinski_harabasz),
+        ("db", davies_bouldin),
+        ("di", dunn),
+        ("xb", xie_beni),
+    ):
+        try:
+            values[name] = index(points, labels)
+        except ValueError as exc:
+            values[name] = None
+            errors.append((name, str(exc)))
+    return values, tuple(errors)
+
+
+@st.composite
+def small_partitions(draw):
+    """Few points on a coarse grid, so singletons, k = 1, N < 3,
+    coincident points and coincident centroids all come up."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    d = draw(st.integers(min_value=1, max_value=3))
+    coords = st.integers(min_value=-3, max_value=3).map(float)
+    points = np.array(
+        draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=n, max_size=n))
+    )
+    labels = np.array(
+        draw(st.lists(st.integers(min_value=-2, max_value=4), min_size=n, max_size=n))
+    )
+    return points, labels
+
+
+class TestFusedEvaluation:
+    """evaluate_labels shares one geometry between sh, ch, db and di; its
+    values must still be exactly those of the single-index functions."""
+
+    @given(partition=small_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_report_equals_single_index_calls(self, partition):
+        points, labels = partition
+        report = evaluate_labels(points, labels)
+        values, errors = indices_one_by_one(points, labels)
+        assert report.value_map() == values
+        assert report.errors == errors
+        assert report.degenerate == tuple(
+            name for name, v in values.items() if v is not None and math.isinf(v)
+        )
+        assert report.k_effective == len(set(labels.tolist()))
+
+    @pytest.mark.parametrize(
+        "points, labels",
+        [
+            (np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0]]), np.array([0, 0, 1, 1])),
+            (np.ones((4, 2)), np.array([0, 0, 0, 0])),
+            (np.array([[0.0], [1.0]]), np.array([0, 1])),
+            (np.array([[0.0], [1.0], [5.0], [9.0]]), np.array([3, 1, 1, 7])),
+        ],
+        ids=["coincident-centroids", "k1", "n2", "singletons"],
+    )
+    def test_edge_cases(self, points, labels):
+        report = evaluate_labels(points, labels)
+        values, errors = indices_one_by_one(points, labels)
+        assert report.value_map() == values
+        assert report.errors == errors
+
+    def test_coincident_centroids_error_type(self):
+        points = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+        labels = np.array([0, 0, 1, 1])
+        with pytest.raises(CoincidentCentroidsError):
+            davies_bouldin(points, labels)
+        report = evaluate_labels(points, labels)
+        assert dict(report.errors)["db"] == "two clusters share a centroid"
+
+    def test_random_instances_bitwise(self):
+        for seed in range(10):
+            points, labels = random_labeled(seed)
+            values, errors = indices_one_by_one(points, labels)
+            report = evaluate_labels(points, labels)
+            assert report.value_map() == values and report.errors == errors
+
+    def test_one_pass_over_point_pairs(self, monkeypatch):
+        import cvilab.cvi as cvi_module
+
+        pairs = []
+        real_cdist = cvi_module.cdist
+
+        def counting_cdist(a, b, *args, **kwargs):
+            out = real_cdist(a, b, *args, **kwargs)
+            pairs.append(out.size)
+            return out
+
+        monkeypatch.setattr(cvi_module, "cdist", counting_cdist)
+        rng = np.random.default_rng(0)
+        n = 300
+        labels = rng.integers(0, 6, size=n)
+        points = rng.normal(size=(n, 4)) + labels[:, None] * 3.0
+        evaluate_labels(points, labels)
+        assert sum(pairs) < 1.1 * n * n

@@ -115,6 +115,29 @@ class TestFitFcm:
         assert np.abs(sums - 1.0).max() < 1e-9
         assert model.memberships.min() >= 0.0
 
+    def test_one_distance_matrix_per_iteration(self, monkeypatch):
+        import cvilab.fcm as fcm_module
+
+        calls = {"cdist": 0, "iterations": 0}
+        real_cdist, real_centroids = fcm_module.cdist, fcm_module._centroids
+
+        def counting_cdist(*args, **kwargs):
+            calls["cdist"] += 1
+            return real_cdist(*args, **kwargs)
+
+        def counting_centroids(*args, **kwargs):
+            calls["iterations"] += 1  # one centroid update per iteration
+            return real_centroids(*args, **kwargs)
+
+        monkeypatch.setattr(fcm_module, "cdist", counting_cdist)
+        monkeypatch.setattr(fcm_module, "_centroids", counting_centroids)
+        x = blob_data(4, [(0, 0), (4, 1), (2, 5)])
+        for config in (FcmConfig(k=3, seed=2, restarts=4), FcmConfig(k=4, max_iter=3)):
+            calls.update(cdist=0, iterations=0)
+            fit_fcm(x, config)
+            assert calls["iterations"] >= config.restarts
+            assert calls["cdist"] <= calls["iterations"] + config.restarts
+
     def test_point_on_centroid_goes_crisp(self):
         x = blob_data(3, [(0, 0), (8, 0)])
         model = fit_fcm(x, FcmConfig(k=2, seed=1))
@@ -224,6 +247,18 @@ class TestSelectClusterCount:
         )
         assert dict(curve)[k_star] == fuzzy_partition_coefficient(refit.memberships)
 
+    def test_returned_model_is_the_winning_fit_bitwise(self):
+        x = blob_data(13, [(0, 0), (6, 0), (3, 5)], size=12)
+        config = FcmConfig(k=2, seed=4, restarts=3)
+        k_star, curve, model = select_cluster_count(
+            x, config, k_range=(2, 5), return_model=True
+        )
+        assert (k_star, curve) == select_cluster_count(x, config, k_range=(2, 5))
+        refit = fit_fcm(x, FcmConfig(k=k_star, seed=4, restarts=3))
+        assert model_to_json(model) == model_to_json(refit)
+        for name in ("centroids", "memberships", "labels", "objective_trace"):
+            assert getattr(model, name).tobytes() == getattr(refit, name).tobytes()
+
     def test_tie_breaks_to_smaller_k(self, monkeypatch):
         import cvilab.fcm as fcm_module
 
@@ -245,6 +280,10 @@ class TestSelectClusterCount:
         )
         assert k_star == 2
         assert dict(curve)[2] == pytest.approx(0.9, abs=1e-12)
+        _, _, model = fcm_module.select_cluster_count(
+            np.zeros((8, 2)), FcmConfig(k=2), k_range=(2, 4), return_model=True
+        )
+        assert model.k == 2
 
     def test_range_validation(self):
         x = blob_data(0, [(0, 0), (5, 5)], size=4)

@@ -1,6 +1,7 @@
 """End-to-end tests for the config loader, pipeline stages, manifest
 bookkeeping, and the command-line front end (driven in-process)."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from cvilab import cli, perturb
+from cvilab import fcm as fcm_mod
 from cvilab import pipeline as pl
 
 CORE_ARTIFACTS = [
@@ -311,6 +313,50 @@ class TestRunPipeline:
         pl.stage_data(config)
         with pytest.raises(FileNotFoundError, match="pca.json"):
             pl.stage_validate(config)
+
+
+def assert_models_bitwise_equal(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
+            assert x.tobytes() == y.tobytes(), field.name
+        else:
+            assert x == y, field.name
+
+
+@pytest.fixture
+def fitted_k(monkeypatch):
+    """k of every fit_fcm call made during the test."""
+    ks = []
+    real_fit = fcm_mod.fit_fcm
+
+    def counting_fit(data, cfg):
+        ks.append(cfg.k)
+        return real_fit(data, cfg)
+
+    monkeypatch.setattr(fcm_mod, "fit_fcm", counting_fit)
+    return ks
+
+
+class TestFitModels:
+    def test_fpc_selection_keeps_the_winning_model(self, tmp_path, fitted_k):
+        config = pl.build_run_config(small_raw(tmp_path, k="fpc"))
+        matrix, _ = pl._load_profiles(config)
+        _, reduced, model, curve = pl._fit_models(config, matrix)
+        k_hi = min(fcm_mod.K_MAX_DEFAULT, len(matrix) - 1)
+        assert fitted_k == list(range(2, k_hi + 1))  # k_hi - 1 fits, no refit
+        k_star = max(curve, key=lambda kv: (kv[1], -kv[0]))[0]
+        assert model.k == k_star
+        refit = fcm_mod.fit_fcm(reduced, pl._fcm_template(config, k_star))
+        assert_models_bitwise_equal(model, refit)
+
+    def test_fixed_k_fits_once(self, tmp_path, fitted_k):
+        config = pl.build_run_config(small_raw(tmp_path))
+        matrix, _ = pl._load_profiles(config)
+        _, _, model, curve = pl._fit_models(config, matrix)
+        assert fitted_k == [3]
+        assert [k for k, _ in curve] == [3] and model.k == 3
 
 
 class TestManifestMerge:

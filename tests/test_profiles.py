@@ -32,6 +32,17 @@ from cvilab import (
 from cvilab.profiles import PROFILE_CSV_HEADER, SLOTS_PER_DAY
 
 
+# Timestamp suffix -> UTC offset; "" is naive, Z and +00:00 are one offset.
+OFFSET_OF = {
+    "": None,
+    "Z": timedelta(0),
+    "+00:00": timedelta(0),
+    "+01:00": timedelta(hours=1),
+    "-05:00": timedelta(hours=-5),
+    "+05:30": timedelta(hours=5, minutes=30),
+}
+
+
 def csv_bytes(rows, header="household_id,timestamp,kw"):
     return ("\n".join([header] + rows) + "\n").encode()
 
@@ -129,6 +140,85 @@ class TestParseReadings:
         data = csv_bytes(["A,2024-01-01T00:00:00Z,1.0"])
         (series,) = parse_readings(data)
         assert len(series) == 1
+
+    def test_naive_after_zoned_names_line(self):
+        data = csv_bytes(
+            ["A,2024-01-01T00:00:00Z,1.0", "A,2024-01-01T00:15:00,1.0"]
+        )
+        with pytest.raises(CsvFormatError, match="mixed UTC offsets") as err:
+            parse_readings(data)
+        assert err.value.line == 3
+
+    def test_zoned_after_naive_names_line(self):
+        data = csv_bytes(
+            [
+                "A,2024-01-01T00:00:00,1.0",
+                "B,2024-01-01T00:00:00+02:00,1.0",
+                "A,2024-01-01T00:15:00+01:00,1.0",
+            ]
+        )
+        with pytest.raises(CsvFormatError, match="naive on its first row") as err:
+            parse_readings(data)
+        assert err.value.line == 4
+
+    def test_same_instant_in_another_offset_is_mixed_not_duplicate(self):
+        # 00:00Z and 01:00+01:00 are one instant but slots 0 and 4.
+        data = csv_bytes(
+            ["A,2024-01-01T00:00:00Z,1.0", "A,2024-01-01T01:00:00+01:00,2.0"]
+        )
+        with pytest.raises(CsvFormatError, match="UTC\\+01:00 here, UTC on") as err:
+            parse_readings(data)
+        assert err.value.line == 3
+
+    def test_offset_is_per_household_and_spelling_free(self):
+        data = csv_bytes(
+            [
+                "A,2024-01-01T00:00:00Z,1.0",
+                "B,2024-01-01T00:00:00-05:00,2.0",
+                "A,2024-01-01T00:15:00+00:00,3.0",
+                "C,2024-01-01T00:00:00,4.0",
+            ]
+        )
+        a, b, c = parse_readings(data)
+        assert list(a.loads) == [1.0, 3.0]
+        assert b.times[0].utcoffset() == timedelta(hours=-5)
+        assert c.times[0].tzinfo is None
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from("ab"),
+                st.integers(min_value=0, max_value=300),
+                st.sampled_from(sorted(OFFSET_OF)),
+            ),
+            min_size=1,
+            max_size=25,
+            unique_by=lambda row: row[:2],
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_first_row_fixes_each_households_offset(self, rows):
+        base = datetime(2024, 1, 1)
+        lines = [
+            f"{hid},{(base + timedelta(minutes=15 * slot)).isoformat()}{suffix},1.0"
+            for hid, slot, suffix in rows
+        ]
+        first: dict[str, object] = {}
+        offending = None
+        for line, (hid, _, suffix) in enumerate(rows, start=2):
+            if first.setdefault(hid, OFFSET_OF[suffix]) != OFFSET_OF[suffix]:
+                offending = line
+                break
+        if offending is None:
+            series = parse_readings(csv_bytes(lines))
+            assert sum(len(s) for s in series) == len(rows)
+            for s in series:
+                assert {t.utcoffset() for t in s.times} == {first[s.household_id]}
+                assert list(s.times) == sorted(s.times)
+        else:
+            with pytest.raises(CsvFormatError, match="mixed UTC offsets") as err:
+                parse_readings(csv_bytes(lines))
+            assert err.value.line == offending
 
     def test_bulk_file_against_count_and_sort_oracle(self):
         # 50 households x 180 days x 96 slots, checked against plain
