@@ -31,7 +31,7 @@ print("fpc of uniform rows, k=4:", fuzzy_partition_coefficient(np.full((8, 4), 0
 rng = np.random.default_rng(11)
 centers = [(0.0, 0.0), (6.0, 0.0), (3.0, 5.0)]
 blobs = np.vstack([rng.normal(c, 0.05, (25, 2)) for c in centers])
-k_star, curve = select_cluster_count(blobs, FcmConfig(k=2, seed=1, restarts=4), (2, 6))
+k_star, curve, _ = select_cluster_count(blobs, FcmConfig(k=2, seed=1, restarts=4), (2, 6))
 for k, value in curve:
     marker = "  <- chosen" if k == k_star else ""
     print(f"k={k}  fpc={value:.6f}{marker}")

@@ -70,18 +70,6 @@ class PartitionGeometry:
         return self.centroids.shape[0]
 
 
-def _validate_points_labels(points, labels) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(points, dtype=float)
-    y = np.asarray(labels)
-    if x.ndim != 2:
-        raise ValueError("points must be a 2-D matrix")
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ValueError("labels must be 1-D and match the number of points")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("points contain non-finite entries")
-    return x, y
-
-
 def _distance_pass(
     x: np.ndarray, canon: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -109,7 +97,14 @@ def _distance_pass(
 
 def partition_geometry(points, labels) -> PartitionGeometry:
     """Compute the shared statistics every index draws on."""
-    x, y = _validate_points_labels(points, labels)
+    x = np.asarray(points, dtype=float)
+    y = np.asarray(labels)
+    if x.ndim != 2:
+        raise ValueError("points must be a 2-D matrix")
+    if y.ndim != 1 or y.shape[0] != x.shape[0]:
+        raise ValueError("labels must be 1-D and match the number of points")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("points contain non-finite entries")
     label_values, canon = np.unique(y, return_inverse=True)
     k = label_values.shape[0]
     sizes = np.bincount(canon, minlength=k)
@@ -173,7 +168,10 @@ def _calinski_harabasz(geom: PartitionGeometry) -> float:
     if k >= n:
         raise ValueError("index needs k < N")
     between = float(
-        (geom.cluster_sizes * np.square(geom.centroids - geom.data_centroid).sum(axis=1)).sum()
+        (
+            geom.cluster_sizes
+            * np.square(geom.centroids - geom.data_centroid).sum(axis=1)
+        ).sum()
     )
     within = float(np.square(geom.points - geom.centroids[geom.canon]).sum())
     if within == 0.0:
@@ -328,14 +326,13 @@ def evaluate_labels(points, labels) -> CviReport:
     pass. Per-index failures are recorded in the report instead of
     aborting the other indices.
     """
-    x, y = _validate_points_labels(points, labels)
-    geom = partition_geometry(x, y)
+    geom = partition_geometry(points, labels)
     parts: dict = {"degenerate": [], "errors": []}
     _collect(parts, "sh", lambda: _silhouette(geom))
     _collect(parts, "ch", lambda: _calinski_harabasz(geom))
     _collect(parts, "db", lambda: _davies_bouldin(geom))
     _collect(parts, "di", lambda: _dunn(geom))
-    _collect(parts, "xb", lambda: xie_beni(x, y))
+    _collect(parts, "xb", lambda: xie_beni(geom.points, geom.labels))
     return CviReport(
         sh=parts["sh"],
         ch=parts["ch"],

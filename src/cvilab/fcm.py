@@ -198,16 +198,13 @@ def select_cluster_count(
     data: np.ndarray,
     config: FcmConfig,
     k_range: tuple[int, int] = (2, K_MAX_DEFAULT),
-    *,
-    return_model: bool = False,
-) -> tuple:
+) -> tuple[int, list[tuple[int, float]], ClusterModel]:
     """Fit every k in ``k_range`` and pick the FPC argmax (ties: smaller k).
 
-    Returns the chosen k and the (k, FPC) curve for export, plus the
-    winning model when ``return_model`` is set; the pipeline takes that
-    model rather than fitting k* again. Refitting with ``k=k*`` reproduces
-    the winning model bit for bit, so the curve alone is enough to resume
-    from.
+    Returns the chosen k, the (k, FPC) curve for export and the winning
+    model, which the pipeline uses rather than fitting k* again. Refitting
+    with ``k=k*`` reproduces the winning model bit for bit, so the curve
+    alone is enough to resume from.
     """
     x = np.asarray(data, dtype=float)
     lo, hi = k_range
@@ -226,7 +223,7 @@ def select_cluster_count(
         if best is None or fpc > best[1]:
             best = (k, fpc, model)
     best_k, _, best_model = best
-    return (best_k, curve, best_model) if return_model else (best_k, curve)
+    return best_k, curve, best_model
 
 
 def model_to_dict(model: ClusterModel) -> dict:

@@ -436,9 +436,7 @@ def _fit_models(
         if k_hi < 2:
             raise ValueError("too few profiles to select a cluster count")
         template = _fcm_template(config, 2)
-        _, curve, model = fcm_mod.select_cluster_count(
-            reduced, template, (2, k_hi), return_model=True
-        )
+        _, curve, model = fcm_mod.select_cluster_count(reduced, template, (2, k_hi))
     else:
         model = fcm_mod.fit_fcm(reduced, _fcm_template(config, int(config.k)))
         curve = [(model.k, fcm_mod.fuzzy_partition_coefficient(model.memberships))]

@@ -273,7 +273,7 @@ def test_criterion_9_selection_procedures():
     rng = np.random.default_rng(11)
     centers = [(0.0, 0.0), (6.0, 0.0), (3.0, 5.0)]
     blobs = np.vstack([rng.normal(c, 0.05, (25, 2)) for c in centers])
-    k_star, curve = select_cluster_count(
+    k_star, curve, _ = select_cluster_count(
         blobs, FcmConfig(k=2, seed=1, restarts=4), (2, 6)
     )
     assert k_star == 3

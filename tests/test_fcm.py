@@ -232,7 +232,7 @@ class TestHardenAndFpc:
 class TestSelectClusterCount:
     def test_three_blobs_pick_three(self):
         x = blob_data(11, [(0, 0), (6, 0), (3, 5)])
-        k_star, curve = select_cluster_count(x, FcmConfig(k=2, seed=1, restarts=4))
+        k_star, curve, _ = select_cluster_count(x, FcmConfig(k=2, seed=1, restarts=4))
         assert k_star == 3
         assert [k for k, _ in curve] == list(range(2, 11))
         assert all(0.0 < v <= 1.0 + 1e-12 for _, v in curve)
@@ -240,7 +240,7 @@ class TestSelectClusterCount:
     def test_curve_entry_reproducible_by_refit(self):
         x = blob_data(12, [(0, 0), (7, 1)], size=15)
         config = FcmConfig(k=2, seed=5, restarts=3)
-        k_star, curve = select_cluster_count(x, config, k_range=(2, 4))
+        k_star, curve, _ = select_cluster_count(x, config, k_range=(2, 4))
         refit = fit_fcm(
             x,
             FcmConfig(k=k_star, seed=5, restarts=3),
@@ -250,10 +250,7 @@ class TestSelectClusterCount:
     def test_returned_model_is_the_winning_fit_bitwise(self):
         x = blob_data(13, [(0, 0), (6, 0), (3, 5)], size=12)
         config = FcmConfig(k=2, seed=4, restarts=3)
-        k_star, curve, model = select_cluster_count(
-            x, config, k_range=(2, 5), return_model=True
-        )
-        assert (k_star, curve) == select_cluster_count(x, config, k_range=(2, 5))
+        k_star, _, model = select_cluster_count(x, config, k_range=(2, 5))
         refit = fit_fcm(x, FcmConfig(k=k_star, seed=4, restarts=3))
         assert model_to_json(model) == model_to_json(refit)
         for name in ("centroids", "memberships", "labels", "objective_trace"):
@@ -275,14 +272,11 @@ class TestSelectClusterCount:
             )
 
         monkeypatch.setattr(fcm_module, "fit_fcm", fake_fit)
-        k_star, curve = fcm_module.select_cluster_count(
+        k_star, curve, model = fcm_module.select_cluster_count(
             np.zeros((8, 2)), FcmConfig(k=2), k_range=(2, 4)
         )
         assert k_star == 2
         assert dict(curve)[2] == pytest.approx(0.9, abs=1e-12)
-        _, _, model = fcm_module.select_cluster_count(
-            np.zeros((8, 2)), FcmConfig(k=2), k_range=(2, 4), return_model=True
-        )
         assert model.k == 2
 
     def test_range_validation(self):

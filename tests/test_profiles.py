@@ -170,6 +170,18 @@ class TestParseReadings:
             parse_readings(data)
         assert err.value.line == 3
 
+    def test_local_time_across_dst_change_is_refused(self):
+        # 01:45+01:00 and 03:00+02:00 are 15 minutes apart (CET -> CEST);
+        # the same rows written in UTC parse.
+        local = ["A,2024-03-31T01:45:00+01:00,1.0", "A,2024-03-31T03:00:00+02:00,2.0"]
+        offsets = "UTC\\+02:00 here, UTC\\+01:00"
+        with pytest.raises(CsvFormatError, match=offsets) as err:
+            parse_readings(csv_bytes(local))
+        assert err.value.line == 3
+        utc = ["A,2024-03-31T00:45:00Z,1.0", "A,2024-03-31T01:00:00Z,2.0"]
+        (series,) = parse_readings(csv_bytes(utc))
+        assert list(series.loads) == [1.0, 2.0]
+
     def test_offset_is_per_household_and_spelling_free(self):
         data = csv_bytes(
             [
