@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -319,6 +319,26 @@ def _collect(parts: dict, name: str, compute) -> None:
     parts[name] = value
 
 
+def _report(geom: PartitionGeometry, xb, fuzzy: bool) -> CviReport:
+    parts: dict = {"degenerate": [], "errors": []}
+    _collect(parts, "sh", lambda: _silhouette(geom))
+    _collect(parts, "ch", lambda: _calinski_harabasz(geom))
+    _collect(parts, "db", lambda: _davies_bouldin(geom))
+    _collect(parts, "di", lambda: _dunn(geom))
+    _collect(parts, "xb", xb)
+    return CviReport(
+        sh=parts["sh"],
+        ch=parts["ch"],
+        db=parts["db"],
+        di=parts["di"],
+        xb=parts["xb"],
+        k_effective=geom.k,
+        fuzzy=fuzzy,
+        degenerate=tuple(parts["degenerate"]),
+        errors=tuple(parts["errors"]),
+    )
+
+
 def evaluate_labels(points, labels) -> CviReport:
     """All five indices on a hard partition; Xie-Beni in crisp mode.
 
@@ -327,23 +347,7 @@ def evaluate_labels(points, labels) -> CviReport:
     aborting the other indices.
     """
     geom = partition_geometry(points, labels)
-    parts: dict = {"degenerate": [], "errors": []}
-    _collect(parts, "sh", lambda: _silhouette(geom))
-    _collect(parts, "ch", lambda: _calinski_harabasz(geom))
-    _collect(parts, "db", lambda: _davies_bouldin(geom))
-    _collect(parts, "di", lambda: _dunn(geom))
-    _collect(parts, "xb", lambda: xie_beni(geom.points, geom.labels))
-    return CviReport(
-        sh=parts["sh"],
-        ch=parts["ch"],
-        db=parts["db"],
-        di=parts["di"],
-        xb=parts["xb"],
-        k_effective=geom.k,
-        fuzzy=False,
-        degenerate=tuple(parts["degenerate"]),
-        errors=tuple(parts["errors"]),
-    )
+    return _report(geom, lambda: xie_beni(geom.points, geom.labels), fuzzy=False)
 
 
 def evaluate_all(points, model, use_memberships: bool = True) -> CviReport:
@@ -351,25 +355,16 @@ def evaluate_all(points, model, use_memberships: bool = True) -> CviReport:
 
     The four label-based indices use the hardened labels; Xie-Beni uses
     the membership matrix and fitted centroids when ``use_memberships``
-    (the ``fuzzy`` flag records which mode was taken). Singleton clusters
-    count as clusters.
+    (the ``fuzzy`` flag records which mode was taken), and the crisp
+    Xie-Beni is then never computed. Singleton clusters count as clusters.
     """
-    x = np.asarray(points, dtype=float)
-    crisp = evaluate_labels(x, np.asarray(model.labels))
     if not use_memberships:
-        return crisp
-    parts: dict = {"degenerate": [], "errors": []}
-    _collect(
-        parts,
-        "xb",
-        lambda: xie_beni(x, model.memberships, model.centroids, model.fuzzifier),
-    )
-    return replace(
-        crisp,
-        xb=parts["xb"],
+        return evaluate_labels(points, np.asarray(model.labels))
+    geom = partition_geometry(points, np.asarray(model.labels))
+    return _report(
+        geom,
+        lambda: xie_beni(geom.points, model.memberships, model.centroids, model.fuzzifier),
         fuzzy=True,
-        degenerate=tuple(n for n in crisp.degenerate if n != "xb") + tuple(parts["degenerate"]),
-        errors=tuple(e for e in crisp.errors if e[0] != "xb") + tuple(parts["errors"]),
     )
 
 

@@ -13,8 +13,10 @@ import csv
 import io
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +29,12 @@ PROFILE_CSV_HEADER = ["household_id"] + [
     f"t{(s * SLOT_MINUTES) // 60:02d}{(s * SLOT_MINUTES) % 60:02d}"
     for s in range(SLOTS_PER_DAY)
 ]
+
+_HEADER = ["household_id", "timestamp", "kw"]
+
+# Bytes of whole lines the columnar reader takes at a time. Per row, only
+# two int32 codes and a float64 kW outlive a block.
+_BLOCK_BYTES = 1 << 22
 
 
 class CsvFormatError(ValueError):
@@ -102,17 +110,23 @@ class ProfileMatrix:
         )
 
 
-def _open_text(source) -> io.TextIOBase:
+@contextmanager
+def _open_text(source):
+    """A text handle on a path, bytes or a stream; only a file opened here
+    is closed on exit."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return io.StringIO(data)
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    if not isinstance(source, io.TextIOBase):
+        data = source if isinstance(source, bytes) else source.read()
+        source = _text_buffer(data.decode("utf-8") if isinstance(data, bytes) else data)
+    yield source
+
+
+def _text_buffer(text: str) -> io.StringIO:
+    # Lines end at \r, \n or \r\n, as in a file opened with newline="".
+    return io.StringIO(text, newline="")
 
 
 def _parse_timestamp(raw: str, line: int) -> datetime:
@@ -139,14 +153,37 @@ def parse_readings(csv_source) -> list[ReadingSeries]:
     of its first row (naive timestamps count as one offset of their own),
     so its samples slot and de-duplicate by the same wall clock. Errors
     report the offending line number.
+
+    ``csv_source`` is a path, bytes or a stream; a stream is read whole
+    first, and every source is read as a file opened with ``newline=""``.
+    The source is read in blocks of whole lines, and each distinct
+    household, timestamp and kW string is parsed once. Input outside the
+    plain grammar (quotes, blank lines, a wrong comma count, bytes that are
+    not UTF-8) or breaking a rule above goes through the row parser instead,
+    which raises the line-numbered error. The series share one ``datetime``
+    per distinct timestamp string.
     """
-    fh = _open_text(csv_source)
+    if not isinstance(csv_source, (str, os.PathLike, bytes)):
+        data = csv_source.read()
+        csv_source = data if isinstance(data, bytes) else _text_buffer(data)
+    try:
+        with _open_bytes(csv_source) as fh:
+            return _parse_columnar(_line_blocks(fh))
+    except _RowPath:
+        pass
+    with _open_text(csv_source) as fh:
+        return _parse_rows(fh)
+
+
+def _parse_rows(fh) -> list[ReadingSeries]:
+    """The row-by-row parser: the reference for the columnar reader, and
+    the one place that words the line-numbered errors."""
     reader = csv.reader(fh)
     try:
         header = next(reader)
     except StopIteration:
         raise CsvFormatError(1, "empty input, expected header household_id,timestamp,kw") from None
-    if [h.strip() for h in header] != ["household_id", "timestamp", "kw"]:
+    if [h.strip() for h in header] != _HEADER:
         raise CsvFormatError(1, f"unexpected header {header!r}")
 
     offsets: dict[str, timedelta | None] = {}
@@ -196,8 +233,196 @@ def parse_readings(csv_source) -> list[ReadingSeries]:
     return series
 
 
+class _RowPath(Exception):
+    """The input is outside the columnar reader's plain grammar or breaks a
+    rule; the row parser takes the whole source."""
+
+
+def _open_bytes(source) -> io.BufferedIOBase:
+    if isinstance(source, (str, os.PathLike)):
+        return open(source, "rb")
+    if isinstance(source, io.StringIO):
+        try:
+            return io.BytesIO(source.getvalue().encode("utf-8"))
+        except UnicodeEncodeError:
+            raise _RowPath from None
+    return io.BytesIO(source)
+
+
+def _line_blocks(fh):
+    """The stream in blocks of whole lines, about ``_BLOCK_BYTES`` each."""
+    tail = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        chunk = tail + chunk
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield chunk[:cut]
+        tail = chunk[cut:]
+    if tail:
+        yield tail
+
+
+def _block_lines(block: bytes) -> np.ndarray:
+    """The block's lines as a byte-string array, each with exactly two
+    commas and no quote, NUL or bare carriage return."""
+    if b'"' in block or b"\0" in block:
+        raise _RowPath
+    if b"\r" in block:
+        if block.count(b"\r") != block.count(b"\r\n"):
+            raise _RowPath
+        block = block.replace(b"\r\n", b"\n")
+    parts = block.split(b"\n")
+    if not parts[-1]:
+        parts.pop()
+    # The array is as wide as the longest line: refuse lines so uneven
+    # that it would dwarf the block.
+    if len(parts) * max(map(len, parts)) > 4 * len(block):
+        raise _RowPath
+    lines = np.array(parts)
+    if np.any(np.strings.count(lines, b",") != 2):
+        raise _RowPath
+    return lines
+
+
+def _each(parse, raws) -> list:
+    """``parse`` of each distinct raw field, decoded as UTF-8."""
+    try:
+        return [parse(raw.decode("utf-8")) for raw in raws]
+    except ValueError:  # CsvFormatError and UnicodeDecodeError included
+        raise _RowPath from None
+
+
+def _coded(column: np.ndarray, values_of, dtype) -> np.ndarray:
+    """``values_of(distinct values)`` spread back over the column's rows."""
+    if column.itemsize <= 8:
+        # Up to 8 bytes fit one integer, which sorts several times faster
+        # (no value holds a NUL, so the padding keeps values apart).
+        keys, inverse = np.unique(column.astype("S8").view(np.uint64), return_inverse=True)
+        distinct = keys.view("S8")
+    else:
+        distinct = np.unique(column, sorted=False)
+        distinct.sort()
+        inverse = np.searchsorted(distinct, column)
+    return np.asarray(values_of(distinct.tolist()), dtype=dtype)[inverse]
+
+
+def _household(text: str) -> str:
+    hid = text.strip()
+    if not hid:
+        raise ValueError
+    return hid
+
+
+def _load(text: str) -> float:
+    kw = float(text)
+    if not (math.isfinite(kw) and kw >= 0):
+        raise ValueError
+    return kw
+
+
+def _numbering(table: dict[bytes, int]):
+    """Codes of distinct values, numbering the values new to ``table``."""
+    return lambda distinct: [table.setdefault(v, len(table)) for v in distinct]
+
+
+def _block_columns(lines: np.ndarray, households: dict, stamps: dict):
+    """Household codes, timestamp codes and kW of one block's rows."""
+    hid, _, rest = np.strings.partition(lines, b",")
+    ts, _, kw = np.strings.partition(rest, b",")
+    # kW strings are parsed per block: a table of them could grow with
+    # the row count.
+    return (
+        _coded(hid, _numbering(households), np.int32),
+        _coded(ts, _numbering(stamps), np.int32),
+        _coded(kw, lambda distinct: _each(_load, distinct), np.float64),
+    )
+
+
+def _parse_columnar(blocks) -> list[ReadingSeries]:
+    """The series of a plain, valid source; :class:`_RowPath` otherwise."""
+    blocks = map(_block_lines, blocks)
+    lines = next(blocks, None)
+    if lines is None:
+        raise _RowPath
+    (header,) = _each(lambda text: [h.strip() for h in text.split(",")], lines[:1])
+    if header != _HEADER:
+        raise _RowPath
+    households: dict[bytes, int] = {}
+    stamps: dict[bytes, int] = {}
+    columns = [
+        _block_columns(lines, households, stamps)
+        for lines in chain([lines[1:]], blocks)
+        if lines.size
+    ]
+    if not columns:
+        return []
+    hid_code, ts_code, kw = (np.concatenate(c) for c in zip(*columns))
+    del columns
+
+    names = _each(_household, households)
+    times = _each(lambda text: _parse_timestamp(text, 0), stamps)
+    ids = sorted(set(names))
+    position = {hid: i for i, hid in enumerate(ids)}
+    walls = [t.replace(tzinfo=None) for t in times]
+    rank_of = {w: r for r, w in enumerate(sorted(set(walls)))}
+    offsets: dict[timedelta | None, int] = {}
+
+    # One int64 key orders the rows by household, then wall-clock rank.
+    key = np.array([position[n] for n in names], dtype=np.int64)[hid_code]
+    key *= len(rank_of)
+    key += np.array([rank_of[w] for w in walls], dtype=np.int64)[ts_code]
+    order = np.argsort(key, kind="stable")
+    key, ts_code, kw = key[order], ts_code[order], kw[order]
+    del order
+    house = key // len(rank_of)
+    offset = np.array(
+        [offsets.setdefault(t.utcoffset(), len(offsets)) for t in times], dtype=np.int32
+    )[ts_code]
+    # Each household keeps one offset, so an equal key is a duplicate.
+    same_house = house[1:] == house[:-1]
+    if np.any(key[1:] == key[:-1]) or np.any(same_house & (offset[1:] != offset[:-1])):
+        raise _RowPath
+
+    bounds = np.flatnonzero(~same_house) + 1
+    sorted_times = np.array(times, dtype=object)[ts_code]
+    return [
+        ReadingSeries(household_id=hid, times=tuple(t.tolist()), loads=loads)
+        for hid, t, loads in zip(ids, np.split(sorted_times, bounds), np.split(kw, bounds))
+    ]
+
+
 def _slot_of(ts: datetime) -> int:
     return ts.hour * 4 + ts.minute // SLOT_MINUTES
+
+
+def _slots(times) -> np.ndarray:
+    """Daily slot of each timestamp, derived once per distinct object:
+    :func:`parse_readings` shares one ``datetime`` per distinct timestamp."""
+    ids = np.fromiter(map(id, times), dtype=np.intp, count=len(times))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return np.array([_slot_of(times[i]) for i in first], dtype=np.uint8)[inverse]
+
+
+def _slot_medians(series: ReadingSeries, slots: np.ndarray) -> np.ndarray:
+    # Loads sorted, then stably by slot: each slot's loads in order, as a
+    # lexsort by (slot, load) gives them but several times faster on uint8
+    # slots. An odd count takes its middle element as it is and an even
+    # count the mean (a + b) / 2 of the two central ones, as np.median does.
+    loads = np.asarray(series.loads, dtype=float)
+    by_load = np.argsort(loads)
+    ordered = loads[by_load[np.argsort(slots[by_load], kind="stable")]]
+    counts = np.bincount(slots, minlength=SLOTS_PER_DAY)
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise MissingSlotError(
+            f"household {series.household_id}: no observations for "
+            f"{missing.size} slot(s), first missing slot {missing[0]}"
+        )
+    starts = np.cumsum(counts) - counts
+    medians = ordered[starts + (counts - 1) // 2]
+    even = counts % 2 == 0
+    medians[even] = (medians[even] + ordered[(starts + counts // 2)[even]]) / 2
+    return medians
 
 
 def median_daily_profile(series: ReadingSeries) -> np.ndarray:
@@ -207,16 +432,7 @@ def median_daily_profile(series: ReadingSeries) -> np.ndarray:
     statistics. Every one of the 96 slots needs at least one observation;
     gaps are an error rather than being imputed.
     """
-    buckets: list[list[float]] = [[] for _ in range(SLOTS_PER_DAY)]
-    for ts, kw in zip(series.times, series.loads):
-        buckets[_slot_of(ts)].append(kw)
-    missing = [s for s, b in enumerate(buckets) if not b]
-    if missing:
-        raise MissingSlotError(
-            f"household {series.household_id}: no observations for "
-            f"{len(missing)} slot(s), first missing slot {missing[0]}"
-        )
-    return np.array([np.median(b) for b in buckets], dtype=float)
+    return _slot_medians(series, _slots(series.times))
 
 
 def l2_normalize(profile: np.ndarray) -> np.ndarray:
@@ -232,9 +448,11 @@ def l2_normalize(profile: np.ndarray) -> np.ndarray:
 
 def profiles_from_readings(series: list[ReadingSeries]) -> ProfileMatrix:
     """Median + normalize every series and stack into a ProfileMatrix."""
+    times = list(chain.from_iterable(s.times for s in series))
+    bounds = np.cumsum([len(s) for s in series])[:-1]
     profiles = [
-        DailyProfile(s.household_id, l2_normalize(median_daily_profile(s)))
-        for s in series
+        DailyProfile(s.household_id, l2_normalize(_slot_medians(s, slots)))
+        for s, slots in zip(series, np.split(_slots(times), bounds))
     ]
     return ProfileMatrix.from_profiles(profiles)
 
@@ -378,18 +596,18 @@ def read_profiles_csv(source) -> ProfileMatrix:
     Rows are re-normalized: 9-digit rounding can push the stored norm just
     outside the 1e-9 unit-norm tolerance.
     """
-    fh = _open_text(source)
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header != PROFILE_CSV_HEADER:
-        raise ValueError("unexpected profile CSV header")
     households = []
     rows = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != SLOTS_PER_DAY + 1:
-            raise ValueError(f"profile row for {row[0]!r} has {len(row) - 1} slots")
-        households.append(row[0])
-        rows.append(l2_normalize(np.array([float(v) for v in row[1:]], dtype=float)))
+    with _open_text(source) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != PROFILE_CSV_HEADER:
+            raise ValueError("unexpected profile CSV header")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != SLOTS_PER_DAY + 1:
+                raise ValueError(f"profile row for {row[0]!r} has {len(row) - 1} slots")
+            households.append(row[0])
+            rows.append(l2_normalize(np.array([float(v) for v in row[1:]], dtype=float)))
     return ProfileMatrix(households=tuple(households), values=np.array(rows, dtype=float))

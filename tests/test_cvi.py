@@ -1,6 +1,8 @@
 """The five validation indices against hand values and naive oracles."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from cvilab import (
     evaluate_all,
     evaluate_labels,
     fit_fcm,
+    partition_geometry,
     silhouette,
     xie_beni,
 )
@@ -436,3 +439,77 @@ class TestFusedEvaluation:
         points = rng.normal(size=(n, 4)) + labels[:, None] * 3.0
         evaluate_labels(points, labels)
         assert sum(pairs) < 1.1 * n * n
+
+
+def fuzzy_report_reference(points, model):
+    """The crisp report with its Xie-Beni swapped for the fuzzy one, as
+    evaluate_all first built it."""
+    crisp = evaluate_labels(points, model.labels)
+    try:
+        xb, errors = xie_beni(points, model.memberships, model.centroids, model.fuzzifier), ()
+    except ValueError as exc:
+        xb, errors = None, (("xb", str(exc)),)
+    return replace(
+        crisp,
+        xb=xb,
+        fuzzy=True,
+        degenerate=tuple(n for n in crisp.degenerate if n != "xb")
+        + (("xb",) if xb is not None and math.isinf(xb) else ()),
+        errors=tuple(e for e in crisp.errors if e[0] != "xb") + errors,
+    )
+
+
+class TestFuzzyReport:
+    """evaluate_all with memberships builds its report from the geometry
+    directly and never computes the crisp Xie-Beni it would discard."""
+
+    @given(partition=small_partitions(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_crisp_report_with_fuzzy_xie_beni(self, partition, data):
+        points, labels = partition
+        n, d = points.shape
+        k = len(set(labels.tolist()))
+        weights = np.array(
+            data.draw(st.lists(st.lists(st.integers(1, 4), min_size=k, max_size=k),
+                               min_size=n, max_size=n)),
+            dtype=float,
+        )
+        coords = st.integers(min_value=-2, max_value=2).map(float)
+        centroids = np.array(
+            data.draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=k, max_size=k))
+        )
+        model = SimpleNamespace(
+            labels=labels,
+            memberships=weights / weights.sum(axis=1, keepdims=True),
+            centroids=centroids,
+            fuzzifier=2.0,
+        )
+        assert evaluate_all(points, model) == fuzzy_report_reference(points, model)
+
+    def test_fitted_model_equals_reference(self):
+        rng = np.random.default_rng(3)
+        x = np.vstack([rng.normal(c, 0.3, size=(12, 2)) for c in ((0, 0), (6, 0), (0, 6))])
+        model = fit_fcm(x, FcmConfig(k=3, seed=1))
+        assert evaluate_all(x, model) == fuzzy_report_reference(x, model)
+
+    def test_no_crisp_centroid_distances(self, monkeypatch):
+        import cvilab.cvi as cvi_module
+
+        rng = np.random.default_rng(5)
+        centres = ((0, 0), (6, 0), (0, 6), (6, 6))
+        x = np.vstack([rng.normal(c, 0.5, size=(100, 2)) for c in centres])
+        model = fit_fcm(x, FcmConfig(k=4, seed=1))
+        crisp = partition_geometry(x, model.labels).centroids
+        calls = []
+        real_cdist = cvi_module.cdist
+
+        def counting_cdist(a, b, *args, **kwargs):
+            calls.append((np.shape(a), np.shape(b), np.array_equal(b, crisp)))
+            return real_cdist(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(cvi_module, "cdist", counting_cdist)
+        evaluate_all(x, model, use_memberships=True)
+        # Only the geometry's centroid separation and Davies-Bouldin use
+        # the crisp centroids; no point is measured against them.
+        assert [call[:2] for call in calls if call[2]] == [((4, 2), (4, 2))] * 2
+        assert ((400, 2), (4, 2), False) in calls  # the fuzzy Xie-Beni

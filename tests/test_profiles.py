@@ -1,7 +1,9 @@
 """Reading ingestion, median profiles, normalization, synthesis."""
 
+import gc
 import io
 import math
+import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -29,7 +31,8 @@ from cvilab import (
     synthetic_templates,
     write_profiles_csv,
 )
-from cvilab.profiles import PROFILE_CSV_HEADER, SLOTS_PER_DAY
+from cvilab import profiles
+from cvilab.profiles import PROFILE_CSV_HEADER, SLOTS_PER_DAY, ReadingSeries
 
 
 # Timestamp suffix -> UTC offset; "" is naive, Z and +00:00 are one offset.
@@ -257,6 +260,214 @@ class TestParseReadings:
             assert all(times[i] < times[i + 1] for i in range(len(times) - 1))
 
 
+def row_parse(source):
+    """The row parser on a fresh handle: the reference for parse_readings."""
+    with profiles._open_text(source) as fh:
+        return profiles._parse_rows(fh)
+
+
+def outcome(parse, source):
+    """What a parser makes of a source: the series, or the error it raised."""
+    try:
+        series = parse(source)
+    except Exception as exc:  # the two parsers must fail alike
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [
+        (s.household_id, s.times, tuple(t.isoformat() for t in s.times), s.loads.tobytes())
+        for s in series
+    ]
+
+
+def forbid_row_parser(monkeypatch):
+    def row_parser(fh):
+        raise AssertionError("the row parser ran")
+
+    monkeypatch.setattr(profiles, "_parse_rows", row_parser)
+
+
+HOUSEHOLDS = ("a", "b", "hh-7", "\u00dc")
+# Spellings of a valid row, then of a faulty one.
+GOOD_KW = ("0.5", "1", "2.25", " 3.0 ", "1e308", "-0.0")
+BAD_KW = ("-1.0", "nan", "inf", "1;5", "")
+GOOD_ROWS = ("", "", "", "padded-id", "short-stamp", "padded-stamp", "respelled-utc")
+BAD_ROWS = ("other-offset", "dup", "dup-respelled", "off-grid", "bad-stamp", "empty-id")
+# Rows outside the plain grammar: the whole file goes to the row parser.
+GRAMMAR_BREAKS = ("quoted", "extra-field", "missing-field", "blank-line", "space-line",
+                  "bare-cr", "non-utf8")
+
+
+def _reading_line(draw, hid, day, slot, kw, spelling, suffix_of, previous):
+    """One readings row for ``hid`` at ``day``/``slot``, spelled as asked."""
+    suffix = suffix_of[hid]
+    if spelling == "other-offset":
+        suffix = draw(st.sampled_from(sorted(OFFSET_OF)))
+    if spelling.startswith("dup") and previous is not None:
+        hid, day, slot = previous
+        suffix = suffix_of[hid]
+    when = datetime(2024, 1, 1) + timedelta(days=day, minutes=15 * slot)
+    stamp = when.isoformat()
+    if spelling in ("short-stamp", "dup-respelled"):
+        stamp = stamp[:-3]
+    if spelling in ("dup-respelled", "respelled-utc") and suffix in ("Z", "+00:00"):
+        suffix = {"Z": "+00:00", "+00:00": "Z"}[suffix]
+    if spelling == "off-grid":
+        stamp = (when + timedelta(minutes=7)).isoformat()
+    if spelling == "bad-stamp":
+        stamp = "not-a-time"
+    stamp += suffix
+    house = {"padded-id": f" {hid}  ", "empty-id": " ", "quoted": f'"{hid}"'}.get(spelling, hid)
+    if spelling == "padded-stamp":
+        stamp = f" {stamp} "
+    line = f"{house},{stamp},{kw}"
+    if spelling == "extra-field":
+        line += ",1"
+    if spelling == "missing-field":
+        line = f"{house},{stamp}"
+    raw = line.encode()
+    if spelling in ("blank-line", "space-line"):
+        raw = (b"" if spelling == "blank-line" else b"  ") + b"\n" + raw
+    if spelling == "bare-cr":
+        raw = b"\r" + raw
+    if spelling == "non-utf8":
+        raw = b"\xff" + raw
+    return raw
+
+
+@st.composite
+def readings_files(draw):
+    """Small readings files, mostly well formed, as bytes; also whether
+    every row stays within the plain grammar the columnar reader takes."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header = draw(st.sampled_from(
+        ["household_id,timestamp,kw"] * 8 + [" household_id , timestamp,kw", "house,when,load"]
+    ))
+    suffix_of = {hid: draw(st.sampled_from(sorted(OFFSET_OF))) for hid in HOUSEHOLDS}
+    faulty = draw(st.booleans())
+    rows = draw(st.lists(
+        st.tuples(
+            st.sampled_from(HOUSEHOLDS),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=SLOTS_PER_DAY - 1),
+            st.integers(min_value=1, max_value=6),
+            st.sampled_from(GOOD_KW * 4 + BAD_KW if faulty else GOOD_KW),
+            st.sampled_from(GOOD_ROWS * 4 + BAD_ROWS + GRAMMAR_BREAKS if faulty else GOOD_ROWS),
+        ),
+        max_size=30,
+        unique_by=lambda row: row[:3],
+    ))
+    plain = header != "house,when,load"
+    lines = [header.encode()]
+    previous = None
+    for hid, day, first_slot, run, kw, spelling in rows:
+        # A run of consecutive slots, the first one spelled as drawn.
+        for slot in range(first_slot, min(first_slot + run, SLOTS_PER_DAY)):
+            lines.append(_reading_line(draw, hid, day, slot, kw, spelling, suffix_of, previous))
+            previous = (hid, day, slot)
+            spelling = ""
+    plain = plain and not any(s in GRAMMAR_BREAKS for *_, s in rows)
+    data = newline.encode().join(lines)
+    if draw(st.booleans()):
+        data += newline.encode()
+    return data, plain
+
+
+class TestColumnarReader:
+    """parse_readings against the row parser it falls back on."""
+
+    @given(
+        file=readings_files(),
+        block=st.sampled_from([16, 64, 1 << 22]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_series_or_same_error_as_row_parser(self, tmp_path_factory, file, block):
+        data, plain = file
+        path = tmp_path_factory.getbasetemp() / "columnar-property.csv"
+        path.write_bytes(data)
+        # Bytes and a stream parse as the file does. Only bytes that are
+        # not UTF-8 differ: a file reports the bad byte at another offset.
+        sources = [lambda: path, lambda: data]
+        reference = path
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            reference = None
+        else:
+            sources.append(lambda: io.StringIO(text))
+        row_calls = []
+        real_rows = profiles._parse_rows
+
+        def counted_rows(fh):
+            row_calls.append(fh)
+            return real_rows(fh)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(profiles, "_BLOCK_BYTES", block)
+            mp.setattr(profiles, "_parse_rows", counted_rows)
+            for source in sources:
+                want = outcome(row_parse, source() if reference is None else reference)
+                row_calls.clear()
+                assert outcome(parse_readings, source()) == want
+                if plain and isinstance(want, list):
+                    assert not row_calls  # plain, valid input stays columnar
+
+    def test_households_split_across_blocks(self, monkeypatch):
+        rows = []
+        for day in ("2024-01-01", "2024-01-02"):
+            for hid in ("b", "a"):
+                rows += [
+                    f"{hid},{day}T{slot // 4:02d}:{slot % 4 * 15:02d}:00Z,{slot / 8}"
+                    for slot in range(SLOTS_PER_DAY)
+                ]
+        data = csv_bytes(rows)
+        want = outcome(row_parse, data)
+        forbid_row_parser(monkeypatch)
+        for block in (100, 1000, 1 << 22):
+            monkeypatch.setattr(profiles, "_BLOCK_BYTES", block)
+            assert outcome(parse_readings, data) == want
+        assert [len(s) for s in parse_readings(data)] == [2 * SLOTS_PER_DAY] * 2
+
+    def test_timestamps_shared_per_distinct_string(self):
+        data = csv_bytes(
+            ["a,2024-01-01T00:00:00Z,1", "b,2024-01-01T00:00:00Z,2", "c,2024-01-01T00:00:00+00:00,3"]
+        )
+        a, b, c = parse_readings(data)
+        assert a.times[0] is b.times[0]
+        assert c.times == a.times
+
+    def test_crlf_and_padding_stay_columnar(self, monkeypatch):
+        data = b"household_id, timestamp ,kw\r\n A ,2024-01-01T00:15 , 2.5\r\nA,2024-01-01T00:00,1\r\n"
+        forbid_row_parser(monkeypatch)
+        (series,) = parse_readings(data)
+        assert series.household_id == "A"
+        assert list(series.loads) == [1.0, 2.5]
+        with pytest.raises(AssertionError, match="row parser ran"):  # mixed offsets
+            parse_readings(data.replace(b"00:00,", b"00:00Z,"))
+
+    def test_path_sources_are_closed(self, tmp_path):
+        readings = tmp_path / "readings.csv"
+        readings.write_bytes(csv_bytes(["A,2024-01-01T00:00:00,1.0"]))
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(csv_bytes(['"A",2024-01-01T00:00:00,1.0']))
+        matrix, _ = generate_synthetic(
+            SynthSpec(templates=synthetic_templates(2), cluster_size=2, spread=0.01)
+        )
+        stored = tmp_path / "profiles.csv"
+        write_profiles_csv(matrix, stored)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_readings(readings)
+            parse_readings(quoted)
+            read_profiles_csv(stored)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        with open(readings, encoding="utf-8", newline="") as own, open(
+            stored, encoding="utf-8", newline=""
+        ) as other:
+            parse_readings(own)
+            read_profiles_csv(other)
+            assert not own.closed and not other.closed
+
+
 class TestMedianDailyProfile:
     def test_single_day_verbatim(self):
         values = np.random.default_rng(0).random(SLOTS_PER_DAY)
@@ -302,6 +513,101 @@ class TestMedianDailyProfile:
             (series,) = parse_readings(csv_bytes(rows))
             results.append(median_daily_profile(series))
         np.testing.assert_array_equal(results[0], results[1])
+
+
+def median_reference(series):
+    """Plain per-slot buckets and np.median: the medians as they were
+    first defined."""
+    buckets = [[] for _ in range(SLOTS_PER_DAY)]
+    for ts, kw in zip(series.times, series.loads):
+        buckets[ts.hour * 4 + ts.minute // 15].append(kw)
+    return np.array([np.median(b) for b in buckets], dtype=float)
+
+
+# Ties, and loads near the float maximum where (a + a) / 2 would overflow.
+# No -0.0: it ties with 0.0, and which of the two a selection returns is
+# not specified.
+MEDIAN_LOADS = (0.0, 0.25, 1.0, 1.0, 3.5, 7.125, 1.5e308, 1.7976931348623157e308)
+
+
+@st.composite
+def slot_series(draw, hid, stamps, loads=MEDIAN_LOADS, min_count=1):
+    """A series with an uneven number of days per slot (missing days),
+    reusing the datetime objects in ``stamps`` the way parse_readings does."""
+    counts = draw(st.lists(
+        st.integers(min_value=min_count, max_value=5),
+        min_size=SLOTS_PER_DAY, max_size=SLOTS_PER_DAY,
+    ))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pairs = []
+    for slot, count in enumerate(counts):
+        days = rng.choice(7, size=count, replace=False)
+        pairs += [(stamps[day, slot], loads[i]) for day, i in zip(days, rng.integers(len(loads), size=count))]
+    pairs.sort(key=lambda pair: pair[0])
+    return ReadingSeries(
+        hid, tuple(t for t, _ in pairs), np.array([kw for _, kw in pairs], dtype=float)
+    )
+
+
+STAMPS = {
+    (day, slot): datetime(2024, 1, 1) + timedelta(days=day, minutes=15 * slot)
+    for day in range(7)
+    for slot in range(SLOTS_PER_DAY)
+}
+
+
+class TestGroupedMedian:
+    """median_daily_profile and profiles_from_readings sort once per
+    household; the medians must be np.median's, byte for byte."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_per_slot_np_median(self, data):
+        series = data.draw(slot_series("A", STAMPS))
+        with np.errstate(over="ignore"):
+            want = median_reference(series)
+            got = median_daily_profile(series)
+        assert got.tobytes() == want.tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_profiles_bitwise_equal_to_reference(self, data):
+        # Households a and b share datetime objects; c has equal copies.
+        copies = {key: t.replace() for key, t in STAMPS.items()}
+        loads = MEDIAN_LOADS[1:6]
+        series = [
+            data.draw(slot_series("a", STAMPS, loads)),
+            data.draw(slot_series("b", STAMPS, loads)),
+            data.draw(slot_series("c", copies, loads)),
+        ]
+        matrix = profiles_from_readings(series)
+        want = np.array([l2_normalize(median_reference(s)) for s in series])
+        assert matrix.households == ("a", "b", "c")
+        assert matrix.values.tobytes() == want.tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_empty_slot_message(self, data):
+        series = data.draw(slot_series("H7", STAMPS, min_count=0))
+        missing = [s for s, v in enumerate(median_reference_counts(series)) if v == 0]
+        if not missing:
+            np.testing.assert_array_equal(median_daily_profile(series), median_reference(series))
+            return
+        message = (
+            f"household H7: no observations for {len(missing)} slot(s), "
+            f"first missing slot {missing[0]}"
+        )
+        for compute in (median_daily_profile, lambda s: profiles_from_readings([s])):
+            with pytest.raises(MissingSlotError) as err:
+                compute(series)
+            assert str(err.value) == message
+
+
+def median_reference_counts(series):
+    counts = [0] * SLOTS_PER_DAY
+    for ts in series.times:
+        counts[ts.hour * 4 + ts.minute // 15] += 1
+    return counts
 
 
 class TestL2Normalize:
