@@ -95,21 +95,18 @@ def _memberships(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
 
 
 def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
-    u = np.zeros_like(dist)
-    coincident = dist == 0.0
-    hit = coincident.any(axis=1)
-    if hit.any():
-        # Point sitting on a centroid: crisp membership to the first such
-        # centroid (standard singularity fix).
-        first = np.argmax(coincident[hit], axis=1)
-        u[np.flatnonzero(hit), first] = 1.0
-    free = ~hit
-    if free.any():
-        d = dist[free]
-        # Scale by each row's min distance so the power stays in [0, 1]
-        # and cannot overflow.
-        w = (d / d.min(axis=1, keepdims=True)) ** (-2.0 / (m - 1.0))
-        u[free] = w / w.sum(axis=1, keepdims=True)
+    # Scale by each row's min distance so the power stays in [0, 1] and
+    # cannot overflow. A row whose min is 0 divides by zero here and is
+    # then overwritten: a point sitting on a centroid gets crisp
+    # membership to the first such centroid (standard singularity fix).
+    nearest = dist.min(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (dist / nearest) ** (-2.0 / (m - 1.0))
+        u = w / w.sum(axis=1, keepdims=True)
+    hit = np.flatnonzero(nearest[:, 0] == 0.0)
+    if hit.shape[0]:
+        u[hit] = 0.0
+        u[hit, np.argmax(dist[hit] == 0.0, axis=1)] = 1.0
     return u
 
 
@@ -186,12 +183,6 @@ def fuzzy_partition_coefficient(u: np.ndarray) -> float:
     if u.ndim != 2 or u.size == 0:
         raise ValueError("membership matrix must be 2-D and nonempty")
     return float(np.square(u).sum() / u.shape[0])
-
-
-def harden(model: ClusterModel) -> np.ndarray:
-    """Crisp labels: per-row argmax of the memberships, ties to the lowest
-    cluster index."""
-    return np.argmax(model.memberships, axis=1)
 
 
 def select_cluster_count(

@@ -47,6 +47,12 @@ class RejectionBudgetError(RuntimeError):
     """The ball sampler ran out of attempts; geometry likely overlaps."""
 
 
+class ExperimentSkipped(ValueError):
+    """The partition cannot support the experiment: no singleton clusters
+    to toggle, too many to enumerate, or fewer than two clusters that are
+    not singletons."""
+
+
 @dataclass(frozen=True)
 class PerturbConfig:
     seed: int = 0
@@ -134,17 +140,36 @@ def _label_centroids(points, labels) -> tuple[np.ndarray, np.ndarray]:
     return centroids, values
 
 
-def _sample_in_ball(rng, center, radius, sigma, centroids, own, budget) -> np.ndarray:
-    """One Gaussian draw accepted inside the ball and the center's own
-    nearest-centroid region."""
-    for _ in range(budget):
-        sample = center + rng.normal(0.0, sigma, size=center.shape[0])
-        gaps = np.linalg.norm(centroids - sample, axis=1)
-        if gaps[own] <= radius and gaps[own] == gaps.min():
-            return sample
-    raise RejectionBudgetError(
-        f"no acceptable sample for cluster {own} in {budget} attempts"
-    )
+def _sample_in_ball(
+    rng, center, radius, sigma, centroids, own, budget, count
+) -> np.ndarray:
+    """``count`` Gaussian draws around ``center`` accepted inside the ball
+    and the center's own nearest-centroid region, in stream order.
+
+    Each round draws exactly as many candidates as are still missing, so
+    the accepted points and the generator's final state are those of
+    testing one candidate at a time. Running out of budget means
+    ``budget`` consecutive rejections, counted across rounds.
+    """
+    out = np.empty((count, center.shape[0]))
+    filled = 0
+    run = 0  # rejections since the last accepted draw
+    while filled < count:
+        missing = count - filled
+        samples = center + rng.normal(0.0, sigma, size=(missing, center.shape[0]))
+        gaps = np.linalg.norm(centroids - samples[:, None, :], axis=2)
+        accepted = np.flatnonzero(
+            (gaps[:, own] <= radius) & (gaps[:, own] == gaps.min(axis=1))
+        )
+        runs = np.diff(accepted, prepend=-1 - run, append=missing) - 1
+        if runs.max() >= budget:
+            raise RejectionBudgetError(
+                f"no acceptable sample for cluster {own} in {budget} attempts"
+            )
+        run = int(runs[-1])
+        out[filled : filled + accepted.shape[0]] = samples[accepted]
+        filled += accepted.shape[0]
+    return out
 
 
 def inject_density(
@@ -177,12 +202,9 @@ def inject_density(
     if radius == 0.0:
         raise ValueError(f"cluster {cluster} has zero radius")
     sigma = radius / sigma_divisor
-    out = np.empty((count, x.shape[1]))
-    for i in range(count):
-        out[i] = _sample_in_ball(
-            rng, centroids[own], radius, sigma, centroids, own, max_rejection_attempts
-        )
-    return out
+    return _sample_in_ball(
+        rng, centroids[own], radius, sigma, centroids, own, max_rejection_attempts, count
+    )
 
 
 def shrink_clusters(points, model, config: PerturbConfig, rng) -> np.ndarray:
@@ -190,7 +212,8 @@ def shrink_clusters(points, model, config: PerturbConfig, rng) -> np.ndarray:
 
     Members inside the reduced radius stay put; each member beyond it is
     replaced, at its own row, by a fresh draw from the ball sampler at
-    the reduced radius, so per-cluster counts never change. Acceptance
+    the reduced radius (rows in ascending order take the draws in stream
+    order), so per-cluster counts never change. Acceptance
     tests run against the input partition's centroids throughout.
     Singleton and zero-radius clusters are left untouched.
     """
@@ -208,16 +231,17 @@ def shrink_clusters(points, model, config: PerturbConfig, rng) -> np.ndarray:
             continue
         reduced = config.shrink_factor * radius
         sigma = reduced / config.sigma_divisor
-        for row in rows[gaps > reduced]:
-            out[row] = _sample_in_ball(
-                rng,
-                centroids[own],
-                reduced,
-                sigma,
-                centroids,
-                own,
-                config.max_rejection_attempts,
-            )
+        fringe = rows[gaps > reduced]
+        out[fringe] = _sample_in_ball(
+            rng,
+            centroids[own],
+            reduced,
+            sigma,
+            centroids,
+            own,
+            config.max_rejection_attempts,
+            fringe.shape[0],
+        )
     return out
 
 
@@ -263,9 +287,9 @@ def outlier_experiment(points, model, config: PerturbConfig, refit=None) -> Expe
     singletons = find_singleton_clusters(model)
     s = len(singletons)
     if s == 0:
-        raise ValueError("no singleton clusters to toggle")
+        raise ExperimentSkipped("no singleton clusters to toggle")
     if s > _MAX_SINGLETONS:
-        raise ValueError(f"{s} singleton clusters would enumerate 2^{s} subsets")
+        raise ExperimentSkipped(f"{s} singleton clusters would enumerate 2^{s} subsets")
     baseline = evaluate_labels(x, labels)
     rows: list[ExperimentRow] = []
     for code in range(2**s):
@@ -304,7 +328,7 @@ def _trial_experiment(
     base_x, base_labels = _remove_clusters(x, labels, find_singleton_clusters(model))
     k_base = int(np.unique(base_labels).shape[0])
     if k_base < 2:
-        raise ValueError("need at least 2 non-singleton clusters")
+        raise ExperimentSkipped("need at least 2 non-singleton clusters")
     baseline = evaluate_labels(base_x, base_labels)
 
     def one_trial(t: int) -> ExperimentRow:

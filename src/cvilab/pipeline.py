@@ -336,17 +336,24 @@ def load_manifest(out_dir) -> RunManifest:
 
 def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
     """Write manifest.json covering previously listed plus newly written
-    artifacts, with fresh digests for the new ones."""
+    artifacts, with fresh digests for the new ones.
+
+    Input digests record the bytes profiles.csv was built from: they are
+    taken by the command that writes profiles.csv and carried forward by
+    every later one, which never reads the inputs.
+    """
     out = Path(config.out_dir)
-    artifacts: dict[str, str] = {}
     manifest_path = out / "manifest.json"
-    if manifest_path.exists():
-        artifacts.update(json.loads(manifest_path.read_text()).get("artifacts", {}))
+    previous = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    artifacts: dict[str, str] = dict(previous.get("artifacts", {}))
     for name in written:
         artifacts[name] = _sha256(out / name)
-    input_digests = {path: _sha256(Path(path)) for path in config.inputs}
-    if config.synth is not None and "profiles.csv" in artifacts:
-        input_digests["synth"] = artifacts["profiles.csv"]
+    if "profiles.csv" in written:
+        input_digests = {path: _sha256(Path(path)) for path in config.inputs}
+        if config.synth is not None:
+            input_digests["synth"] = artifacts["profiles.csv"]
+    else:
+        input_digests = previous.get("input_digests", {})
     manifest = RunManifest(
         version=__version__,
         created_utc=datetime.now(timezone.utc).isoformat(),
@@ -666,7 +673,11 @@ def emit_report(config: RunConfig) -> list[str]:
         path = out / f"experiment_{kind}.json"
         if not path.exists():
             continue
-        report = perturb_mod.experiment_from_json(path.read_text())
+        payload = json.loads(path.read_text())
+        if "skipped" in payload:
+            lines += ["", f"experiment: {kind} skipped ({payload['skipped']})"]
+            continue
+        report = perturb_mod.experiment_from_dict(payload)
         if report.average is not None:
             compare = report.average
             label = "average"
@@ -693,11 +704,24 @@ def emit_report(config: RunConfig) -> list[str]:
 
 
 def run_full(config: RunConfig) -> RunManifest:
-    """Pipeline, requested experiments, report, manifest: one call."""
+    """Pipeline, requested experiments, report, manifest: one call.
+
+    An experiment the partition cannot support is recorded as skipped,
+    with its reason, in experiment_<kind>.json (no CSV), and the run goes
+    on.
+    """
     state = _pipeline_core(config)
     written = list(state.written)
     for kind in config.experiments:
-        _, names = run_experiment(kind, config, state=state)
+        try:
+            _, names = run_experiment(kind, config, state=state)
+        except perturb_mod.ExperimentSkipped as exc:
+            skipped = {"kind": kind, "skipped": str(exc)}
+            _write_text(
+                Path(config.out_dir) / f"experiment_{kind}.json",
+                json.dumps(skipped, indent=2) + "\n",
+            )
+            names = [f"experiment_{kind}.json"]
         written += names
     written += emit_report(config)
     return update_manifest(config, written)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial.distance import cdist
+
 import oracles
 from cvilab import (
     ClusterModel,
@@ -12,10 +14,14 @@ from cvilab import (
     estimate_fuzzifier,
     fit_fcm,
     fuzzy_partition_coefficient,
-    harden,
     select_cluster_count,
 )
-from cvilab.fcm import model_from_json, model_to_json
+from cvilab.fcm import (
+    _centroids,
+    _memberships_from_distances,
+    model_from_json,
+    model_to_json,
+)
 from cvilab.rng import derive_stream
 
 
@@ -186,14 +192,14 @@ class TestFitFcm:
 
 class TestHardenAndFpc:
     def test_harden_tie_takes_lowest_index(self):
-        model = ClusterModel(
-            centroids=np.zeros((2, 2)),
-            memberships=np.array([[0.5, 0.5], [0.2, 0.8]]),
-            fuzzifier=2.0,
-            labels=np.array([0, 1]),
-            objective_trace=np.array([0.0]),
-        )
-        assert list(harden(model)) == [0, 1]
+        # The centre of a symmetric square ends equidistant from both
+        # centroids, so its memberships tie exactly.
+        x = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [0.0, 0.0]])
+        model = fit_fcm(x, FcmConfig(k=2, seed=3))
+        assert model.memberships[4, 0] == model.memberships[4, 1]
+        assert model.labels[4] == 0
+        first_max = [row.tolist().index(row.max()) for row in model.memberships]
+        assert model.labels.tolist() == first_max
 
     def test_crisp_partition_gives_exactly_one(self):
         u = np.eye(4)[np.array([0, 1, 2, 3, 0, 1])]
@@ -227,6 +233,89 @@ class TestHardenAndFpc:
             fuzzy_partition_coefficient(np.ones(3))
         with pytest.raises(ValueError):
             fuzzy_partition_coefficient(np.empty((0, 2)))
+
+
+def reference_memberships(dist, m):
+    """Memberships computed apart: crisp rows for points on a centroid,
+    the power formula on the remaining rows only."""
+    u = np.zeros_like(dist)
+    coincident = dist == 0.0
+    hit = coincident.any(axis=1)
+    if hit.any():
+        first = np.argmax(coincident[hit], axis=1)
+        u[np.flatnonzero(hit), first] = 1.0
+    free = ~hit
+    if free.any():
+        d = dist[free]
+        w = (d / d.min(axis=1, keepdims=True)) ** (-2.0 / (m - 1.0))
+        u[free] = w / w.sum(axis=1, keepdims=True)
+    return u
+
+
+def reference_fit(x, config):
+    """fit_fcm's restart loop over the reference memberships."""
+    m, n = float(config.fuzzifier), x.shape[0]
+    best = None
+    for restart in range(config.restarts):
+        rng = derive_stream(config.seed, restart)
+        centroids = x[rng.choice(n, size=config.k, replace=False)].copy()
+        trace = []
+        u = reference_memberships(cdist(x, centroids), m)
+        for _ in range(config.max_iter):
+            w = u**m
+            new_centroids = _centroids(x, w, centroids)
+            dist = cdist(x, new_centroids)
+            trace.append(float((w * dist**2).sum()))
+            shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
+            centroids = new_centroids
+            if shift < config.tol:
+                break
+            u = reference_memberships(dist, m)
+        if best is None or trace[-1] < best[2][-1]:
+            best = (centroids, u, trace)
+    return best
+
+
+class TestOnePathMemberships:
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        k=st.integers(min_value=1, max_value=10),
+        zeros=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300]),
+        m=st.sampled_from([1.1, 1.5, 2.0, 3.0, 5.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_bitwise(self, n, k, zeros, scale, m, seed):
+        rng = np.random.default_rng(seed)
+        dist = rng.exponential(scale, size=(n, k))
+        dist[rng.random((n, k)) < zeros] = 0.0  # rows with one, several or all zeros
+        got = _memberships_from_distances(dist, m)
+        assert got.tobytes() == reference_memberships(dist, m).tobytes()
+
+    def test_several_zeros_go_crisp_to_the_first(self):
+        dist = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 3.0, 0.0]])
+        assert _memberships_from_distances(dist, 2.0).tolist() == [
+            [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+        ]
+
+    @pytest.mark.parametrize(
+        "x, config",
+        [
+            (blob_data(14, [(0, 0), (4, 1), (2, 5)], size=30, spread=0.8),
+             FcmConfig(k=4, seed=6, restarts=4)),
+            (np.repeat(np.array([[0.0, 0.0], [3.0, 1.0], [1.0, 4.0]]), 4, axis=0),
+             FcmConfig(k=2, seed=2, restarts=3)),
+        ],
+        ids=["blobs", "duplicates"],
+    )
+    def test_fit_equals_reference_bitwise(self, x, config):
+        centroids, u, trace = reference_fit(x, config)
+        model = fit_fcm(x, config)
+        assert model.centroids.tobytes() == centroids.tobytes()
+        assert model.memberships.tobytes() == u.tobytes()
+        assert model.objective_trace.tobytes() == np.array(trace).tobytes()
+        assert model.labels.tolist() == np.argmax(u, axis=1).tolist()
 
 
 class TestSelectClusterCount:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from cvilab import perturb
 from cvilab import (
     CviReport,
     ExperimentReport,
@@ -24,7 +27,7 @@ from cvilab import (
     outlier_experiment,
     shrink_clusters,
 )
-from cvilab.perturb import _sign_test_tail, worker_count
+from cvilab.perturb import _sample_in_ball, _sign_test_tail, worker_count
 from cvilab.rng import derive_stream
 
 
@@ -115,13 +118,13 @@ class TestOutlierExperiment:
         rng = np.random.default_rng(0)
         x = np.vstack([blob(rng, (0, 0), 5), blob(rng, (9, 0), 5)])
         labels = np.repeat([0, 1], 5)
-        with pytest.raises(ValueError, match="singleton"):
+        with pytest.raises(perturb.ExperimentSkipped, match="singleton"):
             outlier_experiment(x, labels, PerturbConfig(trials=1))
 
     def test_subset_count_guard(self):
         x = np.arange(34, dtype=float).reshape(17, 2)
         labels = np.arange(17)
-        with pytest.raises(ValueError, match="2\\^17"):
+        with pytest.raises(perturb.ExperimentSkipped, match="2\\^17"):
             outlier_experiment(x, labels, PerturbConfig(trials=1))
 
     def test_far_singleton_leaves_di_bit_equal_and_unaffected(self):
@@ -305,7 +308,7 @@ class TestDensityExperiment:
     def test_needs_two_nonsingleton_clusters(self):
         x = np.vstack([np.random.default_rng(0).normal(size=(6, 2)), [[9.0, 9.0]]])
         labels = np.array([0] * 6 + [1])
-        with pytest.raises(ValueError, match="non-singleton"):
+        with pytest.raises(perturb.ExperimentSkipped, match="non-singleton"):
             density_experiment(x, labels, PerturbConfig(trials=1))
 
 
@@ -342,6 +345,183 @@ class TestDiameterExperiment:
         a = diameter_experiment(x, labels, config)
         b = diameter_experiment(x, labels, config)
         assert experiment_to_json(a) == experiment_to_json(b)
+
+
+# --- scalar references: one candidate per draw, one call per point ---
+
+
+def scalar_sample_in_ball(rng, center, radius, sigma, centroids, own, budget):
+    for _ in range(budget):
+        sample = center + rng.normal(0.0, sigma, size=center.shape[0])
+        gaps = np.linalg.norm(centroids - sample, axis=1)
+        if gaps[own] <= radius and gaps[own] == gaps.min():
+            return sample
+    raise RejectionBudgetError(
+        f"no acceptable sample for cluster {own} in {budget} attempts"
+    )
+
+
+def label_centroids(x, labels):
+    values = np.unique(labels)
+    return np.array([x[labels == v].mean(axis=0) for v in values]), values
+
+
+def reference_inject_density(x, labels, cluster, count, rng, sigma_divisor, budget):
+    centroids, values = label_centroids(x, labels)
+    own = int(np.searchsorted(values, cluster))
+    radius = float(np.linalg.norm(x[labels == cluster] - centroids[own], axis=1).max())
+    sigma = radius / sigma_divisor
+    out = np.empty((count, x.shape[1]))
+    for i in range(count):
+        out[i] = scalar_sample_in_ball(
+            rng, centroids[own], radius, sigma, centroids, own, budget
+        )
+    return out
+
+
+def reference_shrink_clusters(x, labels, config, rng):
+    centroids, values = label_centroids(x, labels)
+    out = x.copy()
+    for own, value in enumerate(values):
+        rows = np.flatnonzero(labels == value)
+        if rows.shape[0] < 2:
+            continue
+        gaps = np.linalg.norm(x[rows] - centroids[own], axis=1)
+        radius = float(gaps.max())
+        if radius == 0.0:
+            continue
+        reduced = config.shrink_factor * radius
+        sigma = reduced / config.sigma_divisor
+        for row in rows[gaps > reduced]:
+            out[row] = scalar_sample_in_ball(
+                rng, centroids[own], reduced, sigma, centroids, own,
+                config.max_rejection_attempts,
+            )
+    return out
+
+
+def outcome(fn, seed):
+    """Output bytes and generator state after ``fn(rng)``, or the error
+    type and message it raised."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = fn(rng)
+    except RejectionBudgetError as exc:
+        return ("raised", type(exc), str(exc))
+    return ("drawn", out.shape, out.tobytes(), rng.bit_generator.state)
+
+
+# Budgets of 1-5 make rejection runs end the draw; small divisors make
+# sigma dwarf the radius, so balls almost never accept.
+budgets = st.sampled_from([1, 2, 3, 4, 5, 50, 1000])
+divisors = st.sampled_from([0.02, 0.3, 1.0, 4.0, 25.0])
+
+
+@st.composite
+def partitions(draw):
+    """A few clusters of 2-9 points around random centers, in 1-4 D."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=2, max_value=4))
+    sizes = draw(st.lists(st.integers(2, 9), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.1, 1.0, 3.0]))
+    centers = rng.normal(0.0, 4.0, size=(k, d))
+    x = np.vstack([rng.normal(c, spread, size=(n, d)) for c, n in zip(centers, sizes)])
+    return x, np.repeat(np.arange(k), sizes)
+
+
+class TestBatchedSampler:
+    @given(
+        d=st.integers(min_value=1, max_value=6),
+        k=st.integers(min_value=1, max_value=6),
+        data=st.data(),
+        radius=st.floats(min_value=0.01, max_value=5.0),
+        divisor=divisors,
+        budget=budgets,
+        count=st.integers(min_value=0, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sampler_matches_scalar_draws(
+        self, d, k, data, radius, divisor, budget, count, seed
+    ):
+        centroids = np.random.default_rng(seed ^ 0x5EED).normal(0.0, 3.0, size=(k, d))
+        own = data.draw(st.integers(min_value=0, max_value=k - 1))
+        args = (centroids[own], radius, radius / divisor, centroids, own, budget)
+
+        def scalar(rng):
+            rows = [scalar_sample_in_ball(rng, *args) for _ in range(count)]
+            return np.array(rows).reshape(count, d)
+
+        assert outcome(lambda rng: _sample_in_ball(rng, *args, count), seed) == outcome(
+            scalar, seed
+        )
+
+    @given(
+        partition=partitions(),
+        data=st.data(),
+        divisor=divisors,
+        budget=budgets,
+        count=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_inject_density_matches_reference(
+        self, partition, data, divisor, budget, count, seed
+    ):
+        x, labels = partition
+        cluster = data.draw(st.sampled_from(sorted(set(labels.tolist()))))
+        got = outcome(
+            lambda rng: inject_density(
+                x, labels, cluster, count, rng,
+                sigma_divisor=divisor, max_rejection_attempts=budget,
+            ),
+            seed,
+        )
+        want = outcome(
+            lambda rng: reference_inject_density(
+                x, labels, cluster, count, rng, divisor, budget
+            ),
+            seed,
+        )
+        assert got == want
+
+    @given(
+        partition=partitions(),
+        shrink=st.sampled_from([0.1, 0.5, 0.8, 0.99]),
+        divisor=divisors,
+        budget=budgets,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_shrink_clusters_matches_reference(
+        self, partition, shrink, divisor, budget, seed
+    ):
+        x, labels = partition
+        config = PerturbConfig(
+            shrink_factor=shrink, sigma_divisor=divisor, max_rejection_attempts=budget
+        )
+        got = outcome(lambda rng: shrink_clusters(x, labels, config, rng), seed)
+        want = outcome(lambda rng: reference_shrink_clusters(x, labels, config, rng), seed)
+        assert got == want
+
+    def test_rejection_run_spans_rounds(self):
+        # Two of three draws accepted in the first round leave one point
+        # missing; the run of rejections it then sees starts after the
+        # last accepted draw, not at the round boundary.
+        center = np.zeros(1)
+        centroids = np.array([[0.0], [10.0]])
+        for seed in range(200):
+            for budget in (1, 2, 3):
+                args = (center, 1.0, 1.0, centroids, 0, budget)
+                got = outcome(lambda rng: _sample_in_ball(rng, *args, 3), seed)
+                want = outcome(
+                    lambda rng: np.array(
+                        [scalar_sample_in_ball(rng, *args) for _ in range(3)]
+                    ),
+                    seed,
+                )
+                assert got == want
 
 
 def make_trial_report(kind, baseline_values, trial_values_list):

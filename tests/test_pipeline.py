@@ -599,6 +599,82 @@ class TestReadingsFlow:
         assert pl.verify_manifest(out) == []
 
 
+class TestInputDigests:
+    def test_each_input_hashed_once_per_staged_sequence(
+        self, readings_csv, tmp_path, monkeypatch
+    ):
+        hashed = []
+        real_sha256 = pl._sha256
+
+        def counting_sha256(path):
+            hashed.append(Path(path))
+            return real_sha256(path)
+
+        monkeypatch.setattr(pl, "_sha256", counting_sha256)
+        out = tmp_path / "out"
+        common = ["--input", str(readings_csv), "--out", str(out), "--k", "2"]
+        for command in ("preprocess", "cluster", "validate", "report"):
+            assert cli.main([command, *common]) == 0
+        assert hashed.count(readings_csv) == 1
+        digests = pl.load_manifest(out).input_digests
+        assert digests == {str(readings_csv): real_sha256(readings_csv)}
+
+    def test_later_command_without_input_keeps_the_digest(self, readings_csv, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["preprocess", "--input", str(readings_csv), "--out", str(out)]) == 0
+        recorded = pl.load_manifest(out).input_digests
+        assert cli.main(["cluster", "--out", str(out), "--k", "2", "--dprime", "2"]) == 0
+        assert pl.load_manifest(out).input_digests == recorded
+        assert recorded == {str(readings_csv): pl._sha256(readings_csv)}
+
+    def test_synth_digest_follows_profiles(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["--synth.clusters", "3", "--synth.cluster-size", "10",
+                "--seed", "5", "--k", "3", "--out", str(out)]
+        assert cli.main(["synth", *argv]) == 0
+        assert cli.main(["cluster", "--out", str(out), "--k", "3"]) == 0
+        digests = pl.load_manifest(out).input_digests
+        assert digests == {"synth": pl._sha256(out / "profiles.csv")}
+
+
+@pytest.fixture(scope="module")
+def skipped_run(tmp_path_factory):
+    """No outliers: the partition has no singleton to toggle."""
+    out = tmp_path_factory.mktemp("skip") / "out"
+    argv = ["--synth.clusters", "3", "--synth.cluster-size", "10",
+            "--synth.outliers", "0", "--seed", "5", "--k", "3",
+            "--experiments", "outliers,diameter", "--trials", "2", "--out", str(out)]
+    return out, argv, cli.main(["run", *argv])
+
+
+class TestSkippedExperiment:
+    def test_run_records_the_skip_and_succeeds(self, skipped_run):
+        out, _, rc = skipped_run
+        assert rc == 0
+        payload = json.loads((out / "experiment_outliers.json").read_text())
+        assert payload == {"kind": "outliers", "skipped": "no singleton clusters to toggle"}
+        assert not (out / "experiment_outliers.csv").exists()
+        assert (out / "experiment_diameter.csv").exists()
+        manifest = pl.load_manifest(out)
+        assert "experiment_outliers.json" in manifest.artifacts
+        assert "experiment_outliers.csv" not in manifest.artifacts
+        assert pl.verify_manifest(out) == []
+
+    def test_summary_names_the_skip(self, skipped_run):
+        summary = (skipped_run[0] / "summary.txt").read_text().splitlines()
+        assert "experiment: outliers skipped (no singleton clusters to toggle)" in summary
+        assert any(line.startswith("experiment: diameter (2 trials)") for line in summary)
+
+    def test_experiment_command_still_fails(self, skipped_run, capsys):
+        out, argv, _ = skipped_run
+        error = cli_error(capsys, ["experiment", "outliers", *argv])
+        assert error == {
+            "error": "ExperimentSkipped",
+            "message": "no singleton clusters to toggle",
+        }
+        assert issubclass(perturb.ExperimentSkipped, ValueError)
+
+
 class TestCliErrors:
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
