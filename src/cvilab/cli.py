@@ -16,29 +16,6 @@ import sys
 
 from . import pipeline
 
-_FLAG_TO_KEY = {
-    "input": "input",
-    "out": "out",
-    "seed": "seed",
-    "dprime": "dprime",
-    "k": "k",
-    "m": "m",
-    "trials": "trials",
-    "shrink": "shrink",
-    "density_fraction": "density-fraction",
-    "sigma_divisor": "sigma-divisor",
-    "max_rejection_attempts": "max-rejection-attempts",
-    "recluster": "recluster",
-    "space": "space",
-    "experiments": "experiments",
-    "synth_clusters": "synth.clusters",
-    "synth_cluster_size": "synth.cluster-size",
-    "synth_spread": "synth.spread",
-    "synth_outliers": "synth.outliers",
-    "synth_outlier_mode": "synth.outlier-mode",
-}
-
-
 def _add_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     parser.add_argument(
@@ -81,8 +58,8 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
 
 def _overrides(args: argparse.Namespace) -> dict[str, list[str]]:
     values: dict[str, list[str]] = {}
-    for attr, key in _FLAG_TO_KEY.items():
-        value = getattr(args, attr, None)
+    for key in pipeline._KNOWN_KEYS:
+        value = getattr(args, key.replace(".", "_").replace("-", "_"), None)
         if value is None:
             continue
         values[key] = [str(v) for v in value] if isinstance(value, list) else [str(value)]

@@ -8,13 +8,14 @@ zero max diameter) return ``math.inf`` and are flagged "degenerate" in
 reports instead of being serialized as a float; a genuine division by
 zero (coincident centroids) raises :class:`CoincidentCentroidsError`.
 
-One chunked pass over all point pairs yields the silhouette's
-per-cluster distance sums, the diameters and the minimum separation;
-rows are chunked so memory stays bounded on large inputs, and every
-distance is computed pair by pair (no matrix product shortcuts), so a
-min or max over a subset of the points equals the same min or max over
-the full set bit for bit whenever the attaining pair survives the
-subsetting.
+One pass over the points sorted by cluster yields the silhouette's
+per-cluster distance sums, the diameters and the minimum separation: a
+row chunk of cluster i is measured against cluster i and every later
+cluster, so each inter-cluster pair is computed once. Rows are chunked
+so memory stays bounded, and every distance is computed pair by pair
+(no matrix product shortcuts), so a min or max over a subset of the
+points equals the same min or max over the full set bit for bit
+whenever the attaining pair survives the subsetting.
 """
 
 from __future__ import annotations
@@ -46,10 +47,12 @@ class PartitionGeometry:
 
     ``centroids[i]`` belongs to ``label_values[i]`` (sorted distinct
     labels) and ``canon[p]`` is the position of point p's label there.
-    Diameters are max pairwise intra-cluster distances; separations are
-    minima over inter-cluster point pairs and over centroid pairs.
-    Singletons have diameter 0 and scatter 0. ``distance_sums[p, i]``
-    is the summed distance from point p to the members of cluster i.
+    Per-cluster statistics are read from each cluster's contiguous block
+    of the points sorted stably by ``canon``. Diameters are max pairwise
+    intra-cluster distances; separations are minima over inter-cluster
+    point pairs and over centroid pairs. Singletons have diameter 0 and
+    scatter 0. ``distance_sums[p, i]`` is the summed distance from point
+    p (input order) to the members of cluster i.
     """
 
     points: np.ndarray
@@ -71,27 +74,28 @@ class PartitionGeometry:
 
 
 def _distance_pass(
-    x: np.ndarray, canon: np.ndarray, k: int
+    xs: np.ndarray, bounds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One chunked scan of all point pairs: the N×k per-cluster distance
-    sums, the cluster diameters and the minimum inter-cluster distance."""
-    n = x.shape[0]
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), canon] = 1.0
-    sums = np.empty((n, k))
+    """Distance sums (in sorted row order), diameters and minimum
+    separation of points sorted by cluster, cluster i being
+    ``xs[bounds[i]:bounds[i + 1]]``. A chunk of cluster i is measured
+    against cluster i and all later clusters; the later blocks' column
+    sums fill cluster i's column for the later points."""
+    k = bounds.shape[0] - 1
+    sums = np.zeros((xs.shape[0], k))
     diameters = np.zeros(k)
     min_sep = math.inf
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        dist = cdist(x[start:stop], x)
-        sums[start:stop] = dist @ onehot
-        same = canon[start:stop, None] == canon[None, :]
-        intra_rowmax = np.where(same, dist, 0.0).max(axis=1)
-        np.maximum.at(diameters, canon[start:stop], intra_rowmax)
-        inter = np.where(same, math.inf, dist)
-        chunk_min = inter.min(initial=math.inf)
-        if chunk_min < min_sep:
-            min_sep = chunk_min
+    for i in range(k):
+        start, stop = bounds[i], bounds[i + 1]
+        offsets = bounds[i:-1] - start
+        for lo in range(start, stop, _CHUNK):
+            hi = min(lo + _CHUNK, stop)
+            dist = cdist(xs[lo:hi], xs[start:])
+            diameters[i] = max(diameters[i], dist[:, : stop - start].max())
+            sums[lo:hi, i:] = np.add.reduceat(dist, offsets, axis=1)
+            later = dist[:, stop - start :]
+            min_sep = min(min_sep, later.min(initial=math.inf))
+            sums[stop:, i] += later.sum(axis=0)
     return sums, diameters, float(min_sep)
 
 
@@ -108,14 +112,18 @@ def partition_geometry(points, labels) -> PartitionGeometry:
     label_values, canon = np.unique(y, return_inverse=True)
     k = label_values.shape[0]
     sizes = np.bincount(canon, minlength=k)
-    d = x.shape[1]
-    centroids = np.empty((k, d))
+    order = np.argsort(canon, kind="stable")
+    xs = x[order]
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    centroids = np.empty((k, x.shape[1]))
     scatter = np.empty(k)
     for c in range(k):
-        members = x[canon == c]
+        members = xs[bounds[c] : bounds[c + 1]]
         centroids[c] = members.mean(axis=0)
         scatter[c] = float(np.linalg.norm(members - centroids[c], axis=1).mean())
-    sums, diameters, min_sep_points = _distance_pass(x, canon, k)
+    sorted_sums, diameters, min_sep_points = _distance_pass(xs, bounds)
+    sums = np.empty_like(sorted_sums)
+    sums[order] = sorted_sums
     if k >= 2:
         gaps = cdist(centroids, centroids)
         np.fill_diagonal(gaps, math.inf)
@@ -342,12 +350,14 @@ def _report(geom: PartitionGeometry, xb, fuzzy: bool) -> CviReport:
 def evaluate_labels(points, labels) -> CviReport:
     """All five indices on a hard partition; Xie-Beni in crisp mode.
 
-    sh, ch, db and di share one partition geometry, hence one distance
-    pass. Per-index failures are recorded in the report instead of
-    aborting the other indices.
+    All five share one partition geometry, hence one distance pass and
+    one set of centroids. Per-index failures are recorded in the report
+    instead of aborting the other indices.
     """
     geom = partition_geometry(points, labels)
-    return _report(geom, lambda: xie_beni(geom.points, geom.labels), fuzzy=False)
+    return _report(
+        geom, lambda: xie_beni(geom.points, geom.labels, geom.centroids), fuzzy=False
+    )
 
 
 def evaluate_all(points, model, use_memberships: bool = True) -> CviReport:

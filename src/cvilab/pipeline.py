@@ -5,7 +5,7 @@ dimension reduction, the fuzzy clustering, the five validation indices,
 and any requested perturbation experiments, writing every result as a
 CSV or JSON artifact plus a manifest of content digests. Given the same
 config, inputs, and seed, every non-timestamp byte of the output is
-identical between runs, regardless of the trial worker count.
+identical between runs on one machine, whatever the trial worker count.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ CORE_ARTIFACTS = (
     "cluster.json",
     "fpc.csv",
     "cvi.json",
+)
+
+
+# Everything a run may write into its output directory.
+_RUN_ARTIFACTS = CORE_ARTIFACTS + (
+    "synth_labels.csv", "summary.txt", "scatter2d.csv", "manifest.json",
+    *(f"experiment_{k}.{e}" for k in perturb_mod.EXPERIMENT_KINDS for e in ("json", "csv")),
 )
 
 
@@ -395,6 +402,10 @@ def _load_profiles(config: RunConfig) -> tuple[ProfileMatrix, np.ndarray | None]
 def _write_data_artifacts(
     out: Path, matrix: ProfileMatrix, truth: np.ndarray | None
 ) -> list[str]:
+    # New profiles start a new run: every artifact and the manifest an
+    # earlier run left here would describe other data, so they go.
+    for name in _RUN_ARTIFACTS:
+        (out / name).unlink(missing_ok=True)
     write_profiles_csv(matrix, out / "profiles.csv")
     written = ["profiles.csv"]
     if truth is not None:
@@ -407,7 +418,8 @@ def _write_data_artifacts(
 
 
 def stage_data(config: RunConfig) -> list[str]:
-    """profiles.csv (and synth_labels.csv for synthetic runs)."""
+    """profiles.csv (and synth_labels.csv for synthetic runs), in place
+    of every artifact an earlier run left in the output directory."""
     config.require_data_source()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import oracles
 from cvilab import (
@@ -373,6 +374,75 @@ def small_partitions(draw):
     return points, labels
 
 
+def masked_distance_pass(x, canon, k):
+    """The distance pass as first written: all N² pairs in input order,
+    cluster blocks picked out by a same-cluster mask, sums by a one-hot
+    matrix product."""
+    n = x.shape[0]
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), canon] = 1.0
+    sums = np.empty((n, k))
+    diameters = np.zeros(k)
+    min_sep = math.inf
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
+        dist = cdist(x[start:stop], x)
+        sums[start:stop] = dist @ onehot
+        same = canon[start:stop, None] == canon[None, :]
+        intra_rowmax = np.where(same, dist, 0.0).max(axis=1)
+        np.maximum.at(diameters, canon[start:stop], intra_rowmax)
+        inter = np.where(same, math.inf, dist)
+        min_sep = min(min_sep, inter.min(initial=math.inf))
+    return sums, diameters, float(min_sep)
+
+
+class TestClusterOrderedPass:
+    """The cluster-ordered pass against the masked all-pairs pass: max and
+    min keep their bits, sums change only in the order of additions."""
+
+    @given(partition=small_partitions(), jitter=st.booleans(),
+           chunk=st.sampled_from([1, 3, 7, 512]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_masked_pass(self, partition, jitter, chunk):
+        import cvilab.cvi as cvi_module
+
+        points, labels = partition
+        if jitter:  # off the grid, so the sums are inexact
+            points = points + np.random.default_rng(len(points)).normal(size=points.shape)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cvi_module, "_CHUNK", chunk)
+            geom = partition_geometry(points, labels)
+        k = geom.k
+        sums, diameters, min_sep = masked_distance_pass(points, geom.canon, k)
+        assert geom.diameters.tobytes() == diameters.tobytes()
+        assert geom.min_separation_points == min_sep
+        np.testing.assert_allclose(geom.distance_sums, sums, rtol=1e-13, atol=0)
+        for c in range(k):
+            members = points[geom.canon == c]
+            centroid = members.mean(axis=0)
+            scatter = float(np.linalg.norm(members - centroid, axis=1).mean())
+            assert geom.centroids[c].tobytes() == centroid.tobytes()
+            assert geom.mean_scatter[c] == scatter
+
+    def test_chunks_cover_each_inter_cluster_pair_once(self, monkeypatch):
+        import cvilab.cvi as cvi_module
+
+        shapes = []
+        real_cdist = cvi_module.cdist
+
+        def recording_cdist(a, b, *args, **kwargs):
+            shapes.append((len(a), len(b)))
+            return real_cdist(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(cvi_module, "_CHUNK", 3)
+        monkeypatch.setattr(cvi_module, "cdist", recording_cdist)
+        labels = np.array([2, 0, 2, 1, 0, 2, 2, 0, 2, 1, 2])  # sizes 3, 2, 6
+        points = np.arange(22.0).reshape(11, 2)
+        cvi_module._distance_pass(points[np.argsort(labels, kind="stable")],
+                                  np.array([0, 3, 5, 11]))
+        assert shapes == [(3, 11), (2, 8), (3, 6), (3, 6)]
+
+
 class TestFusedEvaluation:
     """evaluate_labels shares one geometry between sh, ch, db and di; its
     values must still be exactly those of the single-index functions."""
@@ -438,7 +508,7 @@ class TestFusedEvaluation:
         labels = rng.integers(0, 6, size=n)
         points = rng.normal(size=(n, 4)) + labels[:, None] * 3.0
         evaluate_labels(points, labels)
-        assert sum(pairs) < 1.1 * n * n
+        assert sum(pairs) < 0.65 * n * n
 
 
 def fuzzy_report_reference(points, model):

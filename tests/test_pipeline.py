@@ -1,14 +1,19 @@
 """End-to-end tests for the config loader, pipeline stages, manifest
 bookkeeping, and the command-line front end (driven in-process)."""
 
+import argparse
 import dataclasses
 import json
+import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvilab
 from cvilab import cli, perturb
 from cvilab import fcm as fcm_mod
 from cvilab import pipeline as pl
@@ -673,6 +678,126 @@ class TestSkippedExperiment:
             "message": "no singleton clusters to toggle",
         }
         assert issubclass(perturb.ExperimentSkipped, ValueError)
+
+
+class TestStaleArtifacts:
+    """A run into a used output directory leaves and lists only what it
+    wrote itself."""
+
+    def test_rerun_drops_what_it_no_longer_writes(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["run", "--synth.clusters", "3", "--synth.cluster-size", "10",
+                "--seed", "5", "--k", "4", "--trials", "2", "--out", str(out)]
+        assert cli.main([*argv, "--synth.outliers", "1",
+                         "--experiments", "outliers,density"]) == 0
+        assert (out / "experiment_outliers.csv").exists()
+        assert cli.main([*argv, "--synth.outliers", "0",
+                         "--experiments", "outliers,density"]) == 0
+        assert "skipped" in json.loads((out / "experiment_outliers.json").read_text())
+        assert not (out / "experiment_outliers.csv").exists()
+        assert "experiment_outliers.csv" not in pl.load_manifest(out).artifacts
+        assert pl.verify_manifest(out) == []
+
+        assert cli.main([*argv, "--experiments", "density"]) == 0
+        assert not (out / "experiment_outliers.json").exists()
+        assert "experiment: outliers" not in (out / "summary.txt").read_text()
+        manifest = pl.load_manifest(out)
+        assert sorted(manifest.artifacts) == sorted(p.name for p in out.iterdir()
+                                                    if p.name != "manifest.json")
+        assert pl.verify_manifest(out) == []
+
+    def test_readings_after_synth_drop_the_synthetic_labels(self, readings_csv, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--synth.clusters", "3", "--out", str(out)]) == 0
+        assert (out / "synth_labels.csv").exists()
+        assert cli.main(["preprocess", "--input", str(readings_csv), "--out", str(out)]) == 0
+        assert not (out / "synth_labels.csv").exists()
+        assert sorted(pl.load_manifest(out).artifacts) == ["profiles.csv"]
+        assert pl.verify_manifest(out) == []
+
+
+class TestCliFlags:
+    def parser(self):
+        parser = argparse.ArgumentParser()
+        cli._add_flags(parser)
+        return parser
+
+    def test_one_flag_per_known_key(self):
+        flags = [
+            option
+            for action in self.parser()._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help", "--config")
+        ]
+        assert sorted(flags) == sorted(f"--{key}" for key in pl._KNOWN_KEYS)
+
+    def test_each_flag_reaches_its_key(self):
+        parser = self.parser()
+        for key in pl._KNOWN_KEYS:
+            action = next(a for a in parser._actions if f"--{key}" in a.option_strings)
+            value = "true" if action.nargs == 0 else (action.choices or ["7"])[0]
+            argv = [f"--{key}"] + ([] if action.nargs == 0 else [value])
+            assert cli._overrides(parser.parse_args(argv)) == {key: [value]}, key
+
+
+def _numbers_close(a, b, rel):
+    """Equal JSON trees, floats within ``rel`` of each other."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_numbers_close(a[k], b[k], rel) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_numbers_close(x, y, rel) for x, y in zip(a, b))
+    if isinstance(a, float) or isinstance(b, float):
+        return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
+    return a == b
+
+
+class TestCrossKernelContract:
+    """What another CPU kernel may and may not change. OpenBLAS and numpy
+    pick their kernels per process, so forcing older ones stands in for
+    another machine."""
+
+    def test_forced_old_kernels(self, tmp_path):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(
+            "synth.clusters = 4\n"
+            "synth.cluster-size = 30\n"
+            "synth.outliers = 3\n"
+            "seed = 0\n"
+            "trials = 10\n"
+            "experiments = outliers,density,diameter\n"
+        )
+        package_root = str(Path(cvilab.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+        old_kernels = {
+            "OPENBLAS_CORETYPE": "Prescott",
+            "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+        }
+        outs = []
+        for name, extra in (("plain", {}), ("old", old_kernels)):
+            env = {k: v for k, v in os.environ.items() if k not in old_kernels}
+            env.update(extra, PYTHONPATH=pythonpath)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cvilab", "run", "--config", str(cfg),
+                 "--out", str(tmp_path / name)],
+                capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(tmp_path / name)
+
+        def load(name):
+            return [json.loads((out / name).read_text()) for out in outs]
+
+        plain, old = outs
+        assert (plain / "fpc.csv").read_bytes() == (old / "fpc.csv").read_bytes()
+        pca = load("pca.json")
+        assert pca[0]["chosen_dprime"] == pca[1]["chosen_dprime"]
+        cluster = load("cluster.json")
+        assert len(cluster[0]["centroids"]) == len(cluster[1]["centroids"])
+        # The same partition, up to cluster numbering.
+        renumber = dict(zip(cluster[0]["labels"], cluster[1]["labels"]))
+        assert len(set(renumber.values())) == len(renumber)
+        assert [renumber[label] for label in cluster[0]["labels"]] == cluster[1]["labels"]
+        assert _numbers_close(*load("cvi.json"), rel=1e-6)
 
 
 class TestCliErrors:
