@@ -10,6 +10,7 @@ over a candidate range, picks the cluster count.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,14 +23,10 @@ K_MAX_DEFAULT = 10
 
 @dataclass(frozen=True)
 class FcmConfig:
-    """Knobs for a fuzzy c-means fit.
-
-    ``fuzzifier`` may be a number greater than 1 or the string
-    ``"estimate"`` to delegate to :func:`estimate_fuzzifier`.
-    """
+    """Knobs for a fuzzy c-means fit; ``fuzzifier`` is a finite m > 1."""
 
     k: int
-    fuzzifier: float | str = 2.0
+    fuzzifier: float = 2.0
     max_iter: int = 300
     tol: float = 1e-6
     seed: int = 0
@@ -38,11 +35,8 @@ class FcmConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        if isinstance(self.fuzzifier, str):
-            if self.fuzzifier != "estimate":
-                raise ValueError(f"unknown fuzzifier spec {self.fuzzifier!r}")
-        elif not self.fuzzifier > 1.0:
-            raise ValueError("fuzzifier must exceed 1")
+        if not (isinstance(self.fuzzifier, (int, float)) and 1.0 < self.fuzzifier < math.inf):
+            raise ValueError("fuzzifier must be finite and exceed 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not self.tol > 0:
@@ -71,23 +65,6 @@ class ClusterModel:
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
-
-
-def estimate_fuzzifier(data: np.ndarray, strategy=None) -> float:
-    """Fuzzifier value for a dataset.
-
-    The estimator is pluggable: ``strategy`` is any callable mapping the
-    data matrix to a scalar. The default strategy returns 2.0, the common
-    general-purpose choice. Whatever the source, the value must land in
-    (1, 5].
-    """
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("need a 2-D data matrix with at least 2 rows")
-    m = 2.0 if strategy is None else float(strategy(x))
-    if not 1.0 < m <= 5.0:
-        raise ValueError(f"fuzzifier {m} outside (1, 5]")
-    return m
 
 
 def _memberships(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
@@ -138,11 +115,7 @@ def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
         raise ValueError(f"need more points ({n}) than clusters ({config.k})")
     if not np.all(np.isfinite(x)):
         raise ValueError("data contains non-finite entries")
-    m = (
-        estimate_fuzzifier(x)
-        if config.fuzzifier == "estimate"
-        else float(config.fuzzifier)
-    )
+    m = float(config.fuzzifier)
 
     best: tuple[np.ndarray, np.ndarray, list[float]] | None = None
     for restart in range(config.restarts):

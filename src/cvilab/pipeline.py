@@ -3,9 +3,13 @@
 A run carries profiles (parsed from readings or synthesized) through the
 dimension reduction, the fuzzy clustering, the five validation indices,
 and any requested perturbation experiments, writing every result as a
-CSV or JSON artifact plus a manifest of content digests. Given the same
-config, inputs, and seed, every non-timestamp byte of the output is
-identical between runs on one machine, whatever the trial worker count.
+CSV or JSON artifact plus a manifest of content digests. The pipeline
+has one path: ``cvilab run`` chains the stage functions in memory, and
+each staged command loads its inputs from the output directory and calls
+the same function. Every artifact reads back bit for bit, so given the
+same config, inputs, and seed, every non-timestamp byte of the output is
+identical between the two, between runs on one machine, and whatever the
+trial worker count.
 """
 
 from __future__ import annotations
@@ -37,19 +41,10 @@ from .version import __version__
 
 SPACES = ("reduced", "original")
 
-CORE_ARTIFACTS = (
-    "profiles.csv",
-    "pca.json",
-    "cevr.csv",
-    "cluster.json",
-    "fpc.csv",
-    "cvi.json",
-)
-
-
 # Everything a run may write into its output directory.
-_RUN_ARTIFACTS = CORE_ARTIFACTS + (
-    "synth_labels.csv", "summary.txt", "scatter2d.csv", "manifest.json",
+_RUN_ARTIFACTS = (
+    "profiles.csv", "synth_labels.csv", "pca.json", "cevr.csv", "cluster.json", "fpc.csv",
+    "cvi.json", "summary.txt", "scatter2d.csv", "manifest.json",
     *(f"experiment_{k}.{e}" for k in perturb_mod.EXPERIMENT_KINDS for e in ("json", "csv")),
 )
 
@@ -91,7 +86,7 @@ class RunConfig:
     seed: int = 0
     dprime: int | str = "elbow"
     k: int | str = "fpc"
-    fuzzifier: float | str = "default"
+    fuzzifier: float = 2.0
     space: str = "reduced"
     recluster: bool = False
     experiments: tuple[str, ...] = ()
@@ -112,11 +107,8 @@ class RunConfig:
                 raise ValueError("k must be an integer >= 2 or 'fpc'")
         elif self.k < 2:
             raise ValueError("k must be an integer >= 2 or 'fpc'")
-        if isinstance(self.fuzzifier, str):
-            if self.fuzzifier not in ("default", "estimate"):
-                raise ValueError("m must be a number > 1 or 'default'")
-        elif not self.fuzzifier > 1.0:
-            raise ValueError("m must be a number > 1 or 'default'")
+        if not 1.0 < self.fuzzifier < math.inf:
+            raise ValueError("m must be a finite number > 1 or 'default'")
         if self.space not in SPACES:
             raise ValueError(f"space must be one of {SPACES}")
         for kind in self.experiments:
@@ -208,20 +200,28 @@ def _last(raw: dict[str, list[str]], key: str, default: str) -> str:
     return raw[key][-1] if key in raw else default
 
 
-def _parse_int(raw: dict, key: str, default: str) -> int:
+def _or(sentinel: str | None) -> str:
+    return f" or {sentinel!r}" if sentinel else ""
+
+
+def _parse_int(raw: dict, key: str, default: str, sentinel: str | None = None) -> int | str:
+    """The key's integer, or ``sentinel`` itself (a selection rule)."""
     value = _last(raw, key, default)
+    if value == sentinel:
+        return value
     try:
         return int(value)
     except ValueError:
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+        raise ValueError(f"{key} must be an integer{_or(sentinel)}, got {value!r}") from None
 
 
-def _parse_float(raw: dict, key: str, default: str) -> float:
+def _parse_float(raw: dict, key: str, default: str, sentinel: str | None = None) -> float:
+    """The key's number; ``sentinel`` stands for ``default``."""
     value = _last(raw, key, default)
     try:
-        return float(value)
+        return float(default if value == sentinel else value)
     except ValueError:
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
+        raise ValueError(f"{key} must be a number{_or(sentinel)}, got {value!r}") from None
 
 
 def build_run_config(raw: dict[str, list[str]]) -> RunConfig:
@@ -246,13 +246,6 @@ def build_run_config(raw: dict[str, list[str]]) -> RunConfig:
 
     seed = _parse_int(raw, "seed", "0")
 
-    dprime_raw = _last(raw, "dprime", "elbow")
-    dprime: int | str = dprime_raw if dprime_raw == "elbow" else int(dprime_raw)
-    k_raw = _last(raw, "k", "fpc")
-    k: int | str = k_raw if k_raw == "fpc" else int(k_raw)
-    m_raw = _last(raw, "m", "default")
-    fuzzifier: float | str = m_raw if m_raw == "default" else float(m_raw)
-
     recluster_raw = _last(raw, "recluster", "false").lower()
     if recluster_raw not in _BOOL_VALUES:
         raise ValueError(f"recluster must be true or false, got {recluster_raw!r}")
@@ -274,9 +267,9 @@ def build_run_config(raw: dict[str, list[str]]) -> RunConfig:
         synth=synth,
         out_dir=_last(raw, "out", "out"),
         seed=seed,
-        dprime=dprime,
-        k=k,
-        fuzzifier=fuzzifier,
+        dprime=_parse_int(raw, "dprime", "elbow", sentinel="elbow"),
+        k=_parse_int(raw, "k", "fpc", sentinel="fpc"),
+        fuzzifier=_parse_float(raw, "m", "2.0", sentinel="default"),
         space=_last(raw, "space", "reduced"),
         recluster=_BOOL_VALUES[recluster_raw],
         experiments=tuple(experiments),
@@ -386,10 +379,43 @@ def verify_manifest(out_dir) -> list[str]:
 
 
 # --- pipeline stages ---
+#
+# Each stage is one function of in-memory values that writes its own
+# artifacts and returns the names it wrote. run_full chains them in
+# memory; each staged command loads its inputs from the output directory
+# and calls the same function. Every artifact reads back exactly what was
+# written, so both paths write the same bytes.
+
+# The fitted partition, as the later staged commands load it.
+_FITTED = ("profiles.csv", "pca.json", "cluster.json")
+
+_PRODUCER = {
+    "profiles.csv": "synth or preprocess",
+    "pca.json": "cluster",
+    "cluster.json": "cluster",
+    "cvi.json": "validate",
+}
+
+
+def _load_stored(config: RunConfig, *names: str) -> list:
+    """Profiles, PCA model, cluster model or baseline report, read back
+    from the output directory in the order named."""
+    out = Path(config.out_dir)
+    for name in names:
+        if not (out / name).exists():
+            raise FileNotFoundError(f"missing artifact: {name} (run {_PRODUCER[name]} first)")
+    readers = {
+        "profiles.csv": read_profiles_csv,
+        "pca.json": lambda path: pca_mod.model_from_json(path.read_text()),
+        "cluster.json": lambda path: fcm_mod.model_from_json(path.read_text()),
+        "cvi.json": lambda path: cvi_mod.report_from_json(path.read_text()),
+    }
+    return [readers[name](out / name) for name in names]
 
 
 def _load_profiles(config: RunConfig) -> tuple[ProfileMatrix, np.ndarray | None]:
-    """Profiles straight from the data source (full precision)."""
+    """Profiles straight from the data source."""
+    config.require_data_source()
     if config.synth is not None:
         return generate_synthetic(config.synth.to_spec(config.seed))
     series = []
@@ -399,32 +425,23 @@ def _load_profiles(config: RunConfig) -> tuple[ProfileMatrix, np.ndarray | None]
     return profiles_from_readings(series), None
 
 
-def _write_data_artifacts(
-    out: Path, matrix: ProfileMatrix, truth: np.ndarray | None
-) -> list[str]:
+def _write_data(config: RunConfig, matrix: ProfileMatrix, truth: np.ndarray | None) -> list[str]:
+    """profiles.csv (and synth_labels.csv for synthetic runs), in place
+    of every artifact an earlier run left in the output directory."""
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     # New profiles start a new run: every artifact and the manifest an
     # earlier run left here would describe other data, so they go.
     for name in _RUN_ARTIFACTS:
         (out / name).unlink(missing_ok=True)
     write_profiles_csv(matrix, out / "profiles.csv")
-    written = ["profiles.csv"]
-    if truth is not None:
-        lines = ["household_id,label"] + [
-            f"{hid},{label}" for hid, label in zip(matrix.households, truth)
-        ]
-        _write_text(out / "synth_labels.csv", "\n".join(lines) + "\n")
-        written.append("synth_labels.csv")
-    return written
-
-
-def stage_data(config: RunConfig) -> list[str]:
-    """profiles.csv (and synth_labels.csv for synthetic runs), in place
-    of every artifact an earlier run left in the output directory."""
-    config.require_data_source()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    matrix, truth = _load_profiles(config)
-    return _write_data_artifacts(out, matrix, truth)
+    if truth is None:
+        return ["profiles.csv"]
+    lines = ["household_id,label"] + [
+        f"{hid},{label}" for hid, label in zip(matrix.households, truth)
+    ]
+    _write_text(out / "synth_labels.csv", "\n".join(lines) + "\n")
+    return ["profiles.csv", "synth_labels.csv"]
 
 
 def _choose_dprime(config: RunConfig, model: pca_mod.PcaModel) -> int:
@@ -434,16 +451,9 @@ def _choose_dprime(config: RunConfig, model: pca_mod.PcaModel) -> int:
     return int(config.dprime)
 
 
-def _fcm_template(config: RunConfig, k: int) -> fcm_mod.FcmConfig:
-    fuzzifier = config.fuzzifier
-    if fuzzifier == "default":
-        fuzzifier = "estimate"
-    return fcm_mod.FcmConfig(k=k, fuzzifier=fuzzifier, seed=config.seed)
-
-
 def _fit_models(
     config: RunConfig, matrix: ProfileMatrix
-) -> tuple[pca_mod.PcaModel, np.ndarray, fcm_mod.ClusterModel, list[tuple[int, float]]]:
+) -> tuple[pca_mod.PcaModel, fcm_mod.ClusterModel, list[tuple[int, float]]]:
     """PCA + projection + FCM with the configured selection rules."""
     pca_model = pca_mod.fit_pca(matrix)
     dprime = _choose_dprime(config, pca_model)
@@ -454,20 +464,21 @@ def _fit_models(
         k_hi = min(fcm_mod.K_MAX_DEFAULT, n - 1)
         if k_hi < 2:
             raise ValueError("too few profiles to select a cluster count")
-        template = _fcm_template(config, 2)
+        template = fcm_mod.FcmConfig(k=2, fuzzifier=config.fuzzifier, seed=config.seed)
         _, curve, model = fcm_mod.select_cluster_count(reduced, template, (2, k_hi))
     else:
-        model = fcm_mod.fit_fcm(reduced, _fcm_template(config, int(config.k)))
+        template = fcm_mod.FcmConfig(k=config.k, fuzzifier=config.fuzzifier, seed=config.seed)
+        model = fcm_mod.fit_fcm(reduced, template)
         curve = [(model.k, fcm_mod.fuzzy_partition_coefficient(model.memberships))]
-    return pca_model, reduced, model, curve
+    return pca_model, model, curve
 
 
-def _write_model_artifacts(
-    out: Path,
-    pca_model: pca_mod.PcaModel,
-    model: fcm_mod.ClusterModel,
-    curve: list[tuple[int, float]],
-) -> list[str]:
+def _fit(
+    config: RunConfig, matrix: ProfileMatrix
+) -> tuple[pca_mod.PcaModel, fcm_mod.ClusterModel, list[str]]:
+    """pca.json, cevr.csv, cluster.json and fpc.csv."""
+    pca_model, model, curve = _fit_models(config, matrix)
+    out = Path(config.out_dir)
     _write_text(out / "pca.json", pca_mod.model_to_json(pca_model) + "\n")
     cevr = pca_mod.cumulative_explained_variance(pca_model)
     cevr_lines = ["dprime,cevr"] + [
@@ -477,7 +488,7 @@ def _write_model_artifacts(
     _write_text(out / "cluster.json", fcm_mod.model_to_json(model) + "\n")
     fpc_lines = ["k,fpc"] + [f"{k},{_fmt9(value)}" for k, value in curve]
     _write_text(out / "fpc.csv", "\n".join(fpc_lines) + "\n")
-    return ["pca.json", "cevr.csv", "cluster.json", "fpc.csv"]
+    return pca_model, model, ["pca.json", "cevr.csv", "cluster.json", "fpc.csv"]
 
 
 def _evaluation_points(
@@ -488,101 +499,16 @@ def _evaluation_points(
     return pca_mod.project(pca_model, matrix, pca_model.chosen_dprime)
 
 
-def _evaluate(config: RunConfig, points, model) -> cvi_mod.CviReport:
+def _score(
+    config: RunConfig, points: np.ndarray, model: fcm_mod.ClusterModel
+) -> tuple[cvi_mod.CviReport, list[str]]:
+    """cvi.json: the five indices of the partition."""
     # Fitted centroids live in reduced space, so membership-based XB is
     # only meaningful there; original-space evaluation falls back to the
     # crisp mode.
-    return cvi_mod.evaluate_all(points, model, use_memberships=config.space == "reduced")
-
-
-@dataclass
-class PipelineState:
-    matrix: ProfileMatrix
-    truth: np.ndarray | None
-    pca_model: pca_mod.PcaModel
-    reduced: np.ndarray
-    cluster_model: fcm_mod.ClusterModel
-    points: np.ndarray
-    cvi_report: cvi_mod.CviReport
-    written: list[str]
-
-
-def _pipeline_core(config: RunConfig) -> PipelineState:
-    config.require_data_source()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    matrix, truth = _load_profiles(config)
-    written = _write_data_artifacts(out, matrix, truth)
-    pca_model, reduced, model, curve = _fit_models(config, matrix)
-    written += _write_model_artifacts(out, pca_model, model, curve)
-    points = _evaluation_points(config, matrix, pca_model)
-    report = _evaluate(config, points, model)
-    _write_text(out / "cvi.json", cvi_mod.report_to_json(report) + "\n")
-    written.append("cvi.json")
-    return PipelineState(
-        matrix=matrix,
-        truth=truth,
-        pca_model=pca_model,
-        reduced=reduced,
-        cluster_model=model,
-        points=points,
-        cvi_report=report,
-        written=written,
-    )
-
-
-def run_pipeline(
-    config: RunConfig,
-) -> tuple[pca_mod.PcaModel, fcm_mod.ClusterModel, cvi_mod.CviReport, RunManifest]:
-    """Data through indices, all core artifacts written and digested."""
-    state = _pipeline_core(config)
-    manifest = update_manifest(config, state.written)
-    return state.pca_model, state.cluster_model, state.cvi_report, manifest
-
-
-def stage_cluster(config: RunConfig) -> list[str]:
-    """Reduce and cluster the profiles already in the output directory."""
-    out = Path(config.out_dir)
-    source = out / "profiles.csv"
-    if not source.exists():
-        raise FileNotFoundError(
-            "missing artifact: profiles.csv (run synth or preprocess first)"
-        )
-    matrix = read_profiles_csv(source)
-    pca_model, _, model, curve = _fit_models(config, matrix)
-    return _write_model_artifacts(out, pca_model, model, curve)
-
-
-def stage_validate(config: RunConfig) -> list[str]:
-    """Score the stored partition; writes cvi.json."""
-    out = Path(config.out_dir)
-    for name in ("profiles.csv", "pca.json", "cluster.json"):
-        if not (out / name).exists():
-            raise FileNotFoundError(f"missing artifact: {name} (run cluster first)")
-    state = _load_state(config)
-    _write_text(out / "cvi.json", cvi_mod.report_to_json(state.cvi_report) + "\n")
-    return ["cvi.json"]
-
-
-def _load_state(config: RunConfig) -> PipelineState:
-    """Rebuild working state from the artifacts in the output directory."""
-    out = Path(config.out_dir)
-    matrix = read_profiles_csv(out / "profiles.csv")
-    pca_model = pca_mod.model_from_json((out / "pca.json").read_text())
-    model = fcm_mod.model_from_json((out / "cluster.json").read_text())
-    reduced = pca_mod.project(pca_model, matrix, pca_model.chosen_dprime)
-    points = _evaluation_points(config, matrix, pca_model)
-    report = _evaluate(config, points, model)
-    return PipelineState(
-        matrix=matrix,
-        truth=None,
-        pca_model=pca_model,
-        reduced=reduced,
-        cluster_model=model,
-        points=points,
-        cvi_report=report,
-        written=[],
-    )
+    report = cvi_mod.evaluate_all(points, model, use_memberships=config.space == "reduced")
+    _write_text(Path(config.out_dir) / "cvi.json", cvi_mod.report_to_json(report) + "\n")
+    return report, ["cvi.json"]
 
 
 def _refit_callback(config: RunConfig, model: fcm_mod.ClusterModel):
@@ -598,49 +524,22 @@ def _refit_callback(config: RunConfig, model: fcm_mod.ClusterModel):
     return refit
 
 
-def run_experiment(
-    kind: str, config: RunConfig, state: PipelineState | None = None
+def _experiment(
+    kind: str, config: RunConfig, points: np.ndarray, model: fcm_mod.ClusterModel
 ) -> tuple[perturb_mod.ExperimentReport, list[str]]:
-    """One perturbation experiment against the run's partition, written
-    as experiment_<kind>.json and .csv.
-
-    Reuses the pipeline artifacts already in the output directory, or
-    runs the pipeline implicitly when the config names a data source.
-    Returns the report and every artifact name written along the way.
-    """
-    if kind not in perturb_mod.EXPERIMENT_KINDS:
-        raise ValueError(f"unknown experiment kind {kind!r}")
-    written: list[str] = []
-    if state is None:
-        out = Path(config.out_dir)
-        if all((out / name).exists() for name in ("profiles.csv", "pca.json", "cluster.json")):
-            state = _load_state(config)
-        elif config.inputs or config.synth is not None:
-            state = _pipeline_core(config)
-            written += state.written
-        else:
-            raise ValueError(
-                "missing baseline: no pipeline artifacts in the output "
-                "directory and no data source in the config"
-            )
+    """experiment_<kind>.json and .csv."""
     runner = {
         "outliers": perturb_mod.outlier_experiment,
         "density": perturb_mod.density_experiment,
         "diameter": perturb_mod.diameter_experiment,
     }[kind]
-    report = runner(
-        state.points,
-        state.cluster_model,
-        config.perturb,
-        refit=_refit_callback(config, state.cluster_model),
-    )
+    report = runner(points, model, config.perturb, refit=_refit_callback(config, model))
     out = Path(config.out_dir)
     _write_text(
         out / f"experiment_{kind}.json", perturb_mod.experiment_to_json(report) + "\n"
     )
     _write_text(out / f"experiment_{kind}.csv", perturb_mod.experiment_to_csv(report))
-    written += [f"experiment_{kind}.json", f"experiment_{kind}.csv"]
-    return report, written
+    return report, [f"experiment_{kind}.json", f"experiment_{kind}.csv"]
 
 
 def _summary_cell(value: float | None) -> str:
@@ -651,18 +550,18 @@ def _summary_cell(value: float | None) -> str:
     return _fmt9(value)
 
 
-def emit_report(config: RunConfig) -> list[str]:
+def _report(
+    config: RunConfig,
+    matrix: ProfileMatrix,
+    pca_model: pca_mod.PcaModel,
+    model: fcm_mod.ClusterModel,
+    baseline: cvi_mod.CviReport,
+    experiments: dict[str, perturb_mod.ExperimentReport | str],
+) -> list[str]:
     """summary.txt (indices, experiment averages, verdicts) and
-    scatter2d.csv (2-component projection with cluster labels)."""
+    scatter2d.csv (2-component projection with cluster labels). An
+    experiment given as a string was skipped for that reason."""
     out = Path(config.out_dir)
-    for name in ("profiles.csv", "pca.json", "cluster.json", "cvi.json"):
-        if not (out / name).exists():
-            raise FileNotFoundError(f"missing artifact: {name}")
-    matrix = read_profiles_csv(out / "profiles.csv")
-    pca_model = pca_mod.model_from_json((out / "pca.json").read_text())
-    model = fcm_mod.model_from_json((out / "cluster.json").read_text())
-    baseline = cvi_mod.report_from_json((out / "cvi.json").read_text())
-
     flat = pca_mod.project(pca_model, matrix, 2)
     scatter_lines = ["x,y,cluster"] + [
         f"{_fmt9(row[0])},{_fmt9(row[1])},{label}"
@@ -682,14 +581,12 @@ def emit_report(config: RunConfig) -> list[str]:
     for name in cvi_mod.INDEX_NAMES:
         lines.append(f"{name:<8}{_summary_cell(baseline.value_map()[name]):>16}")
     for kind in perturb_mod.EXPERIMENT_KINDS:
-        path = out / f"experiment_{kind}.json"
-        if not path.exists():
+        report = experiments.get(kind)
+        if report is None:
             continue
-        payload = json.loads(path.read_text())
-        if "skipped" in payload:
-            lines += ["", f"experiment: {kind} skipped ({payload['skipped']})"]
+        if isinstance(report, str):
+            lines += ["", f"experiment: {kind} skipped ({report})"]
             continue
-        report = perturb_mod.experiment_from_dict(payload)
         if report.average is not None:
             compare = report.average
             label = "average"
@@ -715,25 +612,94 @@ def emit_report(config: RunConfig) -> list[str]:
     return ["summary.txt", "scatter2d.csv"]
 
 
+# --- staged commands: load the inputs, run one stage ---
+
+
+def stage_data(config: RunConfig) -> list[str]:
+    """profiles.csv (and synth_labels.csv for synthetic runs), in place
+    of every artifact an earlier run left in the output directory."""
+    return _write_data(config, *_load_profiles(config))
+
+
+def stage_cluster(config: RunConfig) -> list[str]:
+    """Reduce and cluster the profiles already in the output directory."""
+    (matrix,) = _load_stored(config, "profiles.csv")
+    return _fit(config, matrix)[2]
+
+
+def stage_validate(config: RunConfig) -> list[str]:
+    """Score the stored partition; writes cvi.json."""
+    matrix, pca_model, model = _load_stored(config, *_FITTED)
+    return _score(config, _evaluation_points(config, matrix, pca_model), model)[1]
+
+
+def run_experiment(
+    kind: str, config: RunConfig
+) -> tuple[perturb_mod.ExperimentReport, list[str]]:
+    """One perturbation experiment against the stored partition, written
+    as experiment_<kind>.json and .csv.
+
+    With no partition in the output directory but a data source in the
+    config, the data, cluster and validate stages run first. Returns the
+    report and every artifact name written along the way.
+    """
+    if kind not in perturb_mod.EXPERIMENT_KINDS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    written: list[str] = []
+    if not all((Path(config.out_dir) / name).exists() for name in _FITTED):
+        if not config.inputs and config.synth is None:
+            raise ValueError(
+                "missing baseline: no pipeline artifacts in the output "
+                "directory and no data source in the config"
+            )
+        written = stage_data(config) + stage_cluster(config) + stage_validate(config)
+    matrix, pca_model, model = _load_stored(config, *_FITTED)
+    points = _evaluation_points(config, matrix, pca_model)
+    report, names = _experiment(kind, config, points, model)
+    return report, written + names
+
+
+def emit_report(config: RunConfig) -> list[str]:
+    """summary.txt and scatter2d.csv from the artifacts in the output
+    directory, covering every experiment recorded there."""
+    stored = _load_stored(config, *_FITTED, "cvi.json")
+    experiments: dict[str, perturb_mod.ExperimentReport | str] = {}
+    for kind in perturb_mod.EXPERIMENT_KINDS:
+        path = Path(config.out_dir) / f"experiment_{kind}.json"
+        if path.exists():
+            payload = json.loads(path.read_text())
+            experiments[kind] = (
+                payload["skipped"] if "skipped" in payload
+                else perturb_mod.experiment_from_dict(payload)
+            )
+    return _report(config, *stored, experiments)
+
+
 def run_full(config: RunConfig) -> RunManifest:
-    """Pipeline, requested experiments, report, manifest: one call.
+    """Every stage, the requested experiments and the manifest in one
+    call. The stages are the ones the staged commands run, chained in
+    memory, so nothing written is read back.
 
     An experiment the partition cannot support is recorded as skipped,
     with its reason, in experiment_<kind>.json (no CSV), and the run goes
     on.
     """
-    state = _pipeline_core(config)
-    written = list(state.written)
+    matrix, truth = _load_profiles(config)
+    written = _write_data(config, matrix, truth)
+    pca_model, model, names = _fit(config, matrix)
+    written += names
+    points = _evaluation_points(config, matrix, pca_model)
+    baseline, names = _score(config, points, model)
+    written += names
+    experiments: dict[str, perturb_mod.ExperimentReport | str] = {}
     for kind in config.experiments:
         try:
-            _, names = run_experiment(kind, config, state=state)
+            experiments[kind], names = _experiment(kind, config, points, model)
         except perturb_mod.ExperimentSkipped as exc:
-            skipped = {"kind": kind, "skipped": str(exc)}
-            _write_text(
-                Path(config.out_dir) / f"experiment_{kind}.json",
-                json.dumps(skipped, indent=2) + "\n",
-            )
+            experiments[kind] = str(exc)
             names = [f"experiment_{kind}.json"]
+            skipped = {"kind": kind, "skipped": str(exc)}
+            _write_text(Path(config.out_dir) / names[0], json.dumps(skipped, indent=2) + "\n")
         written += names
-    written += emit_report(config)
+    written += _report(config, matrix, pca_model, model, baseline, experiments)
     return update_manifest(config, written)

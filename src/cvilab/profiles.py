@@ -577,14 +577,16 @@ def generate_synthetic(spec: SynthSpec) -> tuple[ProfileMatrix, np.ndarray]:
 
 
 def write_profiles_csv(matrix: ProfileMatrix, target) -> None:
-    """Write the profile matrix as CSV (9 significant digits)."""
+    """Write the profile matrix as CSV, each value as its shortest
+    round-trip ``repr``, so :func:`read_profiles_csv` gets back the same
+    bits."""
     own = isinstance(target, (str, os.PathLike))
     fh = open(target, "w", encoding="utf-8", newline="") if own else target
     try:
         writer = csv.writer(fh)
         writer.writerow(PROFILE_CSV_HEADER)
-        for hid, row in zip(matrix.households, matrix.values):
-            writer.writerow([hid] + [format(v, ".9g") for v in row])
+        for hid, row in zip(matrix.households, matrix.values.tolist()):
+            writer.writerow([hid] + [repr(v) for v in row])
     finally:
         if own:
             fh.close()
@@ -593,8 +595,8 @@ def write_profiles_csv(matrix: ProfileMatrix, target) -> None:
 def read_profiles_csv(source) -> ProfileMatrix:
     """Read a profile CSV written by :func:`write_profiles_csv`.
 
-    Rows are re-normalized: 9-digit rounding can push the stored norm just
-    outside the 1e-9 unit-norm tolerance.
+    The values come back bit for bit as stored; a value that is not finite
+    is rejected.
     """
     households = []
     rows = []
@@ -609,5 +611,8 @@ def read_profiles_csv(source) -> ProfileMatrix:
             if len(row) != SLOTS_PER_DAY + 1:
                 raise ValueError(f"profile row for {row[0]!r} has {len(row) - 1} slots")
             households.append(row[0])
-            rows.append(l2_normalize(np.array([float(v) for v in row[1:]], dtype=float)))
-    return ProfileMatrix(households=tuple(households), values=np.array(rows, dtype=float))
+            rows.append([float(v) for v in row[1:]])
+    values = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("profile contains non-finite entries")
+    return ProfileMatrix(households=tuple(households), values=values)

@@ -11,7 +11,6 @@ import oracles
 from cvilab import (
     ClusterModel,
     FcmConfig,
-    estimate_fuzzifier,
     fit_fcm,
     fuzzy_partition_coefficient,
     select_cluster_count,
@@ -50,27 +49,9 @@ class TestConfig:
             FcmConfig(k=2, tol=0.0)
         with pytest.raises(ValueError):
             FcmConfig(k=2, restarts=0)
-        assert FcmConfig(k=2, fuzzifier="estimate").fuzzifier == "estimate"
-
-
-class TestEstimateFuzzifier:
-    def test_default_is_two(self):
-        assert estimate_fuzzifier(np.ones((5, 3))) == 2.0
-
-    def test_custom_strategy_honored(self):
-        assert estimate_fuzzifier(np.ones((5, 3)), strategy=lambda x: 1.5) == 1.5
-
-    def test_out_of_range_strategy_rejected(self):
-        with pytest.raises(ValueError, match=r"\(1, 5\]"):
-            estimate_fuzzifier(np.ones((5, 3)), strategy=lambda x: 6.0)
-        with pytest.raises(ValueError, match=r"\(1, 5\]"):
-            estimate_fuzzifier(np.ones((5, 3)), strategy=lambda x: 1.0)
-
-    def test_needs_matrix(self):
-        with pytest.raises(ValueError):
-            estimate_fuzzifier(np.ones(5))
-        with pytest.raises(ValueError):
-            estimate_fuzzifier(np.ones((1, 5)))
+        for spec in ("estimate", float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="fuzzifier must be finite and exceed 1"):
+                FcmConfig(k=2, fuzzifier=spec)
 
 
 class TestFitFcm:
@@ -173,11 +154,6 @@ class TestFitFcm:
         assert model.empty_clusters
         for j in model.empty_clusters:
             assert not np.any(model.labels == j)
-
-    def test_estimate_fuzzifier_path(self):
-        x = blob_data(7, [(0, 0), (6, 0)])
-        model = fit_fcm(x, FcmConfig(k=2, seed=0, fuzzifier="estimate"))
-        assert model.fuzzifier == 2.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="more points"):

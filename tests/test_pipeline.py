@@ -17,6 +17,7 @@ import cvilab
 from cvilab import cli, perturb
 from cvilab import fcm as fcm_mod
 from cvilab import pipeline as pl
+from cvilab.pca import project
 
 CORE_ARTIFACTS = [
     "profiles.csv",
@@ -98,7 +99,7 @@ class TestBuildRunConfig:
         assert config.seed == 0
         assert config.dprime == "elbow"
         assert config.k == "fpc"
-        assert config.fuzzifier == "default"
+        assert config.fuzzifier == 2.0
         assert config.space == "reduced"
         assert config.recluster is False
         assert config.experiments == ()
@@ -153,6 +154,9 @@ class TestBuildRunConfig:
         with pytest.raises(ValueError, match="not both"):
             pl.build_run_config(raw)
 
+    def test_m_default_parses_to_two(self):
+        assert pl.build_run_config({"m": ["default"]}).fuzzifier == 2.0
+
     def test_typed_numeric_settings(self):
         raw = {"dprime": ["5"], "k": ["4"], "m": ["2.5"]}
         config = pl.build_run_config(raw)
@@ -181,11 +185,19 @@ class TestLoadRunConfig:
         assert config.seed == 8
 
 
+def run_core_stages(config):
+    """Data through indices, as ``cvilab experiment`` bootstraps them:
+    every core artifact written and digested."""
+    written = pl.stage_data(config) + pl.stage_cluster(config) + pl.stage_validate(config)
+    return pl.update_manifest(config, written)
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("small")
     config = pl.build_run_config(small_raw(out))
-    pca_model, model, report, manifest = pl.run_pipeline(config)
+    manifest = run_core_stages(config)
+    pca_model, model, report = pl._load_stored(config, "pca.json", "cluster.json", "cvi.json")
     return out, config, pca_model, model, report, manifest
 
 
@@ -193,7 +205,7 @@ def small_run(tmp_path_factory):
 def curve_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("curve")
     config = pl.build_run_config(small_raw(out, k="fpc"))
-    pl.run_pipeline(config)
+    run_core_stages(config)
     return out
 
 
@@ -282,7 +294,7 @@ class TestRunPipeline:
 
     def test_original_space_falls_back_to_crisp(self, tmp_path):
         config = pl.build_run_config(small_raw(tmp_path / "orig", space="original"))
-        pl.run_pipeline(config)
+        run_core_stages(config)
         payload = json.loads((tmp_path / "orig" / "cvi.json").read_text())
         assert payload["fuzzy"] is False
 
@@ -348,18 +360,20 @@ class TestFitModels:
     def test_fpc_selection_keeps_the_winning_model(self, tmp_path, fitted_k):
         config = pl.build_run_config(small_raw(tmp_path, k="fpc"))
         matrix, _ = pl._load_profiles(config)
-        _, reduced, model, curve = pl._fit_models(config, matrix)
+        pca_model, model, curve = pl._fit_models(config, matrix)
         k_hi = min(fcm_mod.K_MAX_DEFAULT, len(matrix) - 1)
         assert fitted_k == list(range(2, k_hi + 1))  # k_hi - 1 fits, no refit
         k_star = max(curve, key=lambda kv: (kv[1], -kv[0]))[0]
         assert model.k == k_star
-        refit = fcm_mod.fit_fcm(reduced, pl._fcm_template(config, k_star))
+        reduced = project(pca_model, matrix, pca_model.chosen_dprime)
+        template = fcm_mod.FcmConfig(k=k_star, fuzzifier=config.fuzzifier, seed=config.seed)
+        refit = fcm_mod.fit_fcm(reduced, template)
         assert_models_bitwise_equal(model, refit)
 
     def test_fixed_k_fits_once(self, tmp_path, fitted_k):
         config = pl.build_run_config(small_raw(tmp_path))
         matrix, _ = pl._load_profiles(config)
-        _, _, model, curve = pl._fit_models(config, matrix)
+        _, model, curve = pl._fit_models(config, matrix)
         assert fitted_k == [3]
         assert [k for k, _ in curve] == [3] and model.k == 3
 
@@ -800,6 +814,46 @@ class TestCrossKernelContract:
         assert _numbers_close(*load("cvi.json"), rel=1e-6)
 
 
+class TestStagedMatchesRun:
+    """The staged commands and ``cvilab run`` share every stage, so they
+    write the same bytes."""
+
+    def assert_same_outputs(self, staged, run):
+        names = sorted(p.name for p in staged.iterdir())
+        assert names == sorted(p.name for p in run.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (staged / name).read_bytes() == (run / name).read_bytes(), name
+        manifests = []
+        for out in (staged, run):
+            payload = json.loads((out / "manifest.json").read_text())
+            payload.pop("created_utc")
+            payload["config"].pop("out")
+            manifests.append(payload)
+        assert manifests[0] == manifests[1]
+
+    def test_synthetic_with_every_experiment(self, tmp_path):
+        argv = ["--synth.clusters", "4", "--synth.cluster-size", "30",
+                "--synth.outliers", "3", "--seed", "0", "--trials", "4",
+                "--experiments", "outliers,density,diameter"]
+        staged, run = tmp_path / "staged", tmp_path / "run"
+        commands = [["synth"], ["cluster"], ["validate"], ["experiment", "outliers"],
+                    ["experiment", "density"], ["experiment", "diameter"], ["report"]]
+        assert [cli.main([*command, *argv, "--out", str(staged)])
+                for command in commands] == [0] * len(commands)
+        assert cli.main(["run", *argv, "--out", str(run)]) == 0
+        self.assert_same_outputs(staged, run)
+
+    def test_readings(self, readings_csv, tmp_path):
+        argv = ["--input", str(readings_csv), "--k", "2"]
+        staged, run = tmp_path / "staged", tmp_path / "run"
+        commands = ["preprocess", "cluster", "validate", "report"]
+        assert [cli.main([command, *argv, "--out", str(staged)])
+                for command in commands] == [0] * len(commands)
+        assert cli.main(["run", *argv, "--out", str(run)]) == 0
+        self.assert_same_outputs(staged, run)
+
+
 class TestCliErrors:
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -844,6 +898,26 @@ class TestCliErrors:
         err = cli_error(capsys, ["run", "--seed", "xyz", "--synth.clusters", "2",
                                  "--out", str(tmp_path / "x")])
         assert err["message"] == "seed must be an integer, got 'xyz'"
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("dprime", "two", "an integer or 'elbow'"),
+        ("k", "many", "an integer or 'fpc'"),
+        ("m", "soft", "a number or 'default'"),
+    ])
+    def test_typed_value_names_its_key(self, capsys, tmp_path, key, value, expected):
+        err = cli_error(capsys, ["run", f"--{key}", value, "--synth.clusters", "2",
+                                 "--out", str(tmp_path / "x")])
+        assert err == {"error": "ValueError",
+                       "message": f"{key} must be {expected}, got {value!r}"}
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1"])
+    def test_fuzzifier_must_be_finite_above_one(self, capsys, tmp_path, value):
+        out = tmp_path / "x"
+        err = cli_error(capsys, ["run", "--m", value, "--synth.clusters", "2",
+                                 "--out", str(out)])
+        assert err == {"error": "ValueError",
+                       "message": "m must be a finite number > 1 or 'default'"}
+        assert not out.exists()
 
     def test_both_sources_via_config(self, capsys, tmp_path):
         cfg = tmp_path / "both.cfg"

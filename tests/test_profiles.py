@@ -786,9 +786,20 @@ class TestProfileCsv:
         write_profiles_csv(matrix, path)
         back = read_profiles_csv(path)
         assert back.households == matrix.households
-        assert np.abs(back.values - matrix.values).max() < 1e-8
+        assert back.values.tobytes() == matrix.values.tobytes()
         norms = np.linalg.norm(back.values, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-9
+        edges = ProfileMatrix(
+            households=("edge",), values=np.array([[5e-324, 1e-300, 0.1, 1 / 3] * 24])
+        )
+        write_profiles_csv(edges, path)
+        assert read_profiles_csv(path).values.tobytes() == edges.values.tobytes()
+
+    def test_read_rejects_non_finite(self):
+        for bad in ("nan", "inf"):
+            text = ",".join(PROFILE_CSV_HEADER) + "\nA," + ",".join([bad] + ["0.1"] * 95) + "\n"
+            with pytest.raises(ValueError, match="profile contains non-finite entries"):
+                read_profiles_csv(io.StringIO(text))
 
     def test_read_rejects_surprise_header(self):
         with pytest.raises(ValueError, match="header"):
