@@ -67,23 +67,46 @@ class ClusterModel:
         return self.centroids.shape[0]
 
 
-def _memberships(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
-    return _memberships_from_distances(cdist(x, centroids), m)
+def _cluster_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the cluster axis of a (..., k, N) stack, in the order numpy
+    sums a contiguous row of k values: a left fold below 8 terms, eight
+    running sums combined pairwise up to 128, and halves beyond that.
+    Each column's sum thus has the bits of the (N, k) layout's row sum."""
+    k = a.shape[-2]
+    if k < 8:
+        total = a[..., 0, :].copy()
+        for j in range(1, k):
+            total += a[..., j, :]
+        return total
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _cluster_sum(a[..., :half, :]) + _cluster_sum(a[..., half:, :])
+    lanes = a[..., :8, :].copy()
+    blocks = k - k % 8
+    for j in range(8, blocks, 8):
+        lanes += a[..., j:j + 8, :]
+    r = [lanes[..., j, :] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(blocks, k):
+        total += a[..., j, :]
+    return total
 
 
 def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
-    # Scale by each row's min distance so the power stays in [0, 1] and
-    # cannot overflow. A row whose min is 0 divides by zero here and is
+    """Memberships of a (..., k, N) stack of centroid-point distances."""
+    # Scale by each point's min distance so the power stays in [0, 1] and
+    # cannot overflow. A point whose min is 0 divides by zero here and is
     # then overwritten: a point sitting on a centroid gets crisp
     # membership to the first such centroid (standard singularity fix).
-    nearest = dist.min(axis=1, keepdims=True)
+    nearest = dist.min(axis=-2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = (dist / nearest) ** (-2.0 / (m - 1.0))
-        u = w / w.sum(axis=1, keepdims=True)
-    hit = np.flatnonzero(nearest[:, 0] == 0.0)
-    if hit.shape[0]:
-        u[hit] = 0.0
-        u[hit, np.argmax(dist[hit] == 0.0, axis=1)] = 1.0
+        u = dist / nearest
+        u **= -2.0 / (m - 1.0)
+        u /= _cluster_sum(u)[..., None, :]
+    hit = nearest == 0.0
+    if hit.any():
+        zero = dist == 0.0
+        u = np.where(hit, zero & (np.cumsum(zero, axis=-2) == 1), u)
     return u
 
 
@@ -97,15 +120,37 @@ def _centroids(x: np.ndarray, w: np.ndarray, previous: np.ndarray) -> np.ndarray
     return new
 
 
+def _centroid_stack(x: np.ndarray, w: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """``_centroids`` for each (k, N) block of an (R, k, N) weight stack, bit
+    for bit. The weight sums fold over the points one at a time, as the
+    (N, k) column sum does: summing the outer axis of an (N, R, k) copy does
+    that. The numerators are one gemm per contiguous (k, N) block."""
+    weights = np.ascontiguousarray(w.transpose(2, 0, 1)).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new = np.matmul(w, x) / weights[..., None]
+    # A lone fit leaves a zero-weight cluster out of its gemm; so does this.
+    for r in np.flatnonzero((weights == 0.0).any(axis=-1)):
+        new[r] = _centroids(x, np.ascontiguousarray(w[r].T), previous[r])
+    return new
+
+
+def _distances(centroids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(R, k, N) distances of an (R, k, d) centroid stack, in one ``cdist``."""
+    r, k, d = centroids.shape
+    return cdist(centroids.reshape(-1, d), x).reshape(r, k, x.shape[0])
+
+
 def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
     """Fit fuzzy c-means; best of ``config.restarts`` seeded starts.
 
     Each restart initializes centroids at k distinct data points drawn from
     its own child stream, so the fit is bit-deterministic for a given seed
     and config. Iteration stops when the largest centroid displacement
-    drops below ``tol`` or ``max_iter`` is reached. Each iteration computes
-    the point-centroid distances once: they give this iteration's objective
-    and the next iteration's memberships.
+    drops below ``tol`` or ``max_iter`` is reached. The restarts advance
+    together as one (restart, cluster, point) stack, and a restart leaves
+    the stack when it stops; each keeps the arithmetic of a fit on its own.
+    Each step computes the point-centroid distances of all restarts in one
+    pass: they give this step's objectives and the next memberships.
     """
     x = np.ascontiguousarray(np.asarray(data, dtype=float))
     if x.ndim != 2:
@@ -117,34 +162,50 @@ def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
         raise ValueError("data contains non-finite entries")
     m = float(config.fuzzifier)
 
-    best: tuple[np.ndarray, np.ndarray, list[float]] | None = None
-    for restart in range(config.restarts):
-        rng = derive_stream(config.seed, restart)
-        centroids = x[rng.choice(n, size=config.k, replace=False)].copy()
-        trace: list[float] = []
-        u = _memberships(x, centroids, m)
-        for _ in range(config.max_iter):
-            w = u**m
-            new_centroids = _centroids(x, w, centroids)
-            dist = cdist(x, new_centroids)
-            trace.append(float((w * dist**2).sum()))
-            shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
-            centroids = new_centroids
-            if shift < config.tol:
+    centroids = np.stack([
+        x[derive_stream(config.seed, restart).choice(n, size=config.k, replace=False)]
+        for restart in range(config.restarts)
+    ])
+    final_centroids = np.empty_like(centroids)
+    final_u = np.empty((config.restarts, config.k, n))
+    traces: list[list[float]] = [[] for _ in range(config.restarts)]
+    live = np.arange(config.restarts)
+    u = _memberships_from_distances(_distances(centroids, x), m)
+    for _ in range(config.max_iter):
+        w = u**m
+        new_centroids = _centroid_stack(x, w, centroids)
+        dist = _distances(new_centroids, x)
+        # Each objective sums a contiguous (N, k) block, as a lone fit does.
+        objective = np.ascontiguousarray((w * dist**2).transpose(0, 2, 1))
+        for restart, value in zip(live, objective.reshape(len(live), -1).sum(axis=1)):
+            traces[restart].append(float(value))
+        shift = np.linalg.norm(new_centroids - centroids, axis=-1).max(axis=-1)
+        centroids = new_centroids
+        done = shift < config.tol
+        if done.any():
+            final_centroids[live[done]] = centroids[done]
+            final_u[live[done]] = u[done]
+            keep = ~done
+            live, centroids, dist = live[keep], centroids[keep], dist[keep]
+            if not len(live):
                 break
-            u = _memberships_from_distances(dist, m)
-        if best is None or trace[-1] < best[2][-1]:
-            best = (centroids, u, trace)
+        u = _memberships_from_distances(dist, m)
+    else:
+        # The restarts still in the stack stopped at max_iter.
+        final_centroids[live] = centroids
+        final_u[live] = u
 
-    centroids, u, trace = best
+    # The lowest final objective wins; min keeps the first of equals.
+    best = min(range(config.restarts), key=lambda restart: traces[restart][-1])
+    u = np.ascontiguousarray(final_u[best].T)
     labels = np.argmax(u, axis=1)
     empty = tuple(int(j) for j in range(config.k) if not np.any(labels == j))
     return ClusterModel(
-        centroids=centroids,
+        centroids=final_centroids[best].copy(),
         memberships=u,
         fuzzifier=m,
         labels=labels,
-        objective_trace=np.array(trace, dtype=float),
+        objective_trace=np.array(traces[best], dtype=float),
         empty_clusters=empty,
     )
 

@@ -67,12 +67,14 @@ class PerturbConfig:
             raise ValueError("trials must be at least 1")
         if not 0.0 < self.shrink_factor < 1.0:
             raise ValueError("shrink_factor must lie in (0, 1)")
-        if not self.sigma_divisor > 0:
-            raise ValueError("sigma_divisor must be positive")
+        if not 0 < self.sigma_divisor < math.inf:
+            raise ValueError(f"sigma_divisor must be finite and positive, got {self.sigma_divisor!r}")
         if self.max_rejection_attempts < 1:
             raise ValueError("max_rejection_attempts must be positive")
-        if self.density_add_fraction < 0:
-            raise ValueError("density_add_fraction must be nonnegative")
+        if not 0 <= self.density_add_fraction < math.inf:
+            raise ValueError(
+                f"density_add_fraction must be finite and nonnegative, got {self.density_add_fraction!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,12 @@ def worker_count() -> int:
     """Trial worker cap: CVILAB_THREADS when set, else the CPU count."""
     raw = os.environ.get("CVILAB_THREADS", "").strip()
     if raw:
-        value = int(raw)
+        try:
+            value = int(raw)
+        except ValueError:
+            value = 0
         if value < 1:
-            raise ValueError("CVILAB_THREADS must be a positive integer")
+            raise ValueError(f"CVILAB_THREADS must be a positive integer, got {raw!r}")
         return value
     return os.cpu_count() or 1
 

@@ -17,6 +17,7 @@ from cvilab import (
 )
 from cvilab.fcm import (
     _centroids,
+    _cluster_sum,
     _memberships_from_distances,
     model_from_json,
     model_to_json,
@@ -105,25 +106,29 @@ class TestFitFcm:
     def test_one_distance_matrix_per_iteration(self, monkeypatch):
         import cvilab.fcm as fcm_module
 
-        calls = {"cdist": 0, "iterations": 0}
-        real_cdist, real_centroids = fcm_module.cdist, fcm_module._centroids
+        rows: list[int] = []
+        real_cdist = fcm_module.cdist
 
-        def counting_cdist(*args, **kwargs):
-            calls["cdist"] += 1
-            return real_cdist(*args, **kwargs)
-
-        def counting_centroids(*args, **kwargs):
-            calls["iterations"] += 1  # one centroid update per iteration
-            return real_centroids(*args, **kwargs)
+        def counting_cdist(a, b, *args, **kwargs):
+            rows.append(a.shape[0])
+            return real_cdist(a, b, *args, **kwargs)
 
         monkeypatch.setattr(fcm_module, "cdist", counting_cdist)
-        monkeypatch.setattr(fcm_module, "_centroids", counting_centroids)
-        x = blob_data(4, [(0, 0), (4, 1), (2, 5)])
-        for config in (FcmConfig(k=3, seed=2, restarts=4), FcmConfig(k=4, max_iter=3)):
-            calls.update(cdist=0, iterations=0)
+        x = blob_data(4, [(0, 0), (4, 1), (2, 5)], spread=0.6)
+        for config in (
+            FcmConfig(k=3, seed=2, restarts=4),
+            FcmConfig(k=4, max_iter=3),
+            FcmConfig(k=5, seed=7, restarts=6, tol=1e-4),
+        ):
+            rows.clear()
             fit_fcm(x, config)
-            assert calls["iterations"] >= config.restarts
-            assert calls["cdist"] <= calls["iterations"] + config.restarts
+            steps = [len(trace) for _, _, trace in reference_restarts(x, config)]
+            # One call for the starts, then one per step for every restart
+            # still moving; a restart that stops leaves the stack for good.
+            assert rows == [config.k * config.restarts] + [
+                config.k * sum(s > step for s in steps) for step in range(max(steps))
+            ]
+            assert rows == sorted(rows, reverse=True)
 
     def test_point_on_centroid_goes_crisp(self):
         x = blob_data(3, [(0, 0), (8, 0)])
@@ -131,11 +136,10 @@ class TestFitFcm:
         probe = np.vstack([x, model.centroids[0]])
         refit = fit_fcm(probe, FcmConfig(k=2, seed=1, max_iter=1, restarts=1))
         # Any point exactly on a centroid must have a one-hot row.
-        from cvilab.fcm import _memberships
-
-        u = _memberships(probe, model.centroids, 2.0)
-        row = u[-1]
-        assert row[0] == 1.0 and row[1] == 0.0
+        u = _memberships_from_distances(cdist(model.centroids, probe), 2.0)
+        assert u[:, -1].tolist() == [1.0, 0.0]
+        reference = reference_memberships(cdist(probe, model.centroids), 2.0)
+        assert np.ascontiguousarray(u.T).tobytes() == reference.tobytes()
         assert refit.memberships.shape == (len(probe), 2)
 
     def test_bit_determinism(self):
@@ -228,10 +232,10 @@ def reference_memberships(dist, m):
     return u
 
 
-def reference_fit(x, config):
-    """fit_fcm's restart loop over the reference memberships."""
+def reference_restarts(x, config):
+    """Each restart fitted on its own, in the (point, cluster) layout:
+    its final centroids, memberships and objective trace."""
     m, n = float(config.fuzzifier), x.shape[0]
-    best = None
     for restart in range(config.restarts):
         rng = derive_stream(config.seed, restart)
         centroids = x[rng.choice(n, size=config.k, replace=False)].copy()
@@ -247,9 +251,25 @@ def reference_fit(x, config):
             if shift < config.tol:
                 break
             u = reference_memberships(dist, m)
-        if best is None or trace[-1] < best[2][-1]:
-            best = (centroids, u, trace)
+        yield centroids, u, trace
+
+
+def reference_fit(x, config):
+    """The restart with the lowest final objective, first one on a tie."""
+    best = None
+    for fit in reference_restarts(x, config):
+        if best is None or fit[2][-1] < best[2][-1]:
+            best = fit
     return best
+
+
+def assert_fit_equals_reference(x, config):
+    centroids, u, trace = reference_fit(x, config)
+    model = fit_fcm(x, config)
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert model.memberships.tobytes() == u.tobytes()
+    assert model.objective_trace.tobytes() == np.array(trace).tobytes()
+    assert model.labels.tolist() == np.argmax(u, axis=1).tolist()
 
 
 class TestOnePathMemberships:
@@ -264,14 +284,17 @@ class TestOnePathMemberships:
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_bitwise(self, n, k, zeros, scale, m, seed):
         rng = np.random.default_rng(seed)
-        dist = rng.exponential(scale, size=(n, k))
-        dist[rng.random((n, k)) < zeros] = 0.0  # rows with one, several or all zeros
-        got = _memberships_from_distances(dist, m)
-        assert got.tobytes() == reference_memberships(dist, m).tobytes()
+        restarts = int(rng.integers(1, 4))
+        dist = rng.exponential(scale, size=(restarts, n, k))
+        dist[rng.random(dist.shape) < zeros] = 0.0  # rows with one, several or all zeros
+        got = _memberships_from_distances(np.ascontiguousarray(dist.transpose(0, 2, 1)), m)
+        for r in range(restarts):
+            want = reference_memberships(dist[r], m)
+            assert np.ascontiguousarray(got[r].T).tobytes() == want.tobytes()
 
     def test_several_zeros_go_crisp_to_the_first(self):
         dist = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 3.0, 0.0]])
-        assert _memberships_from_distances(dist, 2.0).tolist() == [
+        assert _memberships_from_distances(dist.T, 2.0).T.tolist() == [
             [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
         ]
 
@@ -286,12 +309,67 @@ class TestOnePathMemberships:
         ids=["blobs", "duplicates"],
     )
     def test_fit_equals_reference_bitwise(self, x, config):
-        centroids, u, trace = reference_fit(x, config)
-        model = fit_fcm(x, config)
-        assert model.centroids.tobytes() == centroids.tobytes()
-        assert model.memberships.tobytes() == u.tobytes()
-        assert model.objective_trace.tobytes() == np.array(trace).tobytes()
-        assert model.labels.tolist() == np.argmax(u, axis=1).tolist()
+        assert_fit_equals_reference(x, config)
+
+
+class TestBatchedRestarts:
+    """fit_fcm advances every restart in one (restart, cluster, point)
+    stack; each must still get the bits of a fit on its own."""
+
+    @given(
+        k=st.integers(min_value=2, max_value=13),
+        extra=st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=1, max_value=4),
+        restarts=st.integers(min_value=1, max_value=8),
+        max_iter=st.integers(min_value=1, max_value=300),
+        m=st.sampled_from([1.1, 1.5, 2.0, 3.0]),
+        distinct=st.sampled_from([0, 1, 2, 3]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fit_equals_reference_bitwise(self, k, extra, d, restarts, max_iter, m, distinct, seed):
+        rng = np.random.default_rng(seed)
+        n = k + extra
+        x = rng.normal(size=(n, d)) + rng.integers(0, 3, size=(n, 1)) * 4.0
+        if distinct:
+            # Few distinct points: crisp rows and zero-weight clusters.
+            x = x[rng.integers(0, min(n, distinct + k // 2), size=n)]
+        config = FcmConfig(k=k, fuzzifier=m, max_iter=max_iter, seed=seed % 1000, restarts=restarts)
+        assert_fit_equals_reference(x, config)
+
+    def test_zero_weight_cluster_keeps_its_centroid(self, monkeypatch):
+        import cvilab.fcm as fcm_module
+
+        calls = []
+        real_centroids = fcm_module._centroids
+
+        def counting_centroids(x, w, previous):
+            calls.append(w.shape)
+            return real_centroids(x, w, previous)
+
+        monkeypatch.setattr(fcm_module, "_centroids", counting_centroids)
+        p, q = np.array([0.0, 0.0]), np.array([4.0, 1.0])
+        x = np.array([p, p, p, p, q, q, q, q])
+        config = FcmConfig(k=3, seed=0, restarts=4, max_iter=50)
+        assert_fit_equals_reference(x, config)
+        assert calls and all(shape == (8, 3) for shape in calls)
+
+    def test_cluster_sum_is_numpy_row_sum_bitwise(self):
+        rng = np.random.default_rng(0)
+        for k in range(1, 301):
+            a = rng.exponential(size=(2, 37, k)) * 10.0 ** rng.integers(-12, 12, size=(2, 37, k))
+            got = _cluster_sum(np.ascontiguousarray(a.transpose(0, 2, 1)))
+            assert got.tobytes() == a.sum(axis=2).tobytes(), k
+
+    def test_cdist_is_symmetric_bitwise(self):
+        # The stack takes centroid-point distances from cdist(c, x); a lone
+        # fit took them from cdist(x, c).
+        rng = np.random.default_rng(1)
+        for d in range(1, 97):
+            x = rng.normal(size=(int(rng.integers(1, 200)), d)) * 10.0 ** rng.integers(-6, 6)
+            c = rng.normal(size=(int(rng.integers(1, 40)), d)) * 10.0 ** rng.integers(-6, 6)
+            c[0] = x[-1]  # a zero distance
+            assert cdist(c, x).tobytes() == np.ascontiguousarray(cdist(x, c).T).tobytes(), d
 
 
 class TestSelectClusterCount:

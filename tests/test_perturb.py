@@ -70,6 +70,13 @@ class TestConfigAndHelpers:
         with pytest.raises(ValueError):
             PerturbConfig(density_add_fraction=-0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_knobs_rejected(self, value):
+        with pytest.raises(ValueError, match="density_add_fraction must be finite"):
+            PerturbConfig(density_add_fraction=value)
+        with pytest.raises(ValueError, match="sigma_divisor must be finite"):
+            PerturbConfig(sigma_divisor=value)
+
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("CVILAB_THREADS", "3")
         assert worker_count() == 3
@@ -78,6 +85,13 @@ class TestConfigAndHelpers:
             worker_count()
         monkeypatch.delenv("CVILAB_THREADS")
         assert worker_count() >= 1
+
+    @pytest.mark.parametrize("raw", ["two", "1.5", "-2"])
+    def test_worker_count_rejects_non_integers(self, monkeypatch, raw):
+        monkeypatch.setenv("CVILAB_THREADS", raw)
+        with pytest.raises(ValueError) as caught:
+            worker_count()
+        assert str(caught.value) == f"CVILAB_THREADS must be a positive integer, got {raw!r}"
 
     def test_find_singletons(self):
         _, labels = blobs_with_singletons()

@@ -919,6 +919,17 @@ class TestCliErrors:
                        "message": "m must be a finite number > 1 or 'default'"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_density_fraction_must_be_finite(self, capsys, tmp_path, value):
+        out = tmp_path / "x"
+        err = cli_error(capsys, ["run", "--density-fraction", value, "--synth.clusters", "2",
+                                 "--out", str(out)])
+        assert err == {
+            "error": "ValueError",
+            "message": f"density_add_fraction must be finite and nonnegative, got {float(value)!r}",
+        }
+        assert not out.exists()
+
     def test_both_sources_via_config(self, capsys, tmp_path):
         cfg = tmp_path / "both.cfg"
         cfg.write_text("input = a.csv\nsynth.clusters = 2\n")
