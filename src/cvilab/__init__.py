@@ -67,7 +67,6 @@ from .pipeline import (
 )
 from .profiles import (
     CsvFormatError,
-    DailyProfile,
     MissingSlotError,
     ProfileMatrix,
     ReadingSeries,
@@ -84,71 +83,3 @@ from .profiles import (
 )
 from .rng import derive_stream, master_stream
 from .version import __version__
-
-__all__ = [
-    "CoincidentCentroidsError",
-    "CviReport",
-    "HIGHER_IS_BETTER",
-    "INDEX_NAMES",
-    "PartitionGeometry",
-    "calinski_harabasz",
-    "davies_bouldin",
-    "dunn",
-    "evaluate_all",
-    "evaluate_labels",
-    "partition_geometry",
-    "silhouette",
-    "xie_beni",
-    "ClusterModel",
-    "FcmConfig",
-    "fit_fcm",
-    "fuzzy_partition_coefficient",
-    "select_cluster_count",
-    "DegenerateDataError",
-    "NoElbowError",
-    "PcaModel",
-    "cumulative_explained_variance",
-    "fit_pca",
-    "project",
-    "select_dimensions_elbow",
-    "ExperimentReport",
-    "ExperimentRow",
-    "ExperimentSkipped",
-    "PerturbConfig",
-    "RejectionBudgetError",
-    "density_experiment",
-    "diameter_experiment",
-    "experiment_from_json",
-    "experiment_to_csv",
-    "experiment_to_json",
-    "find_singleton_clusters",
-    "inject_density",
-    "judge_hypothesis",
-    "outlier_experiment",
-    "shrink_clusters",
-    "RunConfig",
-    "RunManifest",
-    "SynthPlan",
-    "emit_report",
-    "load_run_config",
-    "run_experiment",
-    "run_full",
-    "CsvFormatError",
-    "DailyProfile",
-    "MissingSlotError",
-    "ProfileMatrix",
-    "ReadingSeries",
-    "SynthSpec",
-    "ZeroProfileError",
-    "generate_synthetic",
-    "l2_normalize",
-    "median_daily_profile",
-    "parse_readings",
-    "profiles_from_readings",
-    "read_profiles_csv",
-    "synthetic_templates",
-    "write_profiles_csv",
-    "derive_stream",
-    "master_stream",
-    "__version__",
-]

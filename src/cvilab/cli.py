@@ -16,54 +16,24 @@ import sys
 
 from . import pipeline
 
+
 def _add_flags(parser: argparse.ArgumentParser) -> None:
+    """--config plus one flag per config key. Every flag appends, so a
+    repeated flag accumulates as a repeated key in the file does."""
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    parser.add_argument(
-        "--input", action="append", metavar="PATH", help="readings CSV (repeatable)"
-    )
-    parser.add_argument("--out", metavar="DIR", help="output directory (default: out)")
-    parser.add_argument("--seed", metavar="U64", help="master seed (default: 0)")
-    parser.add_argument("--dprime", metavar="N|elbow", help="kept dimensions")
-    parser.add_argument("--k", metavar="N|fpc", help="cluster count")
-    parser.add_argument("--m", metavar="F|default", help="fuzzifier")
-    parser.add_argument("--trials", metavar="N", help="experiment trials (default: 100)")
-    parser.add_argument("--shrink", metavar="F", help="radius factor in (0,1)")
-    parser.add_argument(
-        "--density-fraction", metavar="F", help="points to add per cluster, as a fraction"
-    )
-    parser.add_argument("--sigma-divisor", metavar="F", help="sampler sigma = radius/F")
-    parser.add_argument(
-        "--max-rejection-attempts", metavar="N", help="sampler attempts per point"
-    )
-    parser.add_argument(
-        "--recluster",
-        action="store_const",
-        const="true",
-        help="refit the clustering per perturbed variant",
-    )
-    parser.add_argument(
-        "--space", choices=["reduced", "original"], help="space for index computation"
-    )
-    parser.add_argument(
-        "--experiments", metavar="KINDS", help="comma list for run: outliers,density,diameter"
-    )
-    parser.add_argument("--synth.clusters", dest="synth_clusters", metavar="N")
-    parser.add_argument("--synth.cluster-size", dest="synth_cluster_size", metavar="N")
-    parser.add_argument("--synth.spread", dest="synth_spread", metavar="F")
-    parser.add_argument("--synth.outliers", dest="synth_outliers", metavar="N")
-    parser.add_argument(
-        "--synth.outlier-mode", dest="synth_outlier_mode", choices=["far", "near"]
-    )
+    for key, row in pipeline._KNOWN_KEYS.items():
+        if row.metavar is None:
+            parser.add_argument(
+                f"--{key}", dest=key, action="append_const", const="true", help=row.help
+            )
+        else:
+            parser.add_argument(
+                f"--{key}", dest=key, action="append", metavar=row.metavar, help=row.help
+            )
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, list[str]]:
-    values: dict[str, list[str]] = {}
-    for key in pipeline._KNOWN_KEYS:
-        value = getattr(args, key.replace(".", "_").replace("-", "_"), None)
-        if value is None:
-            continue
-        values[key] = [str(v) for v in value] if isinstance(value, list) else [str(value)]
-    return values
+    return {key: getattr(args, key) for key in pipeline._KNOWN_KEYS if getattr(args, key)}
 
 
 def _dispatch(args: argparse.Namespace, config: pipeline.RunConfig) -> list[str]:

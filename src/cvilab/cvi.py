@@ -20,7 +20,6 @@ whenever the attaining pair survives the subsetting.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -409,11 +408,3 @@ def report_from_dict(payload: dict) -> CviReport:
         errors=errors,
         **values,
     )
-
-
-def report_to_json(report: CviReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
-
-
-def report_from_json(text: str) -> CviReport:
-    return report_from_dict(json.loads(text))

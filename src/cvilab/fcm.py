@@ -9,7 +9,6 @@ over a candidate range, picks the cluster count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -271,11 +270,3 @@ def model_from_dict(payload: dict) -> ClusterModel:
         objective_trace=np.array(payload["objective_trace"], dtype=float),
         empty_clusters=tuple(payload.get("empty_clusters", ())),
     )
-
-
-def model_to_json(model: ClusterModel) -> str:
-    return json.dumps(model_to_dict(model), indent=2)
-
-
-def model_from_json(text: str) -> ClusterModel:
-    return model_from_dict(json.loads(text))

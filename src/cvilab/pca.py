@@ -8,7 +8,6 @@ perpendicular distance between the CEVR curve and its end-to-end chord.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,11 +139,3 @@ def model_from_dict(payload: dict) -> PcaModel:
         explained_variance_ratio=np.array(payload["explained_variance_ratio"], dtype=float),
         chosen_dprime=int(payload["chosen_dprime"]),
     )
-
-
-def model_to_json(model: PcaModel) -> str:
-    return json.dumps(model_to_dict(model), indent=2)
-
-
-def model_from_json(text: str) -> PcaModel:
-    return model_from_dict(json.loads(text))

@@ -116,14 +116,8 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _labels_of(model_or_labels) -> np.ndarray:
-    labels = getattr(model_or_labels, "labels", model_or_labels)
-    return np.asarray(labels)
-
-
-def find_singleton_clusters(model) -> list[int]:
+def find_singleton_clusters(labels) -> list[int]:
     """Labels of clusters with exactly one member, ascending."""
-    labels = _labels_of(model)
     values, counts = np.unique(labels, return_counts=True)
     return [int(v) for v, c in zip(values, counts) if c == 1]
 
@@ -179,7 +173,7 @@ def _sample_in_ball(
 
 def inject_density(
     points,
-    model,
+    labels,
     cluster: int,
     count: int,
     rng,
@@ -195,7 +189,7 @@ def inject_density(
     other. Returns the accepted points; the caller labels them.
     """
     x = np.asarray(points, dtype=float)
-    labels = _labels_of(model)
+    labels = np.asarray(labels)
     if count < 1:
         raise ValueError("count must be at least 1")
     members = x[labels == cluster]
@@ -212,7 +206,7 @@ def inject_density(
     )
 
 
-def shrink_clusters(points, model, config: PerturbConfig, rng) -> np.ndarray:
+def shrink_clusters(points, labels, config: PerturbConfig, rng) -> np.ndarray:
     """Shrink every cluster's radius by ``config.shrink_factor``.
 
     Members inside the reduced radius stay put; each member beyond it is
@@ -223,7 +217,7 @@ def shrink_clusters(points, model, config: PerturbConfig, rng) -> np.ndarray:
     Singleton and zero-radius clusters are left untouched.
     """
     x = np.asarray(points, dtype=float)
-    labels = _labels_of(model)
+    labels = np.asarray(labels)
     centroids, values = _label_centroids(x, labels)
     out = x.copy()
     for own, value in enumerate(values):
@@ -276,7 +270,7 @@ def _run_trials(trial_fn, trials: int) -> list[ExperimentRow]:
         return list(pool.map(trial_fn, range(trials)))
 
 
-def outlier_experiment(points, model, config: PerturbConfig, refit=None) -> ExperimentReport:
+def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> ExperimentReport:
     """Recompute the indices under every inclusion subset of the
     singleton clusters.
 
@@ -288,8 +282,8 @@ def outlier_experiment(points, model, config: PerturbConfig, refit=None) -> Expe
     is given.
     """
     x = np.asarray(points, dtype=float)
-    labels = _labels_of(model)
-    singletons = find_singleton_clusters(model)
+    labels = np.asarray(labels)
+    singletons = find_singleton_clusters(labels)
     s = len(singletons)
     if s == 0:
         raise ExperimentSkipped("no singleton clusters to toggle")
@@ -325,12 +319,12 @@ def outlier_experiment(points, model, config: PerturbConfig, refit=None) -> Expe
 
 
 def _trial_experiment(
-    kind: str, points, model, config: PerturbConfig, perturb_fn, refit
+    kind: str, points, labels, config: PerturbConfig, perturb_fn, refit
 ) -> ExperimentReport:
     """Shared trial loop: singleton-free baseline, seeded trials, averages."""
     x = np.asarray(points, dtype=float)
-    labels = _labels_of(model)
-    base_x, base_labels = _remove_clusters(x, labels, find_singleton_clusters(model))
+    labels = np.asarray(labels)
+    base_x, base_labels = _remove_clusters(x, labels, find_singleton_clusters(labels))
     k_base = int(np.unique(base_labels).shape[0])
     if k_base < 2:
         raise ExperimentSkipped("need at least 2 non-singleton clusters")
@@ -360,7 +354,7 @@ def _trial_experiment(
     return replace(report, verdicts=tuple(judge_hypothesis(report).items()))
 
 
-def density_experiment(points, model, config: PerturbConfig, refit=None) -> ExperimentReport:
+def density_experiment(points, labels, config: PerturbConfig, refit=None) -> ExperimentReport:
     """Inject ceil(fraction * size) new points into every cluster per
     trial and compare the indices against the singleton-free baseline."""
 
@@ -385,17 +379,17 @@ def density_experiment(points, model, config: PerturbConfig, refit=None) -> Expe
             new_labels.append(np.full(count, value, dtype=base_labels.dtype))
         return np.vstack(pieces), np.concatenate(new_labels)
 
-    return _trial_experiment("density", points, model, config, perturb, refit)
+    return _trial_experiment("density", points, labels, config, perturb, refit)
 
 
-def diameter_experiment(points, model, config: PerturbConfig, refit=None) -> ExperimentReport:
+def diameter_experiment(points, labels, config: PerturbConfig, refit=None) -> ExperimentReport:
     """Shrink every cluster's radius per trial and compare the indices
     against the singleton-free baseline."""
 
     def perturb(base_x, base_labels, rng):
         return shrink_clusters(base_x, base_labels, config, rng), base_labels
 
-    return _trial_experiment("diameter", points, model, config, perturb, refit)
+    return _trial_experiment("diameter", points, labels, config, perturb, refit)
 
 
 def _sign_test_tail(n: int, wins: int) -> float:

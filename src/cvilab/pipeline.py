@@ -17,9 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +65,9 @@ class SynthPlan:
     spread: float = 0.02
     outliers: int = 0
     outlier_mode: str = "far"
+
+    def __post_init__(self):
+        self.to_spec(0)  # a bad plan fails with the config, not mid-run
 
     def to_spec(self, seed: int) -> SynthSpec:
         return SynthSpec(
@@ -120,35 +125,6 @@ class RunConfig:
             raise ValueError("config needs input paths or a synth plan")
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    synth = None
-    if config.synth is not None:
-        synth = {
-            "clusters": config.synth.clusters,
-            "cluster_size": config.synth.cluster_size,
-            "spread": config.synth.spread,
-            "outliers": config.synth.outliers,
-            "outlier_mode": config.synth.outlier_mode,
-        }
-    return {
-        "input": list(config.inputs),
-        "synth": synth,
-        "out": config.out_dir,
-        "seed": config.seed,
-        "dprime": config.dprime,
-        "k": config.k,
-        "m": config.fuzzifier,
-        "space": config.space,
-        "recluster": config.recluster,
-        "experiments": list(config.experiments),
-        "trials": config.perturb.trials,
-        "shrink": config.perturb.shrink_factor,
-        "density_fraction": config.perturb.density_add_fraction,
-        "sigma_divisor": config.perturb.sigma_divisor,
-        "max_rejection_attempts": config.perturb.max_rejection_attempts,
-    }
-
-
 # --- config file: flat "key = value" lines, # comments, repeated keys ---
 
 
@@ -173,119 +149,130 @@ def parse_config_text(text: str) -> dict[str, list[str]]:
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
 
+
+# Parsers of a key's values, called as parse(key, values). A parser that
+# returns None leaves the field at its dataclass default.
+
+
+def _text(key: str, values: list[str]) -> str:
+    return values[-1]
+
+
+def _names(key: str, values: list[str]) -> tuple[str, ...]:
+    """A comma list; repeated values accumulate."""
+    return tuple(item.strip() for chunk in values for item in chunk.split(",") if item.strip())
+
+
+def _truth(key: str, values: list[str]) -> bool:
+    value = values[-1].lower()
+    if value not in _BOOL_VALUES:
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return _BOOL_VALUES[value]
+
+
+def _number(convert, sentinel: str | None = None):
+    """Parser of an int or float; ``sentinel`` stands for the default."""
+    noun = "an integer" if convert is int else "a number"
+    alternative = f" or {sentinel!r}" if sentinel else ""
+
+    def parse(key: str, values: list[str]):
+        value = values[-1]
+        if value == sentinel:
+            return None
+        try:
+            return convert(value)
+        except ValueError:
+            raise ValueError(f"{key} must be {noun}{alternative}, got {value!r}") from None
+
+    return parse
+
+
+class _Key(NamedTuple):
+    field: str  # RunConfig field; "perturb." and "synth." reach into those
+    parse: Callable[[str, list[str]], object]
+    metavar: str | None  # None: a flag that takes no value
+    help: str
+
+
+# Every config key, in flag order. A key left out keeps the default of
+# its dataclass field.
 _KNOWN_KEYS = {
-    "input",
-    "out",
-    "seed",
-    "dprime",
-    "k",
-    "m",
-    "trials",
-    "shrink",
-    "density-fraction",
-    "sigma-divisor",
-    "max-rejection-attempts",
-    "recluster",
-    "space",
-    "experiments",
-    "synth.clusters",
-    "synth.cluster-size",
-    "synth.spread",
-    "synth.outliers",
-    "synth.outlier-mode",
+    "input": _Key("inputs", _names, "PATH", "readings CSV (repeatable)"),
+    "out": _Key("out_dir", _text, "DIR", "output directory (default: out)"),
+    "seed": _Key("seed", _number(int), "U64", "master seed (default: 0)"),
+    "dprime": _Key("dprime", _number(int, "elbow"), "N|elbow", "kept dimensions"),
+    "k": _Key("k", _number(int, "fpc"), "N|fpc", "cluster count"),
+    "m": _Key("fuzzifier", _number(float, "default"), "F|default", "fuzzifier"),
+    "trials": _Key("perturb.trials", _number(int), "N", "experiment trials (default: 100)"),
+    "shrink": _Key("perturb.shrink_factor", _number(float), "F", "radius factor in (0,1)"),
+    "density-fraction": _Key("perturb.density_add_fraction", _number(float), "F",
+                             "points to add per cluster, as a fraction"),
+    "sigma-divisor": _Key("perturb.sigma_divisor", _number(float), "F",
+                          "sampler sigma = radius/F"),
+    "max-rejection-attempts": _Key("perturb.max_rejection_attempts", _number(int), "N",
+                                   "sampler attempts per point"),
+    "recluster": _Key("recluster", _truth, None, "refit the clustering per perturbed variant"),
+    "space": _Key("space", _text, "reduced|original", "space for index computation"),
+    "experiments": _Key("experiments", _names, "KINDS",
+                        "comma list for run: outliers,density,diameter"),
+    "synth.clusters": _Key("synth.clusters", _number(int), "N", "synthetic clusters"),
+    "synth.cluster-size": _Key("synth.cluster_size", _number(int), "N", "households per cluster"),
+    "synth.spread": _Key("synth.spread", _number(float), "F", "noise scale of the members"),
+    "synth.outliers": _Key("synth.outliers", _number(int), "N", "outlier households"),
+    "synth.outlier-mode": _Key("synth.outlier_mode", _text, "far|near", "outlier placement"),
 }
-
-
-def _last(raw: dict[str, list[str]], key: str, default: str) -> str:
-    return raw[key][-1] if key in raw else default
-
-
-def _or(sentinel: str | None) -> str:
-    return f" or {sentinel!r}" if sentinel else ""
-
-
-def _parse_int(raw: dict, key: str, default: str, sentinel: str | None = None) -> int | str:
-    """The key's integer, or ``sentinel`` itself (a selection rule)."""
-    value = _last(raw, key, default)
-    if value == sentinel:
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{key} must be an integer{_or(sentinel)}, got {value!r}") from None
-
-
-def _parse_float(raw: dict, key: str, default: str, sentinel: str | None = None) -> float:
-    """The key's number; ``sentinel`` stands for ``default``."""
-    value = _last(raw, key, default)
-    try:
-        return float(default if value == sentinel else value)
-    except ValueError:
-        raise ValueError(f"{key} must be a number{_or(sentinel)}, got {value!r}") from None
 
 
 def build_run_config(raw: dict[str, list[str]]) -> RunConfig:
     """Typed RunConfig from merged file/flag values (flags already won)."""
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(_KNOWN_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    inputs: list[str] = []
-    for chunk in raw.get("input", []):
-        inputs.extend(p.strip() for p in chunk.split(",") if p.strip())
-
+    fields: dict[str, dict] = {"": {}, "perturb": {}, "synth": {}}
+    for key, row in _KNOWN_KEYS.items():
+        if key in raw:
+            value = row.parse(key, raw[key])
+            if value is not None:
+                group, _, name = row.field.rpartition(".")
+                fields[group][name] = value
     synth = None
     if any(key.startswith("synth.") for key in raw):
-        mode = _last(raw, "synth.outlier-mode", "far")
-        synth = SynthPlan(
-            clusters=_parse_int(raw, "synth.clusters", "3"),
-            cluster_size=_parse_int(raw, "synth.cluster-size", "30"),
-            spread=_parse_float(raw, "synth.spread", "0.02"),
-            outliers=_parse_int(raw, "synth.outliers", "0"),
-            outlier_mode=mode,
-        )
-
-    seed = _parse_int(raw, "seed", "0")
-
-    recluster_raw = _last(raw, "recluster", "false").lower()
-    if recluster_raw not in _BOOL_VALUES:
-        raise ValueError(f"recluster must be true or false, got {recluster_raw!r}")
-
-    experiments: list[str] = []
-    for chunk in raw.get("experiments", []):
-        experiments.extend(e.strip() for e in chunk.split(",") if e.strip())
-
+        synth = SynthPlan(**fields["synth"])
     perturb = perturb_mod.PerturbConfig(
-        seed=seed,
-        trials=_parse_int(raw, "trials", "100"),
-        density_add_fraction=_parse_float(raw, "density-fraction", "1.0"),
-        shrink_factor=_parse_float(raw, "shrink", "0.8"),
-        sigma_divisor=_parse_float(raw, "sigma-divisor", "4.0"),
-        max_rejection_attempts=_parse_int(raw, "max-rejection-attempts", "1000"),
+        seed=fields[""].get("seed", RunConfig.seed), **fields["perturb"]
     )
-    return RunConfig(
-        inputs=tuple(inputs),
-        synth=synth,
-        out_dir=_last(raw, "out", "out"),
-        seed=seed,
-        dprime=_parse_int(raw, "dprime", "elbow", sentinel="elbow"),
-        k=_parse_int(raw, "k", "fpc", sentinel="fpc"),
-        fuzzifier=_parse_float(raw, "m", "2.0", sentinel="default"),
-        space=_last(raw, "space", "reduced"),
-        recluster=_BOOL_VALUES[recluster_raw],
-        experiments=tuple(experiments),
-        perturb=perturb,
-    )
+    return RunConfig(synth=synth, perturb=perturb, **fields[""])
 
 
 def load_run_config(config_path=None, overrides: dict[str, list[str]] | None = None) -> RunConfig:
-    """Config file merged with CLI overrides; overrides win per key."""
+    """Config file merged with CLI overrides; overrides win per key. The
+    trial worker count is checked here too, before any stage runs."""
     raw: dict[str, list[str]] = {}
     if config_path is not None:
         raw.update(parse_config_text(Path(config_path).read_text()))
     for key, values in (overrides or {}).items():
         if values:
             raw[key] = list(values)
-    return build_run_config(raw)
+    config = build_run_config(raw)
+    perturb_mod.worker_count()
+    return config
+
+
+def config_to_dict(config: RunConfig) -> dict:
+    """The manifest's echo of every config key, ``-`` written as ``_``
+    and the synth.* keys nested under "synth" (null for readings)."""
+    echo: dict = {"synth": None if config.synth is None else {}}
+    for key, row in _KNOWN_KEYS.items():
+        group, _, name = row.field.rpartition(".")
+        owner = getattr(config, group) if group else config
+        if owner is None:
+            continue
+        value = getattr(owner, name)
+        target = echo["synth"] if group == "synth" else echo
+        target[key.removeprefix("synth.").replace("-", "_")] = (
+            list(value) if isinstance(value, tuple) else value
+        )
+    return echo
 
 
 # --- artifact writing ---
@@ -294,6 +281,14 @@ def load_run_config(config_path=None, overrides: dict[str, list[str]] | None = N
 def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _read_json(path: Path) -> dict:
+    return json.loads(path.read_text())
 
 
 def _sha256(path: Path) -> str:
@@ -323,7 +318,7 @@ def manifest_to_json(manifest: RunManifest) -> str:
 
 
 def load_manifest(out_dir) -> RunManifest:
-    payload = json.loads((Path(out_dir) / "manifest.json").read_text())
+    payload = _read_json(Path(out_dir) / "manifest.json")
     return RunManifest(
         version=payload["version"],
         created_utc=payload["created_utc"],
@@ -344,7 +339,7 @@ def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
     """
     out = Path(config.out_dir)
     manifest_path = out / "manifest.json"
-    previous = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    previous = _read_json(manifest_path) if manifest_path.exists() else {}
     artifacts: dict[str, str] = dict(previous.get("artifacts", {}))
     for name in written:
         artifacts[name] = _sha256(out / name)
@@ -406,9 +401,9 @@ def _load_stored(config: RunConfig, *names: str) -> list:
             raise FileNotFoundError(f"missing artifact: {name} (run {_PRODUCER[name]} first)")
     readers = {
         "profiles.csv": read_profiles_csv,
-        "pca.json": lambda path: pca_mod.model_from_json(path.read_text()),
-        "cluster.json": lambda path: fcm_mod.model_from_json(path.read_text()),
-        "cvi.json": lambda path: cvi_mod.report_from_json(path.read_text()),
+        "pca.json": lambda path: pca_mod.model_from_dict(_read_json(path)),
+        "cluster.json": lambda path: fcm_mod.model_from_dict(_read_json(path)),
+        "cvi.json": lambda path: cvi_mod.report_from_dict(_read_json(path)),
     }
     return [readers[name](out / name) for name in names]
 
@@ -479,13 +474,13 @@ def _fit(
     """pca.json, cevr.csv, cluster.json and fpc.csv."""
     pca_model, model, curve = _fit_models(config, matrix)
     out = Path(config.out_dir)
-    _write_text(out / "pca.json", pca_mod.model_to_json(pca_model) + "\n")
+    _write_json(out / "pca.json", pca_mod.model_to_dict(pca_model))
     cevr = pca_mod.cumulative_explained_variance(pca_model)
     cevr_lines = ["dprime,cevr"] + [
         f"{i + 1},{_fmt9(value)}" for i, value in enumerate(cevr)
     ]
     _write_text(out / "cevr.csv", "\n".join(cevr_lines) + "\n")
-    _write_text(out / "cluster.json", fcm_mod.model_to_json(model) + "\n")
+    _write_json(out / "cluster.json", fcm_mod.model_to_dict(model))
     fpc_lines = ["k,fpc"] + [f"{k},{_fmt9(value)}" for k, value in curve]
     _write_text(out / "fpc.csv", "\n".join(fpc_lines) + "\n")
     return pca_model, model, ["pca.json", "cevr.csv", "cluster.json", "fpc.csv"]
@@ -507,7 +502,7 @@ def _score(
     # only meaningful there; original-space evaluation falls back to the
     # crisp mode.
     report = cvi_mod.evaluate_all(points, model, use_memberships=config.space == "reduced")
-    _write_text(Path(config.out_dir) / "cvi.json", cvi_mod.report_to_json(report) + "\n")
+    _write_json(Path(config.out_dir) / "cvi.json", cvi_mod.report_to_dict(report))
     return report, ["cvi.json"]
 
 
@@ -533,11 +528,9 @@ def _experiment(
         "density": perturb_mod.density_experiment,
         "diameter": perturb_mod.diameter_experiment,
     }[kind]
-    report = runner(points, model, config.perturb, refit=_refit_callback(config, model))
+    report = runner(points, model.labels, config.perturb, refit=_refit_callback(config, model))
     out = Path(config.out_dir)
-    _write_text(
-        out / f"experiment_{kind}.json", perturb_mod.experiment_to_json(report) + "\n"
-    )
+    _write_json(out / f"experiment_{kind}.json", perturb_mod.experiment_to_dict(report))
     _write_text(out / f"experiment_{kind}.csv", perturb_mod.experiment_to_csv(report))
     return report, [f"experiment_{kind}.json", f"experiment_{kind}.csv"]
 
@@ -667,7 +660,7 @@ def emit_report(config: RunConfig) -> list[str]:
     for kind in perturb_mod.EXPERIMENT_KINDS:
         path = Path(config.out_dir) / f"experiment_{kind}.json"
         if path.exists():
-            payload = json.loads(path.read_text())
+            payload = _read_json(path)
             experiments[kind] = (
                 payload["skipped"] if "skipped" in payload
                 else perturb_mod.experiment_from_dict(payload)
@@ -698,8 +691,7 @@ def run_full(config: RunConfig) -> RunManifest:
         except perturb_mod.ExperimentSkipped as exc:
             experiments[kind] = str(exc)
             names = [f"experiment_{kind}.json"]
-            skipped = {"kind": kind, "skipped": str(exc)}
-            _write_text(Path(config.out_dir) / names[0], json.dumps(skipped, indent=2) + "\n")
+            _write_json(Path(config.out_dir) / names[0], {"kind": kind, "skipped": str(exc)})
         written += names
     written += _report(config, matrix, pca_model, model, baseline, experiments)
     return update_manifest(config, written)

@@ -66,23 +66,6 @@ class ReadingSeries:
 
 
 @dataclass(frozen=True)
-class DailyProfile:
-    """Unit-norm 96-slot median daily profile of one household."""
-
-    household_id: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (SLOTS_PER_DAY,):
-            raise ValueError(f"profile must have {SLOTS_PER_DAY} slots")
-        if np.any(self.values < 0):
-            raise ValueError("profile entries must be nonnegative")
-        norm = float(np.linalg.norm(self.values))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"profile norm {norm} is not 1 within 1e-9")
-
-
-@dataclass(frozen=True)
 class ProfileMatrix:
     """Stack of daily profiles in stable (sorted) household order."""
 
@@ -101,13 +84,6 @@ class ProfileMatrix:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    @classmethod
-    def from_profiles(cls, profiles: list[DailyProfile]) -> "ProfileMatrix":
-        return cls(
-            households=tuple(p.household_id for p in profiles),
-            values=np.array([p.values for p in profiles], dtype=float),
-        )
 
 
 @contextmanager
@@ -451,10 +427,13 @@ def profiles_from_readings(series: list[ReadingSeries]) -> ProfileMatrix:
     times = list(chain.from_iterable(s.times for s in series))
     bounds = np.cumsum([len(s) for s in series])[:-1]
     profiles = [
-        DailyProfile(s.household_id, l2_normalize(_slot_medians(s, slots)))
+        l2_normalize(_slot_medians(s, slots))
         for s, slots in zip(series, np.split(_slots(times), bounds))
     ]
-    return ProfileMatrix.from_profiles(profiles)
+    return ProfileMatrix(
+        households=tuple(s.household_id for s in series),
+        values=np.array(profiles, dtype=float),
+    )
 
 
 @dataclass(frozen=True)
@@ -486,8 +465,8 @@ class SynthSpec:
             raise ValueError("templates must be finite and nonnegative")
         if self.cluster_size < 1:
             raise ValueError("cluster_size must be positive")
-        if self.spread < 0:
-            raise ValueError("spread must be nonnegative")
+        if not 0 <= self.spread < math.inf:
+            raise ValueError(f"spread must be finite and nonnegative, got {self.spread!r}")
         if self.outlier_count < 0:
             raise ValueError("outlier_count must be nonnegative")
         if self.outlier_mode not in ("far", "near"):

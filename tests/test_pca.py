@@ -1,5 +1,6 @@
 """Principal-component fitting, projection, CEVR, elbow selection."""
 
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from cvilab import (
     select_dimensions_elbow,
     synthetic_templates,
 )
-from cvilab.pca import model_from_json, model_to_json
+from cvilab.pca import model_from_dict, model_to_dict
 
 
 def random_data(seed, n=40, d=6):
@@ -222,7 +223,7 @@ class TestElbow:
 class TestSerialization:
     def test_json_round_trip_exact(self):
         model = fit_pca(random_data(8)).with_dprime(3)
-        back = model_from_json(model_to_json(model))
+        back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         assert np.array_equal(back.mean, model.mean)
         assert np.array_equal(back.components, model.components)
         assert np.array_equal(

@@ -185,6 +185,66 @@ class TestLoadRunConfig:
         assert config.seed == 8
 
 
+class TestConfigTable:
+    """Names and values that the one table of config keys fixes."""
+
+    def test_manifest_echo_of_a_synthetic_config(self):
+        raw = {
+            "out": ["o"], "seed": ["7"], "dprime": ["3"], "k": ["4"], "m": ["1.5"],
+            "trials": ["9"], "shrink": ["0.5"], "density-fraction": ["0.25"],
+            "sigma-divisor": ["3"], "max-rejection-attempts": ["50"],
+            "recluster": ["true"], "space": ["original"],
+            "experiments": ["density", "diameter"], "synth.clusters": ["5"],
+            "synth.cluster-size": ["12"], "synth.spread": ["0.05"],
+            "synth.outliers": ["2"], "synth.outlier-mode": ["near"],
+        }
+        assert pl.config_to_dict(pl.build_run_config(raw)) == {
+            "input": [],
+            "synth": {"clusters": 5, "cluster_size": 12, "spread": 0.05,
+                      "outliers": 2, "outlier_mode": "near"},
+            "out": "o", "seed": 7, "dprime": 3, "k": 4, "m": 1.5,
+            "space": "original", "recluster": True,
+            "experiments": ["density", "diameter"],
+            "trials": 9, "shrink": 0.5, "density_fraction": 0.25,
+            "sigma_divisor": 3.0, "max_rejection_attempts": 50,
+        }
+
+    def test_manifest_echo_of_a_readings_config(self):
+        raw = {"input": ["a.csv,b.csv", "c.csv"]}
+        assert pl.config_to_dict(pl.build_run_config(raw)) == {
+            "input": ["a.csv", "b.csv", "c.csv"], "synth": None,
+            "out": "out", "seed": 0, "dprime": "elbow", "k": "fpc", "m": 2.0,
+            "space": "reduced", "recluster": False, "experiments": [],
+            "trials": 100, "shrink": 0.8, "density_fraction": 1.0,
+            "sigma_divisor": 4.0, "max_rejection_attempts": 1000,
+        }
+
+    def test_readme_config_block_loads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("cat > lab.cfg <<'EOF'\n", 1)[1].split("\nEOF", 1)[0]
+        config = pl.build_run_config(pl.parse_config_text(block))
+        assert config.synth == pl.SynthPlan(
+            clusters=3, cluster_size=30, spread=0.02, outliers=3
+        )
+        assert (config.seed, config.k, config.dprime, config.perturb.trials) == (
+            42, 6, "elbow", 100
+        )
+        assert config.experiments == ("outliers", "density", "diameter")
+        assert config.out_dir == "out"
+
+    def test_repeated_flags_accumulate_like_the_file(self):
+        parser = argparse.ArgumentParser()
+        cli._add_flags(parser)
+        args = parser.parse_args([
+            "--input", "a.csv", "--input", "b.csv", "--experiments", "density",
+            "--experiments", "diameter", "--seed", "1", "--seed", "2",
+        ])
+        config = pl.load_run_config(None, cli._overrides(args))
+        assert config.inputs == ("a.csv", "b.csv")
+        assert config.experiments == ("density", "diameter")
+        assert config.seed == 2
+
+
 def run_core_stages(config):
     """Data through indices, as ``cvilab experiment`` bootstraps them:
     every core artifact written and digested."""
@@ -935,6 +995,51 @@ class TestCliErrors:
         cfg.write_text("input = a.csv\nsynth.clusters = 2\n")
         err = cli_error(capsys, ["run", "--config", str(cfg)])
         assert err["message"] == "give input paths or a synth plan, not both"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--space", "space must be one of ('reduced', 'original')"),
+        ("--synth.outlier-mode", "outlier_mode must be 'far' or 'near'"),
+    ])
+    def test_bad_choice_gets_the_json_error(self, capsys, tmp_path, flag, message):
+        err = cli_error(capsys, ["run", flag, "bogus", "--synth.clusters", "2",
+                                 "--out", str(tmp_path / "x")])
+        assert err == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_synth_spread_must_be_finite(self, capsys, tmp_path, value):
+        out = tmp_path / "x"
+        err = cli_error(capsys, ["run", "--synth.spread", value, "--synth.clusters", "2",
+                                 "--out", str(out)])
+        assert err == {"error": "ValueError",
+                       "message": f"spread must be finite and nonnegative, got {value}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("synth.outlier-mode = sideways", "outlier_mode must be 'far' or 'near'"),
+        ("synth.cluster-size = -4", "cluster_size must be positive"),
+    ])
+    def test_bad_synth_plan_fails_every_command(self, capsys, tmp_path, line, message):
+        out = tmp_path / "x"
+        assert cli.main(["synth", "--synth.clusters", "2", "--out", str(out)]) == 0
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text(f"synth.clusters = 2\n{line}\n")
+        for command in ("synth", "cluster", "validate", "report", "run"):
+            err = cli_error(capsys, [command, "--config", str(cfg), "--out", str(out)])
+            assert err == {"error": "ValueError", "message": message}, command
+        assert sorted(pl.load_manifest(out).artifacts) == ["profiles.csv", "synth_labels.csv"]
+        assert pl.load_manifest(out).config["synth"]["outlier_mode"] == "far"
+
+    def test_bad_thread_count_fails_before_any_stage(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CVILAB_THREADS", "two")
+        out = tmp_path / "x"
+        err = cli_error(capsys, [
+            "run", "--synth.clusters", "3", "--synth.cluster-size", "20",
+            "--synth.outliers", "2", "--k", "4", "--experiments", "density,diameter",
+            "--out", str(out),
+        ])
+        assert err == {"error": "ValueError",
+                       "message": "CVILAB_THREADS must be a positive integer, got 'two'"}
+        assert not (out / "cluster.json").exists()
 
     def test_malformed_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "mal.cfg"
