@@ -19,7 +19,6 @@ from cvilab.profiles import (
 # --- a tiny readings file: one household, two days, one slot differing ---
 # The per-slot median over days is what survives into the profile, so a
 # single spiky day does not move the result.
-work = Path(tempfile.mkdtemp())
 lines = ["household_id,timestamp,kw"]
 for day in ("2024-03-01", "2024-03-02", "2024-03-03"):
     for slot in range(96):
@@ -28,10 +27,10 @@ for day in ("2024-03-01", "2024-03-02", "2024-03-03"):
             kw = 9.0  # one-off spike, should vanish under the median
         hh, mm = divmod(slot * 15, 60)
         lines.append(f"H00,{day}T{hh:02d}:{mm:02d}:00+00:00,{kw}")
-path = work / "readings.csv"
-path.write_text("\n".join(lines) + "\n")
-
-series = parse_readings(path)
+with tempfile.TemporaryDirectory() as work:
+    path = Path(work) / "readings.csv"
+    path.write_text("\n".join(lines) + "\n")
+    series = parse_readings(path)
 print(f"parsed {len(series)} household(s), {len(series[0])} readings")
 
 profile = median_daily_profile(series[0])

@@ -47,11 +47,12 @@ diam = perturb.diameter_experiment(points, labels, config)
 print("\ndiameter verdicts over", config.trials, "trials:", diam.verdict_map())
 
 # Every report serializes, and the CSV is ready for a plotting tool.
-work = Path(tempfile.mkdtemp())
-(work / "experiment_diameter.json").write_text(perturb.experiment_to_json(diam))
-(work / "experiment_diameter.csv").write_text(perturb.experiment_to_csv(diam))
-print("\nwrote", work / "experiment_diameter.csv")
-print((work / "experiment_diameter.csv").read_text().splitlines()[0])
-roundtrip = perturb.experiment_from_json((work / "experiment_diameter.json").read_text())
+with tempfile.TemporaryDirectory() as tmp:
+    work = Path(tmp)
+    (work / "experiment_diameter.json").write_text(perturb.experiment_to_json(diam))
+    (work / "experiment_diameter.csv").write_text(perturb.experiment_to_csv(diam))
+    print("\nwrote", work / "experiment_diameter.csv")
+    print((work / "experiment_diameter.csv").read_text().splitlines()[0])
+    roundtrip = perturb.experiment_from_json((work / "experiment_diameter.json").read_text())
 print("verdicts survive the round trip:",
       roundtrip.verdict_map() == diam.verdict_map())

@@ -73,6 +73,7 @@ from .profiles import (
     SynthSpec,
     ZeroProfileError,
     generate_synthetic,
+    ingest_readings,
     l2_normalize,
     median_daily_profile,
     parse_readings,

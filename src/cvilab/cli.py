@@ -37,24 +37,20 @@ def _overrides(args: argparse.Namespace) -> dict[str, list[str]]:
 
 
 def _dispatch(args: argparse.Namespace, config: pipeline.RunConfig) -> list[str]:
-    if args.command == "synth":
-        if config.synth is None:
-            raise ValueError("synth needs synth.* settings (e.g. --synth.clusters)")
-        return pipeline.stage_data(config)
-    if args.command == "preprocess":
-        if not config.inputs:
-            raise ValueError("preprocess needs at least one --input readings CSV")
-        return pipeline.stage_data(config)
-    if args.command == "cluster":
-        return pipeline.stage_cluster(config)
-    if args.command == "validate":
-        return pipeline.stage_validate(config)
+    if args.command == "synth" and config.synth is None:
+        raise ValueError("synth needs synth.* settings (e.g. --synth.clusters)")
+    if args.command == "preprocess" and not config.inputs:
+        raise ValueError("preprocess needs at least one --input readings CSV")
     if args.command == "experiment":
-        _, written = pipeline.run_experiment(args.kind, config)
-        return written
-    if args.command == "report":
-        return pipeline.emit_report(config)
-    raise ValueError(f"unknown command {args.command!r}")
+        return pipeline.run_experiment(args.kind, config)[1]
+    stage = {
+        "synth": pipeline.stage_data,
+        "preprocess": pipeline.stage_data,
+        "cluster": pipeline.stage_cluster,
+        "validate": pipeline.stage_validate,
+        "report": pipeline.emit_report,
+    }
+    return stage[args.command](config)
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -30,11 +30,11 @@ from . import fcm as fcm_mod
 from . import pca as pca_mod
 from . import perturb as perturb_mod
 from .profiles import (
+    SLOTS_PER_DAY,
     ProfileMatrix,
     SynthSpec,
     generate_synthetic,
-    parse_readings,
-    profiles_from_readings,
+    ingest_readings,
     read_profiles_csv,
     synthetic_templates,
     write_profiles_csv,
@@ -102,15 +102,11 @@ class RunConfig:
     def __post_init__(self):
         if self.inputs and self.synth is not None:
             raise ValueError("give input paths or a synth plan, not both")
-        if isinstance(self.dprime, str):
-            if self.dprime != "elbow":
-                raise ValueError("dprime must be a positive integer or 'elbow'")
-        elif self.dprime < 1:
+        if self.dprime != "elbow" and (isinstance(self.dprime, str) or self.dprime < 1):
             raise ValueError("dprime must be a positive integer or 'elbow'")
-        if isinstance(self.k, str):
-            if self.k != "fpc":
-                raise ValueError("k must be an integer >= 2 or 'fpc'")
-        elif self.k < 2:
+        if self.dprime != "elbow" and self.dprime > SLOTS_PER_DAY:  # one PCA axis per slot
+            raise ValueError(f"dprime {self.dprime} out of range 1..{SLOTS_PER_DAY}")
+        if self.k != "fpc" and (isinstance(self.k, str) or self.k < 2):
             raise ValueError("k must be an integer >= 2 or 'fpc'")
         if not 1.0 < self.fuzzifier < math.inf:
             raise ValueError("m must be a finite number > 1 or 'default'")
@@ -306,27 +302,11 @@ class RunManifest:
 
 
 def manifest_to_json(manifest: RunManifest) -> str:
-    payload = {
-        "version": manifest.version,
-        "created_utc": manifest.created_utc,
-        "seed": manifest.seed,
-        "config": manifest.config,
-        "input_digests": manifest.input_digests,
-        "artifacts": manifest.artifacts,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(asdict(manifest), indent=2, sort_keys=True)
 
 
 def load_manifest(out_dir) -> RunManifest:
-    payload = _read_json(Path(out_dir) / "manifest.json")
-    return RunManifest(
-        version=payload["version"],
-        created_utc=payload["created_utc"],
-        seed=payload["seed"],
-        config=payload["config"],
-        input_digests=payload["input_digests"],
-        artifacts=payload["artifacts"],
-    )
+    return RunManifest(**_read_json(Path(out_dir) / "manifest.json"))
 
 
 def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
@@ -413,11 +393,7 @@ def _load_profiles(config: RunConfig) -> tuple[ProfileMatrix, np.ndarray | None]
     config.require_data_source()
     if config.synth is not None:
         return generate_synthetic(config.synth.to_spec(config.seed))
-    series = []
-    for path in config.inputs:
-        series.extend(parse_readings(path))
-    series.sort(key=lambda s: s.household_id)
-    return profiles_from_readings(series), None
+    return ingest_readings(config.inputs), None
 
 
 def _write_data(config: RunConfig, matrix: ProfileMatrix, truth: np.ndarray | None) -> list[str]:

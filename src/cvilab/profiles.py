@@ -13,10 +13,11 @@ import csv
 import io
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ PROFILE_CSV_HEADER = ["household_id"] + [
 _HEADER = ["household_id", "timestamp", "kw"]
 
 # Bytes of whole lines the columnar reader takes at a time. Per row, only
-# two int32 codes and a float64 kW outlive a block.
+# two int32 codes and the index of its kW value outlive a block.
 _BLOCK_BYTES = 1 << 22
 
 
@@ -96,13 +97,9 @@ def _open_text(source):
         return
     if not isinstance(source, io.TextIOBase):
         data = source if isinstance(source, bytes) else source.read()
-        source = _text_buffer(data.decode("utf-8") if isinstance(data, bytes) else data)
+        # Lines end at \r, \n or \r\n, as in a file opened with newline="".
+        source = io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data, newline="")
     yield source
-
-
-def _text_buffer(text: str) -> io.StringIO:
-    # Lines end at \r, \n or \r\n, as in a file opened with newline="".
-    return io.StringIO(text, newline="")
 
 
 def _parse_timestamp(raw: str, line: int) -> datetime:
@@ -119,36 +116,49 @@ def _offset_name(offset: timedelta | None) -> str:
     return "naive" if offset is None else timezone(offset).tzname(None)
 
 
-def parse_readings(csv_source) -> list[ReadingSeries]:
-    """Parse a readings CSV into one time-sorted series per household.
+def ingest_readings(sources) -> ProfileMatrix:
+    """The unit-norm daily profiles of the households in readings CSVs.
 
     Expected layout: header ``household_id,timestamp,kw``, ISO-8601
     timestamps on 15-minute boundaries, nonnegative finite kW with a dot
-    decimal separator. Rows may arrive in any order; several files may be
-    concatenated upstream. Every row of a household carries the UTC offset
-    of its first row (naive timestamps count as one offset of their own),
-    so its samples slot and de-duplicate by the same wall clock. Errors
-    report the offending line number.
+    decimal separator, rows in any order. Within a source, every row of a
+    household carries the UTC offset of its first row (naive counts as one
+    offset), so its samples slot and de-duplicate by one wall clock.
 
-    ``csv_source`` is a path, bytes or a stream; a stream is read whole
-    first, and every source is read as a file opened with ``newline=""``.
-    The source is read in blocks of whole lines, and each distinct
-    household, timestamp and kW string is parsed once. Input outside the
-    plain grammar (quotes, blank lines, a wrong comma count, bytes that are
-    not UTF-8) or breaking a rule above goes through the row parser instead,
-    which raises the line-numbered error. The series share one ``datetime``
-    per distinct timestamp string.
+    Each source is a path, bytes or a stream (read whole first), read as a
+    file opened with ``newline=""`` in blocks of whole lines; each distinct
+    household, timestamp and kW string is parsed once. Input outside the plain grammar
+    (quotes, blank lines, a wrong comma count, bytes that are not UTF-8) or
+    breaking a rule goes to the row parser, which raises the line-numbered
+    error. All sources are read before any median is taken. The households
+    come out in sorted id order; the first one with an empty slot or no
+    energy raises, and one in two sources gives two rows, which
+    :class:`ProfileMatrix` rejects.
     """
-    if not isinstance(csv_source, (str, os.PathLike, bytes)):
-        data = csv_source.read()
-        csv_source = data if isinstance(data, bytes) else _text_buffer(data)
-    try:
-        with _open_bytes(csv_source) as fh:
-            return _parse_columnar(_line_blocks(fh))
-    except _RowPath:
-        pass
-    with _open_text(csv_source) as fh:
-        return _parse_rows(fh)
+    files = [_read(source) for source in sources]
+    ids = sorted((hid, n, i) for n, f in enumerate(files) for i, hid in enumerate(f.households))
+    group_of = [np.empty(len(f.households), dtype=np.intp) for f in files]
+    for group, (_, n, i) in enumerate(ids):
+        group_of[n][i] = group
+    house = np.concatenate([group[f.house] for group, f in zip(group_of, files)])
+    slot = np.concatenate([_slots(f.times)[f.stamp] for f in files])
+    loads, load = _ranked([f.loads for f in files], [f.load for f in files])
+    return _profile_matrix([hid for hid, _, _ in ids], house, slot, load, loads)
+
+
+def parse_readings(csv_source) -> list[ReadingSeries]:
+    """One time-sorted series per household of a readings CSV, read and
+    checked as :func:`ingest_readings` reads each source. The series share
+    one ``datetime`` per distinct timestamp string."""
+    readings = _read(csv_source)
+    order = np.argsort(_clock_keys(readings))
+    stamps = readings.stamp[order].tolist()
+    loads = readings.loads[readings.load[order]]
+    ends = np.cumsum(np.bincount(readings.house, minlength=len(readings.households)))
+    return [
+        ReadingSeries(hid, tuple(readings.times[i] for i in stamps[start:end]), loads[start:end])
+        for hid, start, end in zip(readings.households, chain([0], ends), ends)
+    ]
 
 
 def _parse_rows(fh) -> list[ReadingSeries]:
@@ -182,11 +192,8 @@ def _parse_rows(fh) -> list[ReadingSeries]:
         if kw < 0:
             raise CsvFormatError(line, f"negative kW value {kw}")
         offset = ts.utcoffset()
-        samples = per_house.get(hid)
-        if samples is None:
-            samples = per_house[hid] = {}
-            offsets[hid] = offset
-        elif offset != offsets[hid]:
+        samples = per_house.setdefault(hid, {})
+        if offset != offsets.setdefault(hid, offset):
             raise CsvFormatError(
                 line,
                 f"mixed UTC offsets for {hid}: {_offset_name(offset)} here, "
@@ -198,14 +205,8 @@ def _parse_rows(fh) -> list[ReadingSeries]:
 
     series = []
     for hid in sorted(per_house):
-        samples = sorted(per_house[hid].items())
-        series.append(
-            ReadingSeries(
-                household_id=hid,
-                times=tuple(t for t, _ in samples),
-                loads=np.array([v for _, v in samples], dtype=float),
-            )
-        )
+        times, loads = zip(*sorted(per_house[hid].items()))
+        series.append(ReadingSeries(hid, times, np.array(loads, dtype=float)))
     return series
 
 
@@ -238,26 +239,79 @@ def _line_blocks(fh):
         yield tail
 
 
-def _block_lines(block: bytes) -> np.ndarray:
-    """The block's lines as a byte-string array, each with exactly two
-    commas and no quote, NUL or bare carriage return."""
+class _Readings(NamedTuple):
+    """Rows as codes: ``house`` indexes ``households``, ``stamp`` the parsed
+    ``times`` and ``load`` the distinct kW values in ``loads``, ordered by
+    their int64 bits (as by value, with ``-0.0`` just below ``0.0``)."""
+
+    households: list[str]
+    house: np.ndarray
+    stamp: np.ndarray
+    times: list[datetime]
+    load: np.ndarray
+    loads: np.ndarray
+
+
+def _read(source) -> _Readings:
+    """One source, through the columnar reader or else the row parser."""
+    if not isinstance(source, (str, os.PathLike, bytes)):
+        data = source.read()
+        source = data if isinstance(data, bytes) else io.StringIO(data, newline="")
+    try:
+        with _open_bytes(source) as fh:
+            return _read_columns(_line_blocks(fh))
+    except _RowPath:
+        pass
+    with _open_text(source) as fh:
+        return _from_series(_parse_rows(fh))
+
+
+def _from_series(series: list[ReadingSeries]) -> _Readings:
+    """Series as codes, in the order given, one stamp per reading."""
+    times = list(chain.from_iterable(s.times for s in series))
+    kw = np.concatenate([np.empty(0)] + [np.asarray(s.loads, dtype=float) for s in series])
+    loads, load = _ranked([kw], [np.arange(kw.size)])
+    house = np.repeat(np.arange(len(series)), [len(s) for s in series])
+    ids = [s.household_id for s in series]
+    return _Readings(ids, house, np.arange(len(times)), times, load, loads)
+
+
+def _block_fields(block: bytes) -> list[np.ndarray]:
+    """The household, timestamp and kW fields of a block's lines, as byte
+    strings; each line must hold exactly two commas and no quote, NUL or
+    bare carriage return."""
     if b'"' in block or b"\0" in block:
         raise _RowPath
     if b"\r" in block:
         if block.count(b"\r") != block.count(b"\r\n"):
             raise _RowPath
         block = block.replace(b"\r\n", b"\n")
-    parts = block.split(b"\n")
-    if not parts[-1]:
-        parts.pop()
-    # The array is as wide as the longest line: refuse lines so uneven
-    # that it would dwarf the block.
-    if len(parts) * max(map(len, parts)) > 4 * len(block):
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    buf = np.frombuffer(block, np.uint8)
+    marks = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if marks.size % 3 or np.any(buf[marks].reshape(-1, 3) != np.frombuffer(b",,\n", np.uint8)):
         raise _RowPath
-    lines = np.array(parts)
-    if np.any(np.strings.count(lines, b",") != 2):
+    first, second, ends = marks.reshape(-1, 3).T
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # Each field array is as wide as its longest field: refuse lines so
+    # uneven that the arrays would dwarf the block.
+    longest = int((ends - starts).max())
+    if ends.size * longest > 4 * len(block):
         raise _RowPath
-    return lines
+    # Padded so that a window as wide as any line fits after every start.
+    buf = np.frombuffer(block + bytes(longest), np.uint8)
+    fields = []
+    for start, stop in ((starts, first), (first + 1, second), (second + 1, ends)):
+        # A window as wide as the widest field from each start; the bytes
+        # past each field are zeroed one byte column at a time.
+        size = stop - start
+        width = max(int(size.max()), 1)
+        field = np.ndarray((buf.size - width + 1,), f"S{width}", buf, strides=(1,))[start]
+        for j in range(int(size.min()), width):
+            field.view(np.uint8).reshape(-1, width)[size <= j, j] = 0
+        fields.append(field)
+    return fields
 
 
 def _each(parse, raws) -> list:
@@ -268,137 +322,118 @@ def _each(parse, raws) -> list:
         raise _RowPath from None
 
 
-def _coded(column: np.ndarray, values_of, dtype) -> np.ndarray:
-    """``values_of(distinct values)`` spread back over the column's rows."""
-    if column.itemsize <= 8:
-        # Up to 8 bytes fit one integer, which sorts several times faster
-        # (no value holds a NUL, so the padding keeps values apart).
-        keys, inverse = np.unique(column.astype("S8").view(np.uint64), return_inverse=True)
-        distinct = keys.view("S8")
-    else:
-        distinct = np.unique(column, sorted=False)
-        distinct.sort()
-        inverse = np.searchsorted(distinct, column)
-    return np.asarray(values_of(distinct.tolist()), dtype=dtype)[inverse]
+def _distinct(column: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """The column's distinct values, and each row's index among them."""
+    # Coded 8 bytes at a time: integers sort several times faster than
+    # byte strings (no value holds a NUL, so the padding keeps values apart).
+    width = -(-column.itemsize // 8)
+    words = column.astype(f"S{8 * width}").view(np.uint64).reshape(-1, width)
+    code = np.zeros(column.size, dtype=np.intp)
+    for word in words.T:
+        if np.any(word != word[:1]):  # a word all rows share adds nothing
+            keys, inverse = np.unique(word, return_inverse=True)
+            if code.any():
+                inverse = np.unique(code * keys.size + inverse, return_inverse=True)[1]
+            code = inverse
+    first = np.empty(code.max(initial=-1) + 1, dtype=np.intp)
+    first[code] = np.arange(column.size)
+    return column[first].tolist(), code
 
 
-def _household(text: str) -> str:
-    hid = text.strip()
-    if not hid:
-        raise ValueError
-    return hid
+def _coded(column: np.ndarray, table: dict[bytes, int]) -> np.ndarray:
+    """Codes of the column's values, numbering the values new to ``table``."""
+    distinct, inverse = _distinct(column)
+    return np.array([table.setdefault(v, len(table)) for v in distinct], dtype=np.int32)[inverse]
 
 
-def _load(text: str) -> float:
-    kw = float(text)
-    if not (math.isfinite(kw) and kw >= 0):
-        raise ValueError
-    return kw
+def _ranked(tables: list[np.ndarray], codes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """One table of the distinct values of ``tables``, ordered by their
+    int64 bits, and ``codes`` (indices into their own tables) into it."""
+    bits = np.unique(np.concatenate(tables).view(np.int64))
+    ranks = [np.searchsorted(bits, t.view(np.int64))[c] for t, c in zip(tables, codes)]
+    return bits.view(np.float64), np.concatenate(ranks)
 
 
-def _numbering(table: dict[bytes, int]):
-    """Codes of distinct values, numbering the values new to ``table``."""
-    return lambda distinct: [table.setdefault(v, len(table)) for v in distinct]
-
-
-def _block_columns(lines: np.ndarray, households: dict, stamps: dict):
-    """Household codes, timestamp codes and kW of one block's rows."""
-    hid, _, rest = np.strings.partition(lines, b",")
-    ts, _, kw = np.strings.partition(rest, b",")
-    # kW strings are parsed per block: a table of them could grow with
-    # the row count.
-    return (
-        _coded(hid, _numbering(households), np.int32),
-        _coded(ts, _numbering(stamps), np.int32),
-        _coded(kw, lambda distinct: _each(_load, distinct), np.float64),
-    )
-
-
-def _parse_columnar(blocks) -> list[ReadingSeries]:
-    """The series of a plain, valid source; :class:`_RowPath` otherwise."""
-    blocks = map(_block_lines, blocks)
-    lines = next(blocks, None)
-    if lines is None:
-        raise _RowPath
-    (header,) = _each(lambda text: [h.strip() for h in text.split(",")], lines[:1])
-    if header != _HEADER:
+def _read_columns(blocks) -> _Readings:
+    """The rows of a plain, valid source; :class:`_RowPath` otherwise."""
+    blocks = map(_block_fields, blocks)
+    fields = next(blocks, None)
+    if fields is None or _each(str.strip, [f[0] for f in fields]) != _HEADER:
         raise _RowPath
     households: dict[bytes, int] = {}
     stamps: dict[bytes, int] = {}
-    columns = [
-        _block_columns(lines, households, stamps)
-        for lines in chain([lines[1:]], blocks)
-        if lines.size
-    ]
-    if not columns:
-        return []
-    hid_code, ts_code, kw = (np.concatenate(c) for c in zip(*columns))
-    del columns
-
-    names = _each(_household, households)
+    hid_code, ts_code, tables, codes = zip(*(
+        # kW strings are parsed per block: a table of them could grow
+        # with the row count.
+        (_coded(hid, households), _coded(ts, stamps), *_distinct(kw))
+        for hid, ts, kw in chain([[f[1:] for f in fields]], blocks)
+    ))
+    loads, load = _ranked([np.array(_each(float, t), dtype=float) for t in tables], codes)
+    names = _each(str.strip, households)
     times = _each(lambda text: _parse_timestamp(text, 0), stamps)
-    ids = sorted(set(names))
-    position = {hid: i for i, hid in enumerate(ids)}
-    walls = [t.replace(tzinfo=None) for t in times]
-    rank_of = {w: r for r, w in enumerate(sorted(set(walls)))}
-    offsets: dict[timedelta | None, int] = {}
-
-    # One int64 key orders the rows by household, then wall-clock rank.
-    key = np.array([position[n] for n in names], dtype=np.int64)[hid_code]
-    key *= len(rank_of)
-    key += np.array([rank_of[w] for w in walls], dtype=np.int64)[ts_code]
-    order = np.argsort(key, kind="stable")
-    key, ts_code, kw = key[order], ts_code[order], kw[order]
-    del order
-    house = key // len(rank_of)
-    offset = np.array(
-        [offsets.setdefault(t.utcoffset(), len(offsets)) for t in times], dtype=np.int32
-    )[ts_code]
-    # Each household keeps one offset, so an equal key is a duplicate.
-    same_house = house[1:] == house[:-1]
-    if np.any(key[1:] == key[:-1]) or np.any(same_house & (offset[1:] != offset[:-1])):
+    if "" in names or not np.all(np.isfinite(loads) & (loads >= 0)):
         raise _RowPath
+    ids = sorted(set(names))
+    house = np.searchsorted(ids, names)[np.concatenate(hid_code)]
+    readings = _Readings(ids, house, np.concatenate(ts_code), times, load, loads)
+    # Each household keeps one offset, so an equal wall clock is a duplicate.
+    keys = np.sort(_clock_keys(readings))
+    offsets = {offset: i for i, offset in enumerate({t.utcoffset() for t in times})}
+    pairs = house * len(offsets) + np.array([offsets[t.utcoffset()] for t in times])[readings.stamp]
+    if np.any(keys[1:] == keys[:-1]) or (len(offsets) > 1 and np.unique(pairs).size != len(ids)):
+        raise _RowPath
+    return readings
 
-    bounds = np.flatnonzero(~same_house) + 1
-    sorted_times = np.array(times, dtype=object)[ts_code]
-    return [
-        ReadingSeries(household_id=hid, times=tuple(t.tolist()), loads=loads)
-        for hid, t, loads in zip(ids, np.split(sorted_times, bounds), np.split(kw, bounds))
-    ]
 
-
-def _slot_of(ts: datetime) -> int:
-    return ts.hour * 4 + ts.minute // SLOT_MINUTES
+def _clock_keys(readings: _Readings) -> np.ndarray:
+    """One int64 per row, ordering the rows by household, then wall clock."""
+    walls = [t.replace(tzinfo=None) for t in readings.times]
+    rank_of = {w: r for r, w in enumerate(sorted(set(walls)))}
+    keys = readings.house.astype(np.int64) * len(rank_of)
+    keys += np.array([rank_of[w] for w in walls], dtype=np.int64)[readings.stamp]
+    return keys
 
 
 def _slots(times) -> np.ndarray:
-    """Daily slot of each timestamp, derived once per distinct object:
-    :func:`parse_readings` shares one ``datetime`` per distinct timestamp."""
-    ids = np.fromiter(map(id, times), dtype=np.intp, count=len(times))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    return np.array([_slot_of(times[i]) for i in first], dtype=np.uint8)[inverse]
+    """The daily slot of each timestamp."""
+    return np.array([t.hour * 4 + t.minute // SLOT_MINUTES for t in times], dtype=np.uint8)
 
 
-def _slot_medians(series: ReadingSeries, slots: np.ndarray) -> np.ndarray:
-    # Loads sorted, then stably by slot: each slot's loads in order, as a
-    # lexsort by (slot, load) gives them but several times faster on uint8
-    # slots. An odd count takes its middle element as it is and an even
-    # count the mean (a + b) / 2 of the two central ones, as np.median does.
-    loads = np.asarray(series.loads, dtype=float)
-    by_load = np.argsort(loads)
-    ordered = loads[by_load[np.argsort(slots[by_load], kind="stable")]]
-    counts = np.bincount(slots, minlength=SLOTS_PER_DAY)
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise MissingSlotError(
-            f"household {series.household_id}: no observations for "
-            f"{missing.size} slot(s), first missing slot {missing[0]}"
-        )
+def _medians(households, group, slot, load, loads):
+    """The 96 slot medians of each household in turn; lazy, so that the
+    first household's error wins, whatever its kind.
+
+    One sort of an int64 key per row, ``(group * 96 + slot) * K + load``
+    over the ``K`` distinct values (below 2**63 up to some 3e8 rows), puts
+    every slot's loads in order. An odd count takes its middle element as
+    it is, an even count the mean (a + b) / 2 of the central two, as
+    np.median does."""
+    cell = group * SLOTS_PER_DAY + slot
+    counts = np.bincount(cell, minlength=len(households) * SLOTS_PER_DAY)
+    keys = np.sort(cell * loads.size + load)
+    # An empty slot reads a neighbour or the nan at the end; its household
+    # raises before the value is used.
+    ordered = np.append(loads[keys % max(loads.size, 1)], np.nan)
     starts = np.cumsum(counts) - counts
     medians = ordered[starts + (counts - 1) // 2]
     even = counts % 2 == 0
-    medians[even] = (medians[even] + ordered[(starts + counts // 2)[even]]) / 2
-    return medians
+    with np.errstate(over="ignore"):  # a mean past the float range is inf
+        medians[even] = (medians[even] + ordered[(starts + counts // 2)[even]]) / 2
+    for hid, median, count in zip(
+        households, medians.reshape(-1, SLOTS_PER_DAY), counts.reshape(-1, SLOTS_PER_DAY)
+    ):
+        missing = np.flatnonzero(count == 0)
+        if missing.size:
+            raise MissingSlotError(
+                f"household {hid}: no observations for "
+                f"{missing.size} slot(s), first missing slot {missing[0]}"
+            )
+        yield median
+
+
+def _profile_matrix(households, group, slot, load, loads) -> ProfileMatrix:
+    profiles = [l2_normalize(m) for m in _medians(households, group, slot, load, loads)]
+    return ProfileMatrix(households=tuple(households), values=np.array(profiles, dtype=float))
 
 
 def median_daily_profile(series: ReadingSeries) -> np.ndarray:
@@ -408,7 +443,9 @@ def median_daily_profile(series: ReadingSeries) -> np.ndarray:
     statistics. Every one of the 96 slots needs at least one observation;
     gaps are an error rather than being imputed.
     """
-    return _slot_medians(series, _slots(series.times))
+    r = _from_series([series])
+    (profile,) = _medians(r.households, r.house, _slots(r.times), r.load, r.loads)
+    return profile
 
 
 def l2_normalize(profile: np.ndarray) -> np.ndarray:
@@ -424,16 +461,8 @@ def l2_normalize(profile: np.ndarray) -> np.ndarray:
 
 def profiles_from_readings(series: list[ReadingSeries]) -> ProfileMatrix:
     """Median + normalize every series and stack into a ProfileMatrix."""
-    times = list(chain.from_iterable(s.times for s in series))
-    bounds = np.cumsum([len(s) for s in series])[:-1]
-    profiles = [
-        l2_normalize(_slot_medians(s, slots))
-        for s, slots in zip(series, np.split(_slots(times), bounds))
-    ]
-    return ProfileMatrix(
-        households=tuple(s.household_id for s in series),
-        values=np.array(profiles, dtype=float),
-    )
+    r = _from_series(series)
+    return _profile_matrix(r.households, r.house, _slots(r.times), r.load, r.loads)
 
 
 @dataclass(frozen=True)
@@ -560,15 +589,11 @@ def write_profiles_csv(matrix: ProfileMatrix, target) -> None:
     round-trip ``repr``, so :func:`read_profiles_csv` gets back the same
     bits."""
     own = isinstance(target, (str, os.PathLike))
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with open(target, "w", encoding="utf-8", newline="") if own else nullcontext(target) as fh:
         writer = csv.writer(fh)
         writer.writerow(PROFILE_CSV_HEADER)
         for hid, row in zip(matrix.households, matrix.values.tolist()):
             writer.writerow([hid] + [repr(v) for v in row])
-    finally:
-        if own:
-            fh.close()
 
 
 def read_profiles_csv(source) -> ProfileMatrix:

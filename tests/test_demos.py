@@ -1,5 +1,6 @@
 """Every demo runs to completion under ``python -X dev``, which also
-reports files left open as ResourceWarnings."""
+reports files left open as ResourceWarnings, and leaves no temporary
+file behind."""
 
 import os
 import subprocess
@@ -19,13 +20,16 @@ def test_demo_runs_clean(demo, tmp_path):
     # imported, whatever the inherited PYTHONPATH.
     package_root = str(Path(cvilab.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
     proc = subprocess.run(
         [sys.executable, "-X", "dev", str(demo)],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
+        env=dict(os.environ, PYTHONPATH=pythonpath, TMPDIR=str(scratch)),
         cwd=tmp_path,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert "ResourceWarning" not in proc.stderr
+    assert list(scratch.iterdir()) == []

@@ -678,6 +678,82 @@ class TestReadingsFlow:
         assert pl.verify_manifest(out) == []
 
 
+def write_readings(path, rows):
+    path.write_text("\n".join(["household_id,timestamp,kw", *rows]) + "\n")
+    return path
+
+
+def day_rows(hid, day, kw, slots=range(96)):
+    """One reading per slot of ``day``; ``kw`` is a value or a function of the slot."""
+    return [
+        f"{hid},{day}T{s // 4:02d}:{s % 4 * 15:02d}:00Z,{kw(s) if callable(kw) else kw}"
+        for s in slots
+    ]
+
+
+def preprocess_argv(out, *inputs):
+    argv = ["preprocess", "--out", str(out)]
+    for path in inputs:
+        argv += ["--input", str(path)]
+    return argv
+
+
+class TestSeveralInputs:
+    """preprocess over several readings files: each file is read and
+    checked on its own, and the households come out in sorted id order."""
+
+    def test_input_order_gives_the_same_bytes(self, tmp_path):
+        a = write_readings(tmp_path / "a.csv", day_rows("H02", "2024-03-01", lambda s: s / 8)
+                           + day_rows("H00", "2024-03-01", lambda s: 1 + s % 5))
+        b = write_readings(tmp_path / "b.csv", day_rows("H03", "2024-03-02", 0.25)
+                           + day_rows("H01", "2024-03-01", lambda s: 7 - s % 3))
+        outs = [tmp_path / "ab", tmp_path / "ba"]
+        assert cli.main(preprocess_argv(outs[0], a, b)) == 0
+        assert cli.main(preprocess_argv(outs[1], b, a)) == 0
+        stored = [(out / "profiles.csv").read_bytes() for out in outs]
+        assert stored[0] == stored[1]
+        rows = stored[0].decode().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["H00", "H01", "H02", "H03"]
+
+    def test_household_in_two_files_is_not_merged(self, capsys, tmp_path):
+        a = write_readings(tmp_path / "a.csv", day_rows("H00", "2024-03-01", 1.0))
+        b = write_readings(tmp_path / "b.csv", day_rows("H00", "2024-03-02", 2.0)
+                           + day_rows("H01", "2024-03-02", 2.0))
+        for inputs in ((a, b), (b, a)):
+            err = cli_error(capsys, preprocess_argv(tmp_path / "out", *inputs))
+            assert err == {"error": "ValueError", "message": "household ids must be unique"}
+
+    def test_parse_error_in_a_later_file_beats_a_median_error(self, capsys, tmp_path):
+        gappy = write_readings(tmp_path / "a.csv", day_rows("H00", "2024-03-01", 1.0)[:-1])
+        bad = write_readings(tmp_path / "b.csv", ["H01,2024-03-01T00:00:00Z,1.0",
+                                                  "H01,2024-03-01T00:15:00Z,x"])
+        err = cli_error(capsys, preprocess_argv(tmp_path / "out", gappy, bad))
+        assert err == {"error": "CsvFormatError", "message": "line 3: bad kW value 'x'"}
+
+    @pytest.mark.parametrize("zero, gappy, expected", [
+        ("a", "b", ("ZeroProfileError", "all-zero profile cannot be normalized")),
+        ("b", "a", ("MissingSlotError",
+                    "household a: no observations for 1 slot(s), first missing slot 95")),
+    ])
+    def test_first_household_error_wins(self, capsys, tmp_path, zero, gappy, expected):
+        # Whichever kind it is: checking every slot before any scaling
+        # would let the missing slot of b win over the zero profile of a.
+        readings = write_readings(tmp_path / "r.csv", day_rows(gappy, "2024-03-01", 1.0)[:-1]
+                                  + day_rows(zero, "2024-03-01", 0.0))
+        err = cli_error(capsys, preprocess_argv(tmp_path / "out", readings))
+        assert (err["error"], err["message"]) == expected
+
+    def test_slot_of_negative_zeros_keeps_its_sign(self, tmp_path):
+        rows = []
+        for day in ("2024-03-01", "2024-03-02"):
+            rows += day_rows("H00", day, lambda s: "-0.0" if s == 5 else 1 + s / 4)
+        out = tmp_path / "out"
+        assert cli.main(preprocess_argv(out, write_readings(tmp_path / "r.csv", rows))) == 0
+        header, row = (out / "profiles.csv").read_text().splitlines()
+        assert header.split(",")[6] == "t0115"
+        assert row.split(",")[6] == "-0.0"
+
+
 class TestInputDigests:
     def test_each_input_hashed_once_per_staged_sequence(
         self, readings_csv, tmp_path, monkeypatch
@@ -1028,6 +1104,15 @@ class TestCliErrors:
             assert err == {"error": "ValueError", "message": message}, command
         assert sorted(pl.load_manifest(out).artifacts) == ["profiles.csv", "synth_labels.csv"]
         assert pl.load_manifest(out).config["synth"]["outlier_mode"] == "far"
+
+    def test_oversized_dprime_leaves_the_output_untouched(self, capsys, tmp_path):
+        out = tmp_path / "x"
+        assert cli.main(["synth", "--synth.clusters", "2", "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        err = cli_error(capsys, ["run", "--synth.clusters", "2", "--synth.cluster-size", "10",
+                                 "--dprime", "500", "--out", str(out)])
+        assert err == {"error": "ValueError", "message": "dprime 500 out of range 1..96"}
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_bad_thread_count_fails_before_any_stage(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CVILAB_THREADS", "two")

@@ -22,6 +22,7 @@ from cvilab import (
     fit_fcm,
     fit_pca,
     generate_synthetic,
+    ingest_readings,
     l2_normalize,
     median_daily_profile,
     parse_readings,
@@ -278,6 +279,15 @@ def outcome(parse, source):
     ]
 
 
+def profile_outcome(compute):
+    """The profiles ``compute()`` gives, or the error it raises."""
+    try:
+        matrix = compute()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return matrix.households, matrix.values.tobytes()
+
+
 def forbid_row_parser(monkeypatch):
     def row_parser(fh):
         raise AssertionError("the row parser ran")
@@ -334,9 +344,11 @@ def _reading_line(draw, hid, day, slot, kw, spelling, suffix_of, previous):
 
 
 @st.composite
-def readings_files(draw):
+def readings_files(draw, full_days=False):
     """Small readings files, mostly well formed, as bytes; also whether
-    every row stays within the plain grammar the columnar reader takes."""
+    every row stays within the plain grammar the columnar reader takes.
+    With ``full_days``, most households first get one reading per slot of
+    a day of their own, so that their medians are defined."""
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     header = draw(st.sampled_from(
         ["household_id,timestamp,kw"] * 8 + [" household_id , timestamp,kw", "house,when,load"]
@@ -357,6 +369,13 @@ def readings_files(draw):
     ))
     plain = header != "house,when,load"
     lines = [header.encode()]
+    for hid in HOUSEHOLDS if full_days else ():
+        kw = draw(st.sampled_from([None, "0", "-0.0", "0.5", "2.25", "1e308"]))
+        if kw is not None:
+            lines += [
+                _reading_line(draw, hid, 3, slot, kw, "", suffix_of, None)
+                for slot in range(SLOTS_PER_DAY)
+            ]
     previous = None
     for hid, day, first_slot, run, kw, spelling in rows:
         # A run of consecutive slots, the first one spelled as drawn.
@@ -409,6 +428,19 @@ class TestColumnarReader:
                 assert outcome(parse_readings, source()) == want
                 if plain and isinstance(want, list):
                     assert not row_calls  # plain, valid input stays columnar
+
+    @given(
+        file=readings_files(full_days=True),
+        block=st.sampled_from([16, 64, 1 << 22]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_profiles_or_same_error_as_row_parser(self, file, block):
+        data, _ = file
+        with np.errstate(over="ignore"):
+            want = profile_outcome(lambda: profiles_from_readings(row_parse(data)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(profiles, "_BLOCK_BYTES", block)
+                assert profile_outcome(lambda: ingest_readings([data])) == want
 
     def test_households_split_across_blocks(self, monkeypatch):
         rows = []
@@ -557,8 +589,9 @@ STAMPS = {
 
 
 class TestGroupedMedian:
-    """median_daily_profile and profiles_from_readings sort once per
-    household; the medians must be np.median's, byte for byte."""
+    """median_daily_profile and profiles_from_readings take every median
+    from one sort over all households; the medians must be np.median's,
+    byte for byte."""
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
