@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 INDEX_NAMES = ("sh", "ch", "db", "di", "xb")
 
@@ -34,6 +33,13 @@ INDEX_NAMES = ("sh", "ch", "db", "di", "xb")
 HIGHER_IS_BETTER = {"sh": True, "ch": True, "db": False, "di": True, "xb": False}
 
 _CHUNK = 512
+
+
+def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """scipy's Euclidean ``cdist``, imported at the first distance: a
+    command that measures none never loads ``scipy.spatial``."""
+    from scipy.spatial import distance
+    return distance.cdist(xa, xb)
 
 
 class CoincidentCentroidsError(ValueError):

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from .cvi import cdist
 from .rng import derive_stream
 
 K_MAX_DEFAULT = 10

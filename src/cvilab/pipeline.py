@@ -39,6 +39,7 @@ from .profiles import (
     synthetic_templates,
     write_profiles_csv,
 )
+from .rng import U64_MASK
 from .version import __version__
 
 SPACES = ("reduced", "original")
@@ -102,6 +103,8 @@ class RunConfig:
     def __post_init__(self):
         if self.inputs and self.synth is not None:
             raise ValueError("give input paths or a synth plan, not both")
+        if not 0 <= self.seed <= U64_MASK:
+            raise ValueError(f"seed {self.seed} out of range 0..{U64_MASK}")
         if self.dprime != "elbow" and (isinstance(self.dprime, str) or self.dprime < 1):
             raise ValueError("dprime must be a positive integer or 'elbow'")
         if self.dprime != "elbow" and self.dprime > SLOTS_PER_DAY:  # one PCA axis per slot
@@ -301,10 +304,6 @@ class RunManifest:
     artifacts: dict
 
 
-def manifest_to_json(manifest: RunManifest) -> str:
-    return json.dumps(asdict(manifest), indent=2, sort_keys=True)
-
-
 def load_manifest(out_dir) -> RunManifest:
     return RunManifest(**_read_json(Path(out_dir) / "manifest.json"))
 
@@ -337,7 +336,7 @@ def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
         input_digests=input_digests,
         artifacts=dict(sorted(artifacts.items())),
     )
-    _write_text(manifest_path, manifest_to_json(manifest) + "\n")
+    _write_text(manifest_path, json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
     return manifest
 
 
@@ -374,18 +373,26 @@ _PRODUCER = {
 
 def _load_stored(config: RunConfig, *names: str) -> list:
     """Profiles, PCA model, cluster model or baseline report, read back
-    from the output directory in the order named."""
+    from the output directory in the order named. An artifact the
+    manifest lists must match its digest before it is parsed."""
     out = Path(config.out_dir)
+    manifest_path = out / "manifest.json"
+    listed = _read_json(manifest_path).get("artifacts", {}) if manifest_path.exists() else {}
+    readers = {
+        "profiles.csv": read_profiles_csv,
+        "pca.json": lambda data: pca_mod.model_from_dict(json.loads(data)),
+        "cluster.json": lambda data: fcm_mod.model_from_dict(json.loads(data)),
+        "cvi.json": lambda data: cvi_mod.report_from_dict(json.loads(data)),
+    }
+    loaded = []
     for name in names:
         if not (out / name).exists():
             raise FileNotFoundError(f"missing artifact: {name} (run {_PRODUCER[name]} first)")
-    readers = {
-        "profiles.csv": read_profiles_csv,
-        "pca.json": lambda path: pca_mod.model_from_dict(_read_json(path)),
-        "cluster.json": lambda path: fcm_mod.model_from_dict(_read_json(path)),
-        "cvi.json": lambda path: cvi_mod.report_from_dict(_read_json(path)),
-    }
-    return [readers[name](out / name) for name in names]
+        data = (out / name).read_bytes()
+        if name in listed and hashlib.sha256(data).hexdigest() != listed[name]:
+            raise RuntimeError(f"artifact digest mismatch: {name}")
+        loaded.append(readers[name](data))
+    return loaded
 
 
 def _load_profiles(config: RunConfig) -> tuple[ProfileMatrix, np.ndarray | None]:

@@ -128,8 +128,8 @@ def ingest_readings(sources) -> ProfileMatrix:
     Each source is a path, bytes or a stream (read whole first), read as a
     file opened with ``newline=""`` in blocks of whole lines; each distinct
     household, timestamp and kW string is parsed once. Input outside the plain grammar
-    (quotes, blank lines, a wrong comma count, bytes that are not UTF-8) or
-    breaking a rule goes to the row parser, which raises the line-numbered
+    (quotes, blank lines, a wrong comma count, bytes that are not UTF-8), with no
+    rows, or breaking a rule goes to the row parser, which raises the line-numbered
     error. All sources are read before any median is taken. The households
     come out in sorted id order; the first one with an empty slot or no
     energy raises, and one in two sources gives two rows, which
@@ -202,6 +202,8 @@ def _parse_rows(fh) -> list[ReadingSeries]:
         if ts in samples:
             raise CsvFormatError(line, f"duplicate reading for {hid} at {ts.isoformat()}")
         samples[ts] = kw
+    if not per_house:
+        raise CsvFormatError(2, "no readings after the header")
 
     series = []
     for hid in sorted(per_house):
@@ -371,7 +373,7 @@ def _read_columns(blocks) -> _Readings:
     loads, load = _ranked([np.array(_each(float, t), dtype=float) for t in tables], codes)
     names = _each(str.strip, households)
     times = _each(lambda text: _parse_timestamp(text, 0), stamps)
-    if "" in names or not np.all(np.isfinite(loads) & (loads >= 0)):
+    if not names or "" in names or not np.all(np.isfinite(loads) & (loads >= 0)):
         raise _RowPath
     ids = sorted(set(names))
     house = np.searchsorted(ids, names)[np.concatenate(hid_code)]

@@ -6,6 +6,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -459,6 +461,40 @@ class TestManifestMerge:
 
 
 @pytest.fixture(scope="module")
+def validated(tmp_path_factory):
+    """An output directory after synth, cluster and validate."""
+    out = tmp_path_factory.mktemp("validated") / "out"
+    argv = ["--synth.clusters", "3", "--synth.cluster-size", "10", "--seed", "5",
+            "--k", "3", "--out", str(out)]
+    for command in ("synth", "cluster", "validate"):
+        assert cli.main([command, *argv]) == 0
+    return out
+
+
+class TestStoredDigests:
+    """A staged command checks each listed artifact's digest before it
+    parses the bytes, so an edited artifact is a digest mismatch, not
+    whatever its parser trips on."""
+
+    @pytest.mark.parametrize("name, edit, command", [
+        ("cluster.json", lambda text: '{"k": "x"}\n', "validate"),
+        ("cvi.json", lambda text: "[]\n", "report"),
+        ("pca.json", lambda text: "not json\n", "validate"),
+        ("profiles.csv", lambda text: re.sub(r"\n([^,]*),[^,]*", r"\n\1,abc", text, count=1),
+         "cluster"),
+    ])
+    def test_edited_artifact_is_a_digest_mismatch(
+        self, capsys, validated, tmp_path, name, edit, command
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(validated, out)
+        target = out / name
+        target.write_text(edit(target.read_text()))
+        err = cli_error(capsys, [command, "--out", str(out)])
+        assert err == {"error": "RuntimeError", "message": f"artifact digest mismatch: {name}"}
+
+
+@pytest.fixture(scope="module")
 def staged(tmp_path_factory):
     root = tmp_path_factory.mktemp("staged")
     out = root / "out"
@@ -730,6 +766,23 @@ class TestSeveralInputs:
         err = cli_error(capsys, preprocess_argv(tmp_path / "out", gappy, bad))
         assert err == {"error": "CsvFormatError", "message": "line 3: bad kW value 'x'"}
 
+    @pytest.mark.parametrize("command", ["preprocess", "run"])
+    def test_header_only_file_fails_before_the_output_is_touched(
+        self, capsys, tmp_path, command
+    ):
+        good = write_readings(tmp_path / "a.csv", day_rows("H00", "2024-03-01", 1.0)
+                              + day_rows("H01", "2024-03-01", lambda s: 1 + s % 4))
+        empty = write_readings(tmp_path / "hdr.csv", [])
+        out = tmp_path / "out"
+        assert cli.main(preprocess_argv(out, good)) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        argv = [command, "--input", str(good), "--input", str(empty), "--k", "2",
+                "--out", str(out)]
+        err = cli_error(capsys, argv)
+        assert err == {"error": "CsvFormatError",
+                       "message": "line 2: no readings after the header"}
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     @pytest.mark.parametrize("zero, gappy, expected", [
         ("a", "b", ("ZeroProfileError", "all-zero profile cannot be normalized")),
         ("b", "a", ("MissingSlotError",
@@ -989,6 +1042,70 @@ class TestStagedMatchesRun:
         assert cli.main(["run", *argv, "--out", str(run)]) == 0
         self.assert_same_outputs(staged, run)
 
+    def test_each_stage_in_a_fresh_process(self, tmp_path):
+        # Each child loads scipy (or not) on its own, unlike this process.
+        argv = ["--synth.clusters", "4", "--synth.cluster-size", "30",
+                "--synth.outliers", "3", "--seed", "3", "--trials", "4",
+                "--experiments", "density"]
+        staged, run = tmp_path / "staged", tmp_path / "run"
+        for command in (["synth"], ["cluster"], ["validate"], ["experiment", "density"],
+                        ["report"]):
+            proc = run_child(tmp_path, "-m", "cvilab", *command, *argv, "--out", str(staged))
+            assert proc.returncode == 0, proc.stderr
+        assert cli.main(["run", *argv, "--out", str(run)]) == 0
+        self.assert_same_outputs(staged, run)
+
+
+def run_child(cwd, *args):
+    """``python *args`` in a fresh interpreter that imports the cvilab this
+    suite imported, with two trial workers."""
+    package_root = str(Path(cvilab.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=pythonpath, CVILAB_THREADS="2")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=300)
+
+
+# Runs the CLI on its arguments, then prints whether scipy.spatial is loaded.
+SCIPY_PROBE = """
+import sys
+from cvilab import cli
+try:
+    code = cli.main(sys.argv[1:])
+finally:
+    print(any(name.startswith("scipy.spatial") for name in sys.modules))
+raise SystemExit(code)
+"""
+
+
+class TestStartUp:
+    """scipy is loaded at the first distance, so a command that measures
+    none never imports it. Children, since this process holds scipy."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        proc = run_child(tmp_path, "-c", "import sys, cvilab, cvilab.cli; "
+                         "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_only_commands_that_measure_distances_load_scipy(self, readings_csv, tmp_path):
+        out = tmp_path / "out"
+        synth = ["--synth.clusters", "3", "--synth.cluster-size", "10", "--seed", "5",
+                 "--k", "3", "--out", str(out)]
+        runs = [
+            (["--help"], 0, "False"),
+            (["run", *synth[:-2], "--seed", "-1", "--out", str(tmp_path / "x")], 1, "False"),
+            (["preprocess", "--input", str(readings_csv), "--out", str(tmp_path / "r")],
+             0, "False"),
+            (["synth", *synth], 0, "False"),
+            (["cluster", *synth], 0, "True"),
+            (["validate", *synth], 0, "True"),
+            (["report", *synth], 0, "False"),
+        ]
+        for argv, code, loaded in runs:
+            proc = run_child(tmp_path, "-c", SCIPY_PROBE, *argv)
+            assert proc.returncode == code, (argv, proc.stderr)
+            assert proc.stdout.splitlines()[-1] == loaded, argv
+
 
 class TestCliErrors:
     def test_unknown_config_key(self, capsys, tmp_path):
@@ -1125,6 +1242,21 @@ class TestCliErrors:
         assert err == {"error": "ValueError",
                        "message": "CVILAB_THREADS must be a positive integer, got 'two'"}
         assert not (out / "cluster.json").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, capsys, tmp_path, seed):
+        out = tmp_path / "x"
+        err = cli_error(capsys, ["synth", "--seed", str(seed), "--synth.clusters", "2",
+                                 "--out", str(out)])
+        assert err == {"error": "ValueError",
+                       "message": f"seed {seed} out of range 0..{2**64 - 1}"}
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        out = tmp_path / "x"
+        argv = ["synth", "--seed", str(2**64 - 1), "--synth.clusters", "2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert pl.load_manifest(out).seed == 2**64 - 1
 
     def test_malformed_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "mal.cfg"

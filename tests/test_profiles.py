@@ -140,6 +140,18 @@ class TestParseReadings:
             parse_readings(b"")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("data", [
+        b"household_id,timestamp,kw",
+        b"household_id,timestamp,kw\n",
+        b"household_id,timestamp,kw\r\n\r\n",  # blank lines: the row parser's path
+    ])
+    def test_header_without_rows_rejected(self, data):
+        for read in (parse_readings, lambda source: ingest_readings([source])):
+            with pytest.raises(CsvFormatError) as err:
+                read(data)
+            assert err.value.line == 2
+            assert str(err.value) == "line 2: no readings after the header"
+
     def test_zulu_timestamps_accepted(self):
         data = csv_bytes(["A,2024-01-01T00:00:00Z,1.0"])
         (series,) = parse_readings(data)
