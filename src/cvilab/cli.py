@@ -41,14 +41,14 @@ def _dispatch(args: argparse.Namespace, config: pipeline.RunConfig) -> list[str]
         raise ValueError("synth needs synth.* settings (e.g. --synth.clusters)")
     if args.command == "preprocess" and not config.inputs:
         raise ValueError("preprocess needs at least one --input readings CSV")
-    if args.command == "experiment":
-        return pipeline.run_experiment(args.kind, config)[1]
     stage = {
         "synth": pipeline.stage_data,
         "preprocess": pipeline.stage_data,
         "cluster": pipeline.stage_cluster,
         "validate": pipeline.stage_validate,
+        "experiment": lambda config: pipeline.run_experiment(args.kind, config)[1],
         "report": pipeline.emit_report,
+        "run": pipeline.run_full,
     }
     return stage[args.command](config)
 
@@ -75,11 +75,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = pipeline.load_run_config(args.config, _overrides(args))
-        if args.command == "run":
-            pipeline.run_full(config)
-        else:
-            written = _dispatch(args, config)
-            pipeline.update_manifest(config, written)
+        pipeline.update_manifest(config, _dispatch(args, config))
         bad = pipeline.verify_manifest(config.out_dir)
         if bad:
             raise RuntimeError(f"artifact digest mismatch: {', '.join(bad)}")

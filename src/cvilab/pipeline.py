@@ -44,13 +44,6 @@ from .version import __version__
 
 SPACES = ("reduced", "original")
 
-# Everything a run may write into its output directory.
-_RUN_ARTIFACTS = (
-    "profiles.csv", "synth_labels.csv", "pca.json", "cevr.csv", "cluster.json", "fpc.csv",
-    "cvi.json", "summary.txt", "scatter2d.csv", "manifest.json",
-    *(f"experiment_{k}.{e}" for k in perturb_mod.EXPERIMENT_KINDS for e in ("json", "csv")),
-)
-
 
 def _fmt9(value: float) -> str:
     return "%.9g" % value
@@ -244,11 +237,16 @@ def build_run_config(raw: dict[str, list[str]]) -> RunConfig:
 
 
 def load_run_config(config_path=None, overrides: dict[str, list[str]] | None = None) -> RunConfig:
-    """Config file merged with CLI overrides; overrides win per key. The
-    trial worker count is checked here too, before any stage runs."""
+    """Config file (UTF-8) merged with CLI overrides; overrides win per
+    key. The trial worker count is checked here too, before any stage runs."""
     raw: dict[str, list[str]] = {}
     if config_path is not None:
-        raw.update(parse_config_text(Path(config_path).read_text()))
+        data = Path(config_path).read_bytes()
+        try:
+            raw.update(parse_config_text(data.decode("utf-8")))
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"config {config_path} line {line}: not UTF-8") from None
     for key, values in (overrides or {}).items():
         if values:
             raw[key] = list(values)
@@ -286,10 +284,6 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text())
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -305,7 +299,15 @@ class RunManifest:
 
 
 def load_manifest(out_dir) -> RunManifest:
-    return RunManifest(**_read_json(Path(out_dir) / "manifest.json"))
+    """The only parse of manifest.json: anything else there is a ValueError."""
+    path = Path(out_dir) / "manifest.json"
+    try:
+        manifest = RunManifest(**json.loads(path.read_bytes()))
+        if isinstance(manifest.artifacts, dict) and isinstance(manifest.input_digests, dict):
+            return manifest
+    except (ValueError, TypeError):  # not JSON, not an object, other keys
+        pass
+    raise ValueError(f"malformed manifest: {path}")
 
 
 def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
@@ -318,8 +320,8 @@ def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
     """
     out = Path(config.out_dir)
     manifest_path = out / "manifest.json"
-    previous = _read_json(manifest_path) if manifest_path.exists() else {}
-    artifacts: dict[str, str] = dict(previous.get("artifacts", {}))
+    previous = load_manifest(out) if manifest_path.exists() else None
+    artifacts: dict[str, str] = dict(previous.artifacts if previous else {})
     for name in written:
         artifacts[name] = _sha256(out / name)
     if "profiles.csv" in written:
@@ -327,7 +329,7 @@ def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
         if config.synth is not None:
             input_digests["synth"] = artifacts["profiles.csv"]
     else:
-        input_digests = previous.get("input_digests", {})
+        input_digests = previous.input_digests if previous else {}
     manifest = RunManifest(
         version=__version__,
         created_utc=datetime.now(timezone.utc).isoformat(),
@@ -363,35 +365,44 @@ def verify_manifest(out_dir) -> list[str]:
 # The fitted partition, as the later staged commands load it.
 _FITTED = ("profiles.csv", "pca.json", "cluster.json")
 
-_PRODUCER = {
-    "profiles.csv": "synth or preprocess",
-    "pca.json": "cluster",
-    "cluster.json": "cluster",
-    "cvi.json": "validate",
+
+def _read_experiment(data: bytes) -> perturb_mod.ExperimentReport | str:
+    """An experiment record, or the reason of a skipped one."""
+    payload = json.loads(data)
+    return payload["skipped"] if "skipped" in payload else perturb_mod.experiment_from_dict(payload)
+
+
+# Every artifact a run may write: the command that writes it and, if a later
+# command reads it back, its parser (lambdas resolve names at call time).
+_ARTIFACTS: dict[str, tuple[str, Callable | None]] = {
+    "profiles.csv": ("synth or preprocess", lambda data: read_profiles_csv(data)),
+    "synth_labels.csv": ("synth", None),
+    "pca.json": ("cluster", lambda data: pca_mod.model_from_dict(json.loads(data))),
+    "cluster.json": ("cluster", lambda data: fcm_mod.model_from_dict(json.loads(data))),
+    "cevr.csv": ("cluster", None), "fpc.csv": ("cluster", None),
+    "cvi.json": ("validate", lambda data: cvi_mod.report_from_dict(json.loads(data))),
+    **{f"experiment_{k}.{ext}": (f"experiment {k}", read) for k in perturb_mod.EXPERIMENT_KINDS
+       for ext, read in (("json", _read_experiment), ("csv", None))},
+    "summary.txt": ("report", None), "scatter2d.csv": ("report", None),
+    "manifest.json": ("any command", None),  # parsed by load_manifest only
 }
 
 
 def _load_stored(config: RunConfig, *names: str) -> list:
-    """Profiles, PCA model, cluster model or baseline report, read back
-    from the output directory in the order named. An artifact the
+    """Artifacts read back from the output directory and parsed, in the
+    order named; every read-back goes through here. An artifact the
     manifest lists must match its digest before it is parsed."""
     out = Path(config.out_dir)
-    manifest_path = out / "manifest.json"
-    listed = _read_json(manifest_path).get("artifacts", {}) if manifest_path.exists() else {}
-    readers = {
-        "profiles.csv": read_profiles_csv,
-        "pca.json": lambda data: pca_mod.model_from_dict(json.loads(data)),
-        "cluster.json": lambda data: fcm_mod.model_from_dict(json.loads(data)),
-        "cvi.json": lambda data: cvi_mod.report_from_dict(json.loads(data)),
-    }
+    listed = load_manifest(out).artifacts if (out / "manifest.json").exists() else {}
     loaded = []
     for name in names:
+        producer, read = _ARTIFACTS[name]
         if not (out / name).exists():
-            raise FileNotFoundError(f"missing artifact: {name} (run {_PRODUCER[name]} first)")
+            raise FileNotFoundError(f"missing artifact: {name} (run {producer} first)")
         data = (out / name).read_bytes()
         if name in listed and hashlib.sha256(data).hexdigest() != listed[name]:
             raise RuntimeError(f"artifact digest mismatch: {name}")
-        loaded.append(readers[name](data))
+        loaded.append(read(data))
     return loaded
 
 
@@ -404,13 +415,12 @@ def _load_profiles(config: RunConfig) -> tuple[ProfileMatrix, np.ndarray | None]
 
 
 def _write_data(config: RunConfig, matrix: ProfileMatrix, truth: np.ndarray | None) -> list[str]:
-    """profiles.csv (and synth_labels.csv for synthetic runs), in place
-    of every artifact an earlier run left in the output directory."""
+    """profiles.csv (and synth_labels.csv for synthetic runs). New profiles
+    start a new run, so every artifact and the manifest an earlier run left
+    in the output directory go first: they would describe other data."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # New profiles start a new run: every artifact and the manifest an
-    # earlier run left here would describe other data, so they go.
-    for name in _RUN_ARTIFACTS:
+    for name in _ARTIFACTS:
         (out / name).unlink(missing_ok=True)
     write_profiles_csv(matrix, out / "profiles.csv")
     if truth is None:
@@ -637,24 +647,19 @@ def run_experiment(
 
 def emit_report(config: RunConfig) -> list[str]:
     """summary.txt and scatter2d.csv from the artifacts in the output
-    directory, covering every experiment recorded there."""
-    stored = _load_stored(config, *_FITTED, "cvi.json")
-    experiments: dict[str, perturb_mod.ExperimentReport | str] = {}
-    for kind in perturb_mod.EXPERIMENT_KINDS:
-        path = Path(config.out_dir) / f"experiment_{kind}.json"
-        if path.exists():
-            payload = _read_json(path)
-            experiments[kind] = (
-                payload["skipped"] if "skipped" in payload
-                else perturb_mod.experiment_from_dict(payload)
-            )
-    return _report(config, *stored, experiments)
+    directory, covering every experiment recorded there. Each record is
+    digest-checked before it is parsed, like every other artifact read."""
+    kinds = [kind for kind in perturb_mod.EXPERIMENT_KINDS
+             if (Path(config.out_dir) / f"experiment_{kind}.json").exists()]
+    stored = _load_stored(config, *_FITTED, "cvi.json", *(f"experiment_{k}.json" for k in kinds))
+    return _report(config, *stored[:4], dict(zip(kinds, stored[4:])))
 
 
-def run_full(config: RunConfig) -> RunManifest:
-    """Every stage, the requested experiments and the manifest in one
-    call. The stages are the ones the staged commands run, chained in
-    memory, so nothing written is read back.
+def run_full(config: RunConfig) -> list[str]:
+    """Every stage and the requested experiments in one call; returns the
+    names written, and the caller records them with update_manifest as
+    after any staged command. The stages are the ones the staged commands
+    run, chained in memory, so nothing written is read back.
 
     An experiment the partition cannot support is recorded as skipped,
     with its reason, in experiment_<kind>.json (no CSV), and the run goes
@@ -676,5 +681,4 @@ def run_full(config: RunConfig) -> RunManifest:
             names = [f"experiment_{kind}.json"]
             _write_json(Path(config.out_dir) / names[0], {"kind": kind, "skipped": str(exc)})
         written += names
-    written += _report(config, matrix, pca_model, model, baseline, experiments)
-    return update_manifest(config, written)
+    return written + _report(config, matrix, pca_model, model, baseline, experiments)

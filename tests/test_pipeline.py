@@ -461,13 +461,14 @@ class TestManifestMerge:
 
 
 @pytest.fixture(scope="module")
-def validated(tmp_path_factory):
-    """An output directory after synth, cluster and validate."""
-    out = tmp_path_factory.mktemp("validated") / "out"
+def reported(tmp_path_factory):
+    """An output directory after synth, cluster, validate, the density
+    experiment and report."""
+    out = tmp_path_factory.mktemp("reported") / "out"
     argv = ["--synth.clusters", "3", "--synth.cluster-size", "10", "--seed", "5",
-            "--k", "3", "--out", str(out)]
-    for command in ("synth", "cluster", "validate"):
-        assert cli.main([command, *argv]) == 0
+            "--k", "3", "--trials", "2", "--out", str(out)]
+    for command in (["synth"], ["cluster"], ["validate"], ["experiment", "density"], ["report"]):
+        assert cli.main([*command, *argv]) == 0
     return out
 
 
@@ -482,16 +483,30 @@ class TestStoredDigests:
         ("pca.json", lambda text: "not json\n", "validate"),
         ("profiles.csv", lambda text: re.sub(r"\n([^,]*),[^,]*", r"\n\1,abc", text, count=1),
          "cluster"),
+        ("experiment_density.json", lambda text: re.sub(r'"sh": [^,]*', '"sh": 0.5', text, count=1),
+         "report"),
+        ("experiment_density.json", lambda text: text[: len(text) // 2], "report"),
     ])
     def test_edited_artifact_is_a_digest_mismatch(
-        self, capsys, validated, tmp_path, name, edit, command
+        self, capsys, reported, tmp_path, name, edit, command
     ):
         out = tmp_path / "out"
-        shutil.copytree(validated, out)
+        shutil.copytree(reported, out)
         target = out / name
-        target.write_text(edit(target.read_text()))
+        edited = edit(target.read_text())
+        assert edited != target.read_text()
+        target.write_text(edited)
         err = cli_error(capsys, [command, "--out", str(out)])
         assert err == {"error": "RuntimeError", "message": f"artifact digest mismatch: {name}"}
+        assert (out / "summary.txt").read_bytes() == (reported / "summary.txt").read_bytes()
+
+    def test_reader_is_looked_up_when_called(self, small_run, monkeypatch):
+        # perfbench times read_profiles_csv by replacing the module attribute
+        calls = []
+        original = pl.read_profiles_csv
+        monkeypatch.setattr(pl, "read_profiles_csv", lambda data: calls.append(1) or original(data))
+        pl._load_stored(small_run[1], "profiles.csv")
+        assert calls == [1]
 
 
 @pytest.fixture(scope="module")
@@ -668,6 +683,21 @@ class TestRunCommand:
         ]
         assert sorted(manifest.artifacts) == sorted(expected)
         assert manifest.config["recluster"] is True
+        assert pl.verify_manifest(out) == []
+
+
+class TestRunFull:
+    def test_returns_what_it_wrote_and_leaves_the_manifest_to_the_caller(self, tmp_path):
+        out = tmp_path / "out"
+        raw = small_raw(out, trials="2", experiments="outliers,density")
+        written = pl.run_full(pl.build_run_config(raw))
+        assert "experiment_outliers.csv" not in written  # skipped: no singleton
+        assert sorted(written) == sorted(p.name for p in out.iterdir())
+        assert not (out / "manifest.json").exists()
+
+        argv = [f"--{key}={value}" for key, values in raw.items() for value in values]
+        assert cli.main(["run", *argv]) == 0
+        assert sorted(pl.load_manifest(out).artifacts) == sorted(written)
         assert pl.verify_manifest(out) == []
 
 
@@ -872,6 +902,13 @@ class TestSkippedExperiment:
         summary = (skipped_run[0] / "summary.txt").read_text().splitlines()
         assert "experiment: outliers skipped (no singleton clusters to toggle)" in summary
         assert any(line.startswith("experiment: diameter (2 trials)") for line in summary)
+
+    def test_report_command_reads_the_skip(self, skipped_run, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(skipped_run[0], out)
+        (out / "summary.txt").unlink()
+        assert cli.main(["report", "--out", str(out)]) == 0
+        assert (out / "summary.txt").read_bytes() == (skipped_run[0] / "summary.txt").read_bytes()
 
     def test_experiment_command_still_fails(self, skipped_run, capsys):
         out, argv, _ = skipped_run
@@ -1257,6 +1294,30 @@ class TestCliErrors:
         argv = ["synth", "--seed", str(2**64 - 1), "--synth.clusters", "2", "--out", str(out)]
         assert cli.main(argv) == 0
         assert pl.load_manifest(out).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("content", ["not json", "[1, 2]", '{"artifacts": 5}'])
+    def test_malformed_manifest_is_a_typed_error(self, capsys, tmp_path, content):
+        out = tmp_path / "x"
+        assert cli.main(["synth", "--synth.clusters", "2", "--out", str(out)]) == 0
+        (out / "manifest.json").write_text(content + "\n")
+        err = cli_error(capsys, ["cluster", "--out", str(out)])
+        assert err == {"error": "ValueError",
+                       "message": f"malformed manifest: {out / 'manifest.json'}"}
+        assert not (out / "pca.json").exists()
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff\xfes\x00e\x00e\x00d\x00 \x00=\x00 \x001\x00\n\x00", 1),
+        (b"seed = 1\n# caf\xe9\nk = 3\n", 2),
+    ])
+    def test_config_must_be_utf8(self, capsys, tmp_path, data, line):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_bytes(data)
+        out = tmp_path / "x"
+        err = cli_error(capsys, ["synth", "--config", str(cfg), "--synth.clusters", "2",
+                                 "--out", str(out)])
+        assert err == {"error": "ValueError",
+                       "message": f"config {cfg} line {line}: not UTF-8"}
+        assert not out.exists()
 
     def test_malformed_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "mal.cfg"
