@@ -18,6 +18,7 @@ from .cvi import (
     davies_bouldin,
     dunn,
     evaluate_all,
+    evaluate_geometry,
     evaluate_labels,
     partition_geometry,
     silhouette,

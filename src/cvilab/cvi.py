@@ -53,11 +53,15 @@ class PartitionGeometry:
     ``centroids[i]`` belongs to ``label_values[i]`` (sorted distinct
     labels) and ``canon[p]`` is the position of point p's label there.
     Per-cluster statistics are read from each cluster's contiguous block
-    of the points sorted stably by ``canon``. Diameters are max pairwise
-    intra-cluster distances; separations are minima over inter-cluster
-    point pairs and over centroid pairs. Singletons have diameter 0 and
-    scatter 0. ``distance_sums[p, i]`` is the summed distance from point
-    p (input order) to the members of cluster i.
+    of the points sorted stably by ``canon``. ``own_gaps[p]`` is point
+    p's distance to its centroid; ``mean_scatter`` and ``radii`` are
+    each cluster's mean and max of those. Diameters are max pairwise
+    intra-cluster distances, ``min_separation_points`` the minimum over
+    inter-cluster point pairs, and ``centroid_gaps`` the k×k centroid
+    distances with an infinite diagonal. Singletons have diameter,
+    scatter and radius 0. ``distance_sums[p, i]`` is the summed distance
+    from point p to the members of cluster i; per-point arrays follow
+    the input order.
     """
 
     points: np.ndarray
@@ -68,9 +72,11 @@ class PartitionGeometry:
     data_centroid: np.ndarray
     cluster_sizes: np.ndarray
     diameters: np.ndarray
+    own_gaps: np.ndarray
     mean_scatter: np.ndarray
+    radii: np.ndarray
     min_separation_points: float
-    min_separation_centroids: float
+    centroid_gaps: np.ndarray
     distance_sums: np.ndarray
 
     @property
@@ -121,20 +127,20 @@ def partition_geometry(points, labels) -> PartitionGeometry:
     xs = x[order]
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     centroids = np.empty((k, x.shape[1]))
+    own_gaps = np.empty(x.shape[0])
     scatter = np.empty(k)
+    radii = np.empty(k)
     for c in range(k):
         members = xs[bounds[c] : bounds[c + 1]]
         centroids[c] = members.mean(axis=0)
-        scatter[c] = float(np.linalg.norm(members - centroids[c], axis=1).mean())
+        norms = np.linalg.norm(members - centroids[c], axis=1)
+        own_gaps[order[bounds[c] : bounds[c + 1]]] = norms
+        scatter[c], radii[c] = norms.mean(), norms.max()
     sorted_sums, diameters, min_sep_points = _distance_pass(xs, bounds)
     sums = np.empty_like(sorted_sums)
     sums[order] = sorted_sums
-    if k >= 2:
-        gaps = cdist(centroids, centroids)
-        np.fill_diagonal(gaps, math.inf)
-        min_sep_centroids = float(gaps.min())
-    else:
-        min_sep_centroids = math.inf
+    gaps = cdist(centroids, centroids)
+    np.fill_diagonal(gaps, math.inf)
     return PartitionGeometry(
         points=x,
         labels=y,
@@ -144,9 +150,11 @@ def partition_geometry(points, labels) -> PartitionGeometry:
         data_centroid=x.mean(axis=0),
         cluster_sizes=sizes,
         diameters=diameters,
+        own_gaps=own_gaps,
         mean_scatter=scatter,
+        radii=radii,
         min_separation_points=min_sep_points,
-        min_separation_centroids=min_sep_centroids,
+        centroid_gaps=gaps,
         distance_sums=sums,
     )
 
@@ -196,12 +204,10 @@ def _davies_bouldin(geom: PartitionGeometry) -> float:
     k = geom.k
     if k < 2:
         raise ValueError("index needs at least 2 clusters")
-    gaps = cdist(geom.centroids, geom.centroids)
-    off_diagonal = gaps[~np.eye(k, dtype=bool)]
-    if off_diagonal.min() == 0.0:
+    if geom.centroid_gaps.min() == 0.0:
         raise CoincidentCentroidsError("two clusters share a centroid")
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (geom.mean_scatter[:, None] + geom.mean_scatter[None, :]) / gaps
+        ratio = (geom.mean_scatter[:, None] + geom.mean_scatter[None, :]) / geom.centroid_gaps
     ratio[np.diag_indices(k)] = -math.inf
     return float(ratio.max(axis=1).mean())
 
@@ -352,30 +358,27 @@ def _report(geom: PartitionGeometry, xb, fuzzy: bool) -> CviReport:
     )
 
 
-def evaluate_labels(points, labels) -> CviReport:
-    """All five indices on a hard partition; Xie-Beni in crisp mode.
-
-    All five share one partition geometry, hence one distance pass and
-    one set of centroids. Per-index failures are recorded in the report
-    instead of aborting the other indices.
-    """
-    geom = partition_geometry(points, labels)
+def evaluate_geometry(geom: PartitionGeometry) -> CviReport:
+    """All five indices on a hard partition's geometry, Xie-Beni in crisp
+    mode. A failing index is recorded in the report; the others still run."""
     return _report(
         geom, lambda: xie_beni(geom.points, geom.labels, geom.centroids), fuzzy=False
     )
 
 
-def evaluate_all(points, model, use_memberships: bool = True) -> CviReport:
+def evaluate_labels(points, labels) -> CviReport:
+    """All five indices on a hard partition, from one shared geometry."""
+    return evaluate_geometry(partition_geometry(points, labels))
+
+
+def evaluate_all(points, model) -> CviReport:
     """All five indices for a fitted model's partition.
 
     The four label-based indices use the hardened labels; Xie-Beni uses
-    the membership matrix and fitted centroids when ``use_memberships``
-    (the ``fuzzy`` flag records which mode was taken), and the crisp
-    Xie-Beni is then never computed. Singleton clusters count as clusters.
+    the membership matrix and fitted centroids, so the crisp Xie-Beni is
+    never computed. Singleton clusters count as clusters.
     """
-    if not use_memberships:
-        return evaluate_labels(points, np.asarray(model.labels))
-    geom = partition_geometry(points, np.asarray(model.labels))
+    geom = partition_geometry(points, model.labels)
     return _report(
         geom,
         lambda: xie_beni(geom.points, model.memberships, model.centroids, model.fuzzifier),

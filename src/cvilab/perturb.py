@@ -24,7 +24,10 @@ from .cvi import (
     CviReport,
     HIGHER_IS_BETTER,
     INDEX_NAMES,
+    PartitionGeometry,
+    evaluate_geometry,
     evaluate_labels,
+    partition_geometry,
     report_from_dict,
     report_to_dict,
 )
@@ -43,14 +46,15 @@ SIGN_TEST_ALPHA = 0.05
 _MAX_SINGLETONS = 16
 
 
-class RejectionBudgetError(RuntimeError):
-    """The ball sampler ran out of attempts; geometry likely overlaps."""
-
-
 class ExperimentSkipped(ValueError):
     """The partition cannot support the experiment: no singleton clusters
-    to toggle, too many to enumerate, or fewer than two clusters that are
-    not singletons."""
+    to toggle, too many to enumerate, fewer than two clusters that are
+    not singletons, a cluster of zero radius to inject into, or a ball
+    the sampler cannot draw from."""
+
+
+class RejectionBudgetError(ExperimentSkipped):
+    """The ball sampler ran out of attempts; geometry likely overlaps."""
 
 
 @dataclass(frozen=True)
@@ -132,13 +136,6 @@ def _remove_clusters(points, labels, drop) -> tuple[np.ndarray, np.ndarray]:
     return kept_x, renumbered
 
 
-def _label_centroids(points, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster mean vectors in ascending label order, plus the order."""
-    values = np.unique(labels)
-    centroids = np.array([points[labels == v].mean(axis=0) for v in values])
-    return centroids, values
-
-
 def _sample_in_ball(
     rng, center, radius, sigma, centroids, own, budget, count
 ) -> np.ndarray:
@@ -172,8 +169,7 @@ def _sample_in_ball(
 
 
 def inject_density(
-    points,
-    labels,
+    geom: PartitionGeometry,
     cluster: int,
     count: int,
     rng,
@@ -181,32 +177,28 @@ def inject_density(
     sigma_divisor: float = 4.0,
     max_rejection_attempts: int = 1000,
 ) -> np.ndarray:
-    """Sample ``count`` new members for one cluster near its center.
+    """Sample ``count`` new members for label ``cluster`` of ``geom``.
 
     Draws isotropic Gaussians at the cluster's mean with sigma =
     radius / sigma_divisor and accepts a draw only when it lies within
     the cluster's radius and nearer to this cluster's center than to any
     other. Returns the accepted points; the caller labels them.
     """
-    x = np.asarray(points, dtype=float)
-    labels = np.asarray(labels)
     if count < 1:
         raise ValueError("count must be at least 1")
-    members = x[labels == cluster]
-    if members.shape[0] < 2:
+    own = int(np.searchsorted(geom.label_values, cluster))
+    if own == geom.k or geom.label_values[own] != cluster or geom.cluster_sizes[own] < 2:
         raise ValueError(f"cluster {cluster} is singleton or missing")
-    centroids, values = _label_centroids(x, labels)
-    own = int(np.searchsorted(values, cluster))
-    radius = float(np.linalg.norm(members - centroids[own], axis=1).max())
+    radius = float(geom.radii[own])
     if radius == 0.0:
-        raise ValueError(f"cluster {cluster} has zero radius")
-    sigma = radius / sigma_divisor
+        raise ExperimentSkipped(f"cluster {cluster} has zero radius")
     return _sample_in_ball(
-        rng, centroids[own], radius, sigma, centroids, own, max_rejection_attempts, count
+        rng, geom.centroids[own], radius, radius / sigma_divisor, geom.centroids, own,
+        max_rejection_attempts, count,
     )
 
 
-def shrink_clusters(points, labels, config: PerturbConfig, rng) -> np.ndarray:
+def shrink_clusters(geom: PartitionGeometry, config: PerturbConfig, rng) -> np.ndarray:
     """Shrink every cluster's radius by ``config.shrink_factor``.
 
     Members inside the reduced radius stay put; each member beyond it is
@@ -216,27 +208,18 @@ def shrink_clusters(points, labels, config: PerturbConfig, rng) -> np.ndarray:
     tests run against the input partition's centroids throughout.
     Singleton and zero-radius clusters are left untouched.
     """
-    x = np.asarray(points, dtype=float)
-    labels = np.asarray(labels)
-    centroids, values = _label_centroids(x, labels)
-    out = x.copy()
-    for own, value in enumerate(values):
-        rows = np.flatnonzero(labels == value)
-        if rows.shape[0] < 2:
+    out = geom.points.copy()
+    for own in range(geom.k):
+        if geom.cluster_sizes[own] < 2 or geom.radii[own] == 0.0:
             continue
-        gaps = np.linalg.norm(x[rows] - centroids[own], axis=1)
-        radius = float(gaps.max())
-        if radius == 0.0:
-            continue
-        reduced = config.shrink_factor * radius
-        sigma = reduced / config.sigma_divisor
-        fringe = rows[gaps > reduced]
+        reduced = config.shrink_factor * float(geom.radii[own])
+        fringe = np.flatnonzero((geom.canon == own) & (geom.own_gaps > reduced))
         out[fringe] = _sample_in_ball(
             rng,
-            centroids[own],
+            geom.centroids[own],
             reduced,
-            sigma,
-            centroids,
+            reduced / config.sigma_divisor,
+            geom.centroids,
             own,
             config.max_rejection_attempts,
             fringe.shape[0],
@@ -321,18 +304,17 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
 def _trial_experiment(
     kind: str, points, labels, config: PerturbConfig, perturb_fn, refit
 ) -> ExperimentReport:
-    """Shared trial loop: singleton-free baseline, seeded trials, averages."""
-    x = np.asarray(points, dtype=float)
+    """Shared trial loop: the singleton-free baseline's geometry, measured
+    once, is scored and handed to every seeded trial; then averages."""
     labels = np.asarray(labels)
-    base_x, base_labels = _remove_clusters(x, labels, find_singleton_clusters(labels))
-    k_base = int(np.unique(base_labels).shape[0])
-    if k_base < 2:
+    base_x, base_labels = _remove_clusters(points, labels, find_singleton_clusters(labels))
+    if np.unique(base_labels).shape[0] < 2:
         raise ExperimentSkipped("need at least 2 non-singleton clusters")
-    baseline = evaluate_labels(base_x, base_labels)
+    geom = partition_geometry(base_x, base_labels)
+    baseline = evaluate_geometry(geom)
 
     def one_trial(t: int) -> ExperimentRow:
-        rng = derive_stream(config.seed, t)
-        trial_x, trial_labels = perturb_fn(base_x, base_labels, rng)
+        trial_x, trial_labels = perturb_fn(geom, derive_stream(config.seed, t))
         if refit is not None:
             trial_labels = refit(trial_x)
         return ExperimentRow(
@@ -340,7 +322,7 @@ def _trial_experiment(
         )
 
     rows = _run_trials(one_trial, config.trials)
-    average, counts = _average_rows(rows, k_base)
+    average, counts = _average_rows(rows, geom.k)
     report = ExperimentReport(
         kind=kind,
         seed=config.seed,
@@ -358,25 +340,18 @@ def density_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
     """Inject ceil(fraction * size) new points into every cluster per
     trial and compare the indices against the singleton-free baseline."""
 
-    def perturb(base_x, base_labels, rng):
-        pieces = [base_x]
-        new_labels = [base_labels]
-        for value in np.unique(base_labels):
-            size = int((base_labels == value).sum())
-            count = math.ceil(config.density_add_fraction * size)
+    def perturb(geom, rng):
+        pieces = [geom.points]
+        new_labels = [geom.labels]
+        for value, size in zip(geom.label_values, geom.cluster_sizes):
+            count = math.ceil(config.density_add_fraction * int(size))
             if count < 1:
                 continue
-            drawn = inject_density(
-                base_x,
-                base_labels,
-                int(value),
-                count,
-                rng,
-                sigma_divisor=config.sigma_divisor,
+            pieces.append(inject_density(
+                geom, int(value), count, rng, sigma_divisor=config.sigma_divisor,
                 max_rejection_attempts=config.max_rejection_attempts,
-            )
-            pieces.append(drawn)
-            new_labels.append(np.full(count, value, dtype=base_labels.dtype))
+            ))
+            new_labels.append(np.full(count, value, dtype=geom.labels.dtype))
         return np.vstack(pieces), np.concatenate(new_labels)
 
     return _trial_experiment("density", points, labels, config, perturb, refit)
@@ -386,8 +361,8 @@ def diameter_experiment(points, labels, config: PerturbConfig, refit=None) -> Ex
     """Shrink every cluster's radius per trial and compare the indices
     against the singleton-free baseline."""
 
-    def perturb(base_x, base_labels, rng):
-        return shrink_clusters(base_x, base_labels, config, rng), base_labels
+    def perturb(geom, rng):
+        return shrink_clusters(geom, config, rng), geom.labels
 
     return _trial_experiment("diameter", points, labels, config, perturb, refit)
 

@@ -494,7 +494,8 @@ def _score(
     # Fitted centroids live in reduced space, so membership-based XB is
     # only meaningful there; original-space evaluation falls back to the
     # crisp mode.
-    report = cvi_mod.evaluate_all(points, model, use_memberships=config.space == "reduced")
+    report = (cvi_mod.evaluate_all(points, model) if config.space == "reduced"
+              else cvi_mod.evaluate_labels(points, model.labels))
     _write_json(Path(config.out_dir) / "cvi.json", cvi_mod.report_to_dict(report))
     return report, ["cvi.json"]
 

@@ -55,7 +55,7 @@ def test_criterion_1_hand_instance_exactness():
         labels=labels,
         objective_trace=np.array([1.0]),
     )
-    values = cvi.evaluate_all(points, model, use_memberships=True).value_map()
+    values = cvi.evaluate_all(points, model).value_map()
     assert abs(values["sh"] - 0.900249) <= 1e-6
     assert abs(values["ch"] - 200.0) <= 1e-9
     assert abs(values["db"] - 0.1) <= 1e-9

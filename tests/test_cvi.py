@@ -295,8 +295,8 @@ class TestReports:
              rng.normal((6, 0), 0.3, size=(12, 2))]
         )
         model = fit_fcm(x, FcmConfig(k=2, seed=1))
-        fuzzy = evaluate_all(x, model, use_memberships=True)
-        crisp = evaluate_all(x, model, use_memberships=False)
+        fuzzy = evaluate_all(x, model)
+        crisp = evaluate_labels(x, model.labels)
         assert fuzzy.fuzzy is True and crisp.fuzzy is False
         assert fuzzy.xb != crisp.xb
         assert fuzzy.sh == crisp.sh  # only XB consumes the memberships
@@ -419,9 +419,14 @@ class TestClusterOrderedPass:
         for c in range(k):
             members = points[geom.canon == c]
             centroid = members.mean(axis=0)
-            scatter = float(np.linalg.norm(members - centroid, axis=1).mean())
+            norms = np.linalg.norm(members - centroid, axis=1)
             assert geom.centroids[c].tobytes() == centroid.tobytes()
-            assert geom.mean_scatter[c] == scatter
+            assert geom.own_gaps[geom.canon == c].tobytes() == norms.tobytes()
+            assert geom.mean_scatter[c] == float(norms.mean())
+            assert geom.radii[c] == float(norms.max())
+        gaps = cdist(geom.centroids, geom.centroids)
+        np.fill_diagonal(gaps, math.inf)
+        assert geom.centroid_gaps.tobytes() == gaps.tobytes()
 
     def test_chunks_cover_each_inter_cluster_pair_once(self, monkeypatch):
         import cvilab.cvi as cvi_module
@@ -577,8 +582,24 @@ class TestFuzzyReport:
             return real_cdist(a, b, *args, **kwargs)
 
         monkeypatch.setattr(cvi_module, "cdist", counting_cdist)
-        evaluate_all(x, model, use_memberships=True)
-        # Only the geometry's centroid separation and Davies-Bouldin use
-        # the crisp centroids; no point is measured against them.
-        assert [call[:2] for call in calls if call[2]] == [((4, 2), (4, 2))] * 2
+        evaluate_all(x, model)
+        # Only the geometry's centroid gaps, which Davies-Bouldin reads,
+        # use the crisp centroids; no point is measured against them.
+        assert [call[:2] for call in calls if call[2]] == [((4, 2), (4, 2))]
         assert ((400, 2), (4, 2), False) in calls  # the fuzzy Xie-Beni
+
+    def test_crisp_report_measures_centroid_gaps_twice(self, monkeypatch):
+        """The geometry's gaps (read by Davies-Bouldin) and the crisp
+        Xie-Beni's are the only centroid-to-centroid distances."""
+        import cvilab.cvi as cvi_module
+
+        rng = np.random.default_rng(6)
+        x = np.vstack([rng.normal(c, 0.5, size=(50, 2)) for c in ((0, 0), (6, 0), (0, 6))])
+        labels = np.repeat(np.arange(3), 50)
+        shapes = []
+        real_cdist = cvi_module.cdist
+        monkeypatch.setattr(
+            cvi_module, "cdist", lambda a, b: shapes.append((a.shape, b.shape)) or real_cdist(a, b)
+        )
+        evaluate_labels(x, labels)
+        assert shapes.count(((3, 2), (3, 2))) == 2

@@ -25,6 +25,7 @@ from cvilab import (
     inject_density,
     judge_hypothesis,
     outlier_experiment,
+    partition_geometry,
     shrink_clusters,
 )
 from cvilab.perturb import _sample_in_ball, _sign_test_tail, worker_count
@@ -188,7 +189,7 @@ class TestInjectDensity:
         centroid = x[:30].mean(axis=0)
         radius = np.linalg.norm(x[:30] - centroid, axis=1).max()
         other = x[30:].mean(axis=0)
-        drawn = inject_density(x, labels, 0, 200, np.random.default_rng(1))
+        drawn = inject_density(partition_geometry(x, labels), 0, 200, np.random.default_rng(1))
         gaps_own = np.linalg.norm(drawn - centroid, axis=1)
         gaps_other = np.linalg.norm(drawn - other, axis=1)
         assert drawn.shape == (200, 2)
@@ -203,7 +204,7 @@ class TestInjectDensity:
         cross = np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0], [0.0, -4.0]])
         x = np.vstack([cross, cross + (1000.0, 0.0)])
         labels = np.repeat([0, 1], 4)
-        drawn = inject_density(x, labels, 0, 10000, np.random.default_rng(3))
+        drawn = inject_density(partition_geometry(x, labels), 0, 10000, np.random.default_rng(3))
         for axis in range(2):
             assert abs(drawn[:, axis].std() - 1.0) < 0.05
         assert np.linalg.norm(drawn, axis=1).max() <= 4.0
@@ -213,13 +214,13 @@ class TestInjectDensity:
         x = np.vstack([blob(rng, (0, 0), 5), blob(rng, (9, 0), 5), [[50.0, 50.0]]])
         labels = np.array([0] * 5 + [1] * 5 + [2])
         with pytest.raises(ValueError, match="count"):
-            inject_density(x, labels, 0, 0, rng)
+            inject_density(partition_geometry(x, labels), 0, 0, rng)
         with pytest.raises(ValueError, match="singleton"):
-            inject_density(x, labels, 2, 1, rng)
+            inject_density(partition_geometry(x, labels), 2, 1, rng)
         dup = np.array([[1.0, 1.0]] * 4 + [[5.0, 5.0]] * 4)
         dup_labels = np.repeat([0, 1], 4)
-        with pytest.raises(ValueError, match="zero radius"):
-            inject_density(dup, dup_labels, 0, 1, rng)
+        with pytest.raises(perturb.ExperimentSkipped, match="zero radius"):
+            inject_density(partition_geometry(dup, dup_labels), 0, 1, rng)
 
     def test_rejection_budget_exhausted(self):
         rng = np.random.default_rng(2)
@@ -229,7 +230,7 @@ class TestInjectDensity:
         # lands outside the ball.
         with pytest.raises(RejectionBudgetError, match="cluster 0"):
             inject_density(
-                x, labels, 0, 1, np.random.default_rng(0),
+                partition_geometry(x, labels), 0, 1, np.random.default_rng(0),
                 sigma_divisor=1e-4, max_rejection_attempts=5,
             )
 
@@ -240,7 +241,7 @@ class TestShrinkClusters:
         x = np.vstack([blob(rng, (0, 0), 40, 1.0), blob(rng, (12, 0), 40, 1.0)])
         labels = np.repeat([0, 1], 40)
         config = PerturbConfig(shrink_factor=0.8)
-        out = shrink_clusters(x, labels, config, np.random.default_rng(4))
+        out = shrink_clusters(partition_geometry(x, labels), config, np.random.default_rng(4))
         assert out.shape == x.shape
         for value in (0, 1):
             members_before = x[labels == value]
@@ -259,9 +260,8 @@ class TestShrinkClusters:
     def test_zero_radius_and_singleton_clusters_left_alone(self):
         x = np.array([[1.0, 1.0]] * 5 + [[8.0, 2.0]] * 5 + [[50.0, 50.0]])
         labels = np.array([0] * 5 + [1] * 5 + [2])
-        out = shrink_clusters(
-            x, labels, PerturbConfig(shrink_factor=0.5), np.random.default_rng(0)
-        )
+        geom = partition_geometry(x, labels)
+        out = shrink_clusters(geom, PerturbConfig(shrink_factor=0.5), np.random.default_rng(0))
         assert np.array_equal(out, x)
 
     def test_deterministic_given_stream(self):
@@ -269,8 +269,8 @@ class TestShrinkClusters:
         x = np.vstack([blob(rng, (0, 0), 20, 1.0), blob(rng, (10, 0), 20, 1.0)])
         labels = np.repeat([0, 1], 20)
         config = PerturbConfig(shrink_factor=0.7)
-        a = shrink_clusters(x, labels, config, derive_stream(5, 0))
-        b = shrink_clusters(x, labels, config, derive_stream(5, 0))
+        a = shrink_clusters(partition_geometry(x, labels), config, derive_stream(5, 0))
+        b = shrink_clusters(partition_geometry(x, labels), config, derive_stream(5, 0))
         assert a.tobytes() == b.tobytes()
 
 
@@ -487,7 +487,7 @@ class TestBatchedSampler:
         cluster = data.draw(st.sampled_from(sorted(set(labels.tolist()))))
         got = outcome(
             lambda rng: inject_density(
-                x, labels, cluster, count, rng,
+                partition_geometry(x, labels), cluster, count, rng,
                 sigma_divisor=divisor, max_rejection_attempts=budget,
             ),
             seed,
@@ -515,7 +515,8 @@ class TestBatchedSampler:
         config = PerturbConfig(
             shrink_factor=shrink, sigma_divisor=divisor, max_rejection_attempts=budget
         )
-        got = outcome(lambda rng: shrink_clusters(x, labels, config, rng), seed)
+        geom = partition_geometry(x, labels)
+        got = outcome(lambda rng: shrink_clusters(geom, config, rng), seed)
         want = outcome(lambda rng: reference_shrink_clusters(x, labels, config, rng), seed)
         assert got == want
 
@@ -536,6 +537,25 @@ class TestBatchedSampler:
                     seed,
                 )
                 assert got == want
+
+
+class TestOneGeometryPerExperiment:
+    @pytest.mark.parametrize("run", [density_experiment, diameter_experiment])
+    def test_every_draw_reads_the_baseline_centroids(self, run, monkeypatch):
+        """The baseline's geometry is measured once: every sampler call
+        of the experiment gets the same centroid array."""
+        seen = []
+        real = perturb._sample_in_ball
+
+        def recording(rng, center, radius, sigma, centroids, *rest):
+            seen.append(centroids)
+            return real(rng, center, radius, sigma, centroids, *rest)
+
+        monkeypatch.setattr(perturb, "_sample_in_ball", recording)
+        x, labels = blobs_with_singletons()
+        run(x, labels, PerturbConfig(seed=3, trials=4, shrink_factor=0.5))
+        assert len(seen) == 3 * 4
+        assert all(centroids is seen[0] for centroids in seen)
 
 
 def make_trial_report(kind, baseline_values, trial_values_list):

@@ -919,6 +919,27 @@ class TestSkippedExperiment:
         }
         assert issubclass(perturb.ExperimentSkipped, ValueError)
 
+    @pytest.mark.parametrize("flags, error, reason", [
+        # In 96 dimensions a per-axis sigma of radius/4 lands draws about
+        # 2.4 radii out, so the sampler never accepts one.
+        (["--synth.cluster-size", "30", "--synth.outliers", "2"], "RejectionBudgetError",
+         "no acceptable sample for cluster 0 in 1000 attempts"),
+        (["--synth.cluster-size", "4", "--synth.spread", "0", "--k", "3"], "ExperimentSkipped",
+         "cluster 0 has zero radius"),
+    ], ids=["rejection-budget", "zero-radius"])
+    def test_sampler_that_cannot_draw(self, tmp_path, capsys, flags, error, reason):
+        out = tmp_path / "out"
+        argv = ["--synth.clusters", "3", *flags, "--space", "original", "--seed", "1",
+                "--experiments", "density", "--trials", "5", "--out", str(out)]
+        assert cli.main(["run", *argv]) == 0
+        payload = json.loads((out / "experiment_density.json").read_text())
+        assert payload == {"kind": "density", "skipped": reason}
+        assert f"experiment: density skipped ({reason})" in (out / "summary.txt").read_text()
+        assert pl.verify_manifest(out) == []
+        assert cli_error(capsys, ["experiment", "density", *argv]) == {
+            "error": error, "message": reason,
+        }
+
 
 class TestStaleArtifacts:
     """A run into a used output directory leaves and lists only what it
