@@ -18,7 +18,7 @@ for name in cvi.INDEX_NAMES:
 
 # sh: a=1, b=(10+sqrt(101))/2, s=(b-a)/b for every point -> 0.900249
 # ch: between/within scaled by (N-k)/(k-1) -> exactly 200
-# db: (0.5+0.5)/10 -> 0.1     di: 10/1 -> 10     xb: 4*0.25/(4*25) -> 0.0025
+# db: (0.5+0.5)/10 -> 0.1     di: 10/1 -> 10     xb: 4*0.25/(4*10**2) -> 0.0025
 
 # --- blur two blobs together and watch every index degrade ---
 rng = np.random.default_rng(3)

@@ -1,8 +1,10 @@
 """Cluster validation indices and the geometry statistics behind them.
 
 Five scores over a crisp partition: silhouette, Calinski-Harabasz,
-Davies-Bouldin, Dunn, and Xie-Beni (the last optionally fuzzy, from a
-membership matrix). Distances are Euclidean throughout. Structural
+Davies-Bouldin, Dunn and Xie-Beni, each read from one
+:class:`PartitionGeometry`; :func:`evaluate_all` alone scores Xie-Beni
+fuzzily, from a fitted model's memberships and centroids. Distances are
+Euclidean throughout. Structural
 degeneracies that send a score to infinity (zero within-cluster scatter,
 zero max diameter) return ``math.inf`` and are flagged "degenerate" in
 reports instead of being serialized as a float; a genuine division by
@@ -15,7 +17,8 @@ cluster, so each inter-cluster pair is computed once. Rows are chunked
 so memory stays bounded, and every distance is computed pair by pair
 (no matrix product shortcuts), so a min or max over a subset of the
 points equals the same min or max over the full set bit for bit
-whenever the attaining pair survives the subsetting.
+whenever the attaining pair survives the subsetting. Besides that pass,
+a geometry measures only its k×k centroid gaps.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ class PartitionGeometry:
     Per-cluster statistics are read from each cluster's contiguous block
     of the points sorted stably by ``canon``. ``own_gaps[p]`` is point
     p's distance to its centroid; ``mean_scatter`` and ``radii`` are
-    each cluster's mean and max of those. Diameters are max pairwise
+    each cluster's mean and max of those. ``within``, the sum of their
+    squares taken before the square root, is the compactness that
+    Calinski-Harabasz and Xie-Beni share. Diameters are max pairwise
     intra-cluster distances, ``min_separation_points`` the minimum over
     inter-cluster point pairs, and ``centroid_gaps`` the k×k centroid
     distances with an infinite diagonal. Singletons have diameter,
@@ -75,6 +80,7 @@ class PartitionGeometry:
     own_gaps: np.ndarray
     mean_scatter: np.ndarray
     radii: np.ndarray
+    within: float
     min_separation_points: float
     centroid_gaps: np.ndarray
     distance_sums: np.ndarray
@@ -110,6 +116,12 @@ def _distance_pass(
     return sums, diameters, float(min_sep)
 
 
+def _centroid_gaps(centroids: np.ndarray) -> np.ndarray:
+    gaps = cdist(centroids, centroids)
+    np.fill_diagonal(gaps, math.inf)
+    return gaps
+
+
 def partition_geometry(points, labels) -> PartitionGeometry:
     """Compute the shared statistics every index draws on."""
     x = np.asarray(points, dtype=float)
@@ -130,17 +142,19 @@ def partition_geometry(points, labels) -> PartitionGeometry:
     own_gaps = np.empty(x.shape[0])
     scatter = np.empty(k)
     radii = np.empty(k)
+    cluster_within = np.empty(k)
     for c in range(k):
         members = xs[bounds[c] : bounds[c + 1]]
         centroids[c] = members.mean(axis=0)
-        norms = np.linalg.norm(members - centroids[c], axis=1)
+        diff = members - centroids[c]
+        # np.linalg.norm's own arithmetic, its squares kept for ``within``.
+        squared = (diff * diff).sum(axis=1)
+        norms = np.sqrt(squared)
         own_gaps[order[bounds[c] : bounds[c + 1]]] = norms
-        scatter[c], radii[c] = norms.mean(), norms.max()
+        scatter[c], radii[c], cluster_within[c] = norms.mean(), norms.max(), squared.sum()
     sorted_sums, diameters, min_sep_points = _distance_pass(xs, bounds)
     sums = np.empty_like(sorted_sums)
     sums[order] = sorted_sums
-    gaps = cdist(centroids, centroids)
-    np.fill_diagonal(gaps, math.inf)
     return PartitionGeometry(
         points=x,
         labels=y,
@@ -153,8 +167,9 @@ def partition_geometry(points, labels) -> PartitionGeometry:
         own_gaps=own_gaps,
         mean_scatter=scatter,
         radii=radii,
+        within=float(cluster_within.sum()),
         min_separation_points=min_sep_points,
-        centroid_gaps=gaps,
+        centroid_gaps=_centroid_gaps(centroids),
         distance_sums=sums,
     )
 
@@ -188,16 +203,11 @@ def _calinski_harabasz(geom: PartitionGeometry) -> float:
         raise ValueError("index needs at least 2 clusters")
     if k >= n:
         raise ValueError("index needs k < N")
-    between = float(
-        (
-            geom.cluster_sizes
-            * np.square(geom.centroids - geom.data_centroid).sum(axis=1)
-        ).sum()
-    )
-    within = float(np.square(geom.points - geom.centroids[geom.canon]).sum())
-    if within == 0.0:
+    spread = np.square(geom.centroids - geom.data_centroid).sum(axis=1)
+    between = float((geom.cluster_sizes * spread).sum())
+    if geom.within == 0.0:
         return math.inf
-    return (between / (k - 1)) / (within / (n - k))
+    return (between / (k - 1)) / (geom.within / (n - k))
 
 
 def _davies_bouldin(geom: PartitionGeometry) -> float:
@@ -219,6 +229,20 @@ def _dunn(geom: PartitionGeometry) -> float:
     if max_diameter == 0.0:
         return math.inf
     return geom.min_separation_points / max_diameter
+
+
+def _xie_beni_ratio(scatter: float, n: int, gaps: np.ndarray) -> float:
+    """Xie-Beni from its scatter and the centroid gaps (infinite diagonal)."""
+    if gaps.shape[0] < 2:
+        raise ValueError("index needs at least 2 clusters")
+    min_gap = float(gaps.min())
+    if min_gap == 0.0:
+        raise CoincidentCentroidsError("two centroids coincide")
+    return scatter / (n * min_gap**2)
+
+
+def _xie_beni(geom: PartitionGeometry) -> float:
+    return _xie_beni_ratio(geom.within, geom.points.shape[0], geom.centroid_gaps)
 
 
 def silhouette(points, labels) -> float:
@@ -257,49 +281,11 @@ def dunn(points, labels) -> float:
     return _dunn(partition_geometry(points, labels))
 
 
-def xie_beni(points, u_or_labels, centroids=None, m: float = 2.0) -> float:
-    """Membership-weighted squared scatter over N times squared min
-    centroid separation.
-
-    Accepts either a hard label vector (converted to one-hot memberships,
-    for which any fuzzifier gives the crisp value exactly) or an N×k
-    membership matrix. Centroids default to the per-cluster means for
-    labels, or to the membership-weighted means for a fuzzy matrix.
-    """
-    x = np.asarray(points, dtype=float)
-    u = np.asarray(u_or_labels)
-    if u.ndim == 1:
-        _, canon = np.unique(u, return_inverse=True)
-        k = int(canon.max()) + 1 if canon.size else 0
-        onehot = np.zeros((x.shape[0], k))
-        onehot[np.arange(x.shape[0]), canon] = 1.0
-        u = onehot
-        if centroids is None:
-            centroids = np.array(
-                [x[canon == c].mean(axis=0) for c in range(k)]
-            )
-    elif u.ndim == 2:
-        u = u.astype(float)
-        if u.shape[0] != x.shape[0]:
-            raise ValueError("membership rows must match the number of points")
-        if centroids is None:
-            if not m > 1.0:
-                raise ValueError("fuzzifier must exceed 1 to derive centroids")
-            w = u**m
-            centroids = (w.T @ x) / w.sum(axis=0)[:, None]
-    else:
-        raise ValueError("second argument must be labels or a membership matrix")
-    cent = np.asarray(centroids, dtype=float)
-    k = cent.shape[0]
-    if k < 2:
-        raise ValueError("index needs at least 2 clusters")
-    gaps = cdist(cent, cent)
-    np.fill_diagonal(gaps, math.inf)
-    min_gap = float(gaps.min())
-    if min_gap == 0.0:
-        raise CoincidentCentroidsError("two centroids coincide")
-    scatter = float(((u**m) * cdist(x, cent) ** 2).sum())
-    return scatter / (x.shape[0] * min_gap**2)
+def xie_beni(points, labels) -> float:
+    """Within-cluster sum of squared distances to the centroids over N
+    times the squared minimum centroid separation. The fuzzy form, over a
+    fitted model's memberships, is scored by :func:`evaluate_all`."""
+    return _xie_beni(partition_geometry(points, labels))
 
 
 @dataclass(frozen=True)
@@ -326,44 +312,27 @@ class CviReport:
         return {name: getattr(self, name) for name in INDEX_NAMES}
 
 
-def _collect(parts: dict, name: str, compute) -> None:
-    try:
-        value = compute()
-    except ValueError as exc:
-        parts[name] = None
-        parts["errors"].append((name, str(exc)))
-        return
-    if math.isinf(value):
-        parts["degenerate"].append(name)
-    parts[name] = value
-
-
-def _report(geom: PartitionGeometry, xb, fuzzy: bool) -> CviReport:
-    parts: dict = {"degenerate": [], "errors": []}
-    _collect(parts, "sh", lambda: _silhouette(geom))
-    _collect(parts, "ch", lambda: _calinski_harabasz(geom))
-    _collect(parts, "db", lambda: _davies_bouldin(geom))
-    _collect(parts, "di", lambda: _dunn(geom))
-    _collect(parts, "xb", xb)
-    return CviReport(
-        sh=parts["sh"],
-        ch=parts["ch"],
-        db=parts["db"],
-        di=parts["di"],
-        xb=parts["xb"],
-        k_effective=geom.k,
-        fuzzy=fuzzy,
-        degenerate=tuple(parts["degenerate"]),
-        errors=tuple(parts["errors"]),
-    )
+def _report(geom: PartitionGeometry, xie_beni_index, fuzzy: bool) -> CviReport:
+    """A failing index is recorded in the report; the others still run."""
+    values: dict = {}
+    degenerate, errors = [], []
+    indices = (_silhouette, _calinski_harabasz, _davies_bouldin, _dunn, xie_beni_index)
+    for name, index in zip(INDEX_NAMES, indices):
+        try:
+            values[name] = index(geom)
+        except ValueError as exc:
+            values[name] = None
+            errors.append((name, str(exc)))
+            continue
+        if math.isinf(values[name]):
+            degenerate.append(name)
+    return CviReport(k_effective=geom.k, fuzzy=fuzzy, degenerate=tuple(degenerate),
+                     errors=tuple(errors), **values)
 
 
 def evaluate_geometry(geom: PartitionGeometry) -> CviReport:
-    """All five indices on a hard partition's geometry, Xie-Beni in crisp
-    mode. A failing index is recorded in the report; the others still run."""
-    return _report(
-        geom, lambda: xie_beni(geom.points, geom.labels, geom.centroids), fuzzy=False
-    )
+    """All five indices on a hard partition's geometry, Xie-Beni crisp."""
+    return _report(geom, _xie_beni, fuzzy=False)
 
 
 def evaluate_labels(points, labels) -> CviReport:
@@ -374,16 +343,23 @@ def evaluate_labels(points, labels) -> CviReport:
 def evaluate_all(points, model) -> CviReport:
     """All five indices for a fitted model's partition.
 
-    The four label-based indices use the hardened labels; Xie-Beni uses
-    the membership matrix and fitted centroids, so the crisp Xie-Beni is
-    never computed. Singleton clusters count as clusters.
+    The four label-based indices use the hardened labels. Xie-Beni is
+    fuzzy: the memberships raised to the model's fuzzifier weigh the
+    squared distances to the fitted centroids, and the separation is that
+    of the fitted centroids, so the crisp Xie-Beni is never computed.
+    Singleton clusters count as clusters.
     """
-    geom = partition_geometry(points, model.labels)
-    return _report(
-        geom,
-        lambda: xie_beni(geom.points, model.memberships, model.centroids, model.fuzzifier),
-        fuzzy=True,
-    )
+
+    def fuzzy_xie_beni(geom: PartitionGeometry) -> float:
+        u = np.asarray(model.memberships, dtype=float)
+        if u.shape[0] != geom.points.shape[0]:
+            raise ValueError("membership rows must match the number of points")
+        centroids = np.asarray(model.centroids, dtype=float)
+        gaps = _centroid_gaps(centroids)
+        scatter = float(((u**model.fuzzifier) * cdist(geom.points, centroids) ** 2).sum())
+        return _xie_beni_ratio(scatter, geom.points.shape[0], gaps)
+
+    return _report(partition_geometry(points, model.labels), fuzzy_xie_beni, fuzzy=True)
 
 
 def report_to_dict(report: CviReport) -> dict:

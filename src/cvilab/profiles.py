@@ -39,7 +39,8 @@ _BLOCK_BYTES = 1 << 22
 
 
 class CsvFormatError(ValueError):
-    """Malformed readings CSV; carries the offending 1-based line number."""
+    """Malformed readings or profile CSV; carries the offending 1-based
+    line number."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -601,24 +602,40 @@ def write_profiles_csv(matrix: ProfileMatrix, target) -> None:
 def read_profiles_csv(source) -> ProfileMatrix:
     """Read a profile CSV written by :func:`write_profiles_csv`.
 
-    The values come back bit for bit as stored; a value that is not finite
-    is rejected.
+    The values come back bit for bit as stored. A wrong header or field
+    count, an empty or repeated household id, a value that is not a finite
+    number or a file with no profiles raises :class:`CsvFormatError` with
+    the line.
     """
     households = []
     rows = []
+    lines = []  # where each row ends, for the checks made after reading
     with _open_text(source) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PROFILE_CSV_HEADER:
-            raise ValueError("unexpected profile CSV header")
+        if next(reader, None) != PROFILE_CSV_HEADER:
+            raise CsvFormatError(1, "unexpected profile CSV header")
         for row in reader:
             if not row:
                 continue
             if len(row) != SLOTS_PER_DAY + 1:
-                raise ValueError(f"profile row for {row[0]!r} has {len(row) - 1} slots")
+                raise CsvFormatError(
+                    reader.line_num, f"profile row for {row[0]!r} has {len(row) - 1} slots"
+                )
+            if not row[0]:
+                raise CsvFormatError(reader.line_num, "empty household_id")
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as exc:  # "could not convert string to float: 'x'"
+                raise CsvFormatError(reader.line_num, str(exc)) from None
             households.append(row[0])
-            rows.append([float(v) for v in row[1:]])
+            lines.append(reader.line_num)
+    if not rows:
+        raise CsvFormatError(2, "no profiles after the header")
+    if len(set(households)) != len(households):
+        dup = next(i for i, hid in enumerate(households) if households.index(hid) < i)
+        raise CsvFormatError(lines[dup], f"duplicate household_id {households[dup]!r}")
     values = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("profile contains non-finite entries")
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise CsvFormatError(lines[int(bad.argmax())], "profile contains non-finite entries")
     return ProfileMatrix(households=tuple(households), values=values)

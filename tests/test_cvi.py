@@ -163,12 +163,28 @@ class TestXieBeni:
         with pytest.raises(CoincidentCentroidsError):
             xie_beni(points, labels)
 
-    def test_one_hot_membership_matches_crisp_bitwise(self):
+    def test_crisp_reads_the_geometry_bitwise(self):
+        for seed in range(5):
+            points, labels = random_labeled(seed, max_points=40)
+            geom = partition_geometry(points, labels)
+            want = geom.within / (len(points) * geom.centroid_gaps.min() ** 2)
+            assert xie_beni(points, labels) == want
+
+    def test_one_hot_memberships_agree_with_crisp(self):
+        # Unit memberships weigh the squared distances to the label means
+        # whatever the fuzzifier; the fuzzy form squares cdist's roots, so
+        # only the last bits may differ.
         points, labels = random_labeled(4, max_points=40)
-        k = len(set(labels.tolist()))
-        onehot = np.eye(k)[labels]
-        assert xie_beni(points, onehot, m=2.0) == xie_beni(points, labels)
-        assert xie_beni(points, onehot, m=3.7) == xie_beni(points, labels)
+        geom = partition_geometry(points, labels)
+        for m in (2.0, 3.7):
+            model = SimpleNamespace(
+                labels=labels,
+                memberships=np.eye(geom.k)[geom.canon],
+                centroids=geom.centroids,
+                fuzzifier=m,
+            )
+            fuzzy = evaluate_all(points, model).xb
+            assert fuzzy == pytest.approx(xie_beni(points, labels), rel=1e-12, abs=0)
 
     def test_fuzzy_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(9)
@@ -177,16 +193,12 @@ class TestXieBeni:
             u = rng.random((25, 4))
             u /= u.sum(axis=1, keepdims=True)
             centroids = rng.normal(size=(4, 3))
-            got = xie_beni(points, u, centroids=centroids, m=m)
+            model = SimpleNamespace(
+                labels=u.argmax(axis=1), memberships=u, centroids=centroids, fuzzifier=m
+            )
+            got = evaluate_all(points, model).xb
             want = oracles.naive_xie_beni_fuzzy(points, u, centroids, m)
             assert got == pytest.approx(want, rel=1e-10)
-
-    def test_fuzzifier_must_exceed_one_for_weighted_centroids(self):
-        rng = np.random.default_rng(2)
-        u = rng.random((10, 2))
-        u /= u.sum(axis=1, keepdims=True)
-        with pytest.raises(ValueError):
-            xie_beni(rng.normal(size=(10, 2)), u, m=1.0)
 
 
 class TestAgainstNaiveOracles:
@@ -329,6 +341,24 @@ class TestReports:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             evaluate_labels(np.ones((4, 2)), np.array([0, 0, 1]))
+
+    @pytest.mark.parametrize(
+        "index", [silhouette, calinski_harabasz, davies_bouldin, dunn, xie_beni],
+        ids=lambda index: index.__name__,
+    )
+    @pytest.mark.parametrize(
+        "points, labels, message",
+        [
+            (np.arange(8.0).reshape(4, 2), np.array([0, 0, 1]),
+             "labels must be 1-D and match the number of points"),
+            (np.array([[0.0, 0.0], [0.0, math.nan], [5.0, 0.0], [5.0, 1.0]]),
+             np.array([0, 0, 1, 1]), "points contain non-finite entries"),
+        ],
+        ids=["short-labels", "nan-point"],
+    )
+    def test_bad_input_raises_alike_in_every_index(self, index, points, labels, message):
+        with pytest.raises(ValueError, match=message):
+            index(points, labels)
 
     def test_single_cluster_recorded_as_errors(self):
         # Degenerate partitions produce a report with per-index errors
@@ -514,13 +544,50 @@ class TestFusedEvaluation:
         evaluate_labels(points, labels)
         assert sum(pairs) < 0.65 * n * n
 
+    def test_crisp_report_measures_centroids_once(self, monkeypatch):
+        """Beside the distance-pass chunks, one k×k centroid cdist; no
+        point is measured against a centroid."""
+        import cvilab.cvi as cvi_module
+
+        rng = np.random.default_rng(6)
+        x = np.vstack([rng.normal(c, 0.5, size=(50, 2)) for c in ((0, 0), (6, 0), (0, 6))])
+        labels = np.repeat(np.arange(3), 50)
+        shapes = []
+        real_cdist = cvi_module.cdist
+        monkeypatch.setattr(
+            cvi_module, "cdist", lambda a, b: shapes.append((a.shape, b.shape)) or real_cdist(a, b)
+        )
+        evaluate_labels(x, labels)
+        chunks = [((50, 2), (150, 2)), ((50, 2), (100, 2)), ((50, 2), (50, 2))]
+        assert shapes == chunks + [((3, 2), (3, 2))]
+
+
+def membership_xie_beni(points, u, centroids, m):
+    """The fuzzy Xie-Beni written out step by step, as ``xie_beni``
+    computed it when it still took a membership matrix."""
+    x = np.asarray(points, dtype=float)
+    u = np.asarray(u).astype(float)
+    if u.shape[0] != x.shape[0]:
+        raise ValueError("membership rows must match the number of points")
+    cent = np.asarray(centroids, dtype=float)
+    if cent.shape[0] < 2:
+        raise ValueError("index needs at least 2 clusters")
+    gaps = cdist(cent, cent)
+    np.fill_diagonal(gaps, math.inf)
+    min_gap = float(gaps.min())
+    if min_gap == 0.0:
+        raise CoincidentCentroidsError("two centroids coincide")
+    scatter = float(((u**m) * cdist(x, cent) ** 2).sum())
+    return scatter / (x.shape[0] * min_gap**2)
+
 
 def fuzzy_report_reference(points, model):
     """The crisp report with its Xie-Beni swapped for the fuzzy one, as
     evaluate_all first built it."""
     crisp = evaluate_labels(points, model.labels)
     try:
-        xb, errors = xie_beni(points, model.memberships, model.centroids, model.fuzzifier), ()
+        xb = membership_xie_beni(points, model.memberships, model.centroids, model.fuzzifier)
+        errors = ()
     except ValueError as exc:
         xb, errors = None, (("xb", str(exc)),)
     return replace(
@@ -587,19 +654,3 @@ class TestFuzzyReport:
         # use the crisp centroids; no point is measured against them.
         assert [call[:2] for call in calls if call[2]] == [((4, 2), (4, 2))]
         assert ((400, 2), (4, 2), False) in calls  # the fuzzy Xie-Beni
-
-    def test_crisp_report_measures_centroid_gaps_twice(self, monkeypatch):
-        """The geometry's gaps (read by Davies-Bouldin) and the crisp
-        Xie-Beni's are the only centroid-to-centroid distances."""
-        import cvilab.cvi as cvi_module
-
-        rng = np.random.default_rng(6)
-        x = np.vstack([rng.normal(c, 0.5, size=(50, 2)) for c in ((0, 0), (6, 0), (0, 6))])
-        labels = np.repeat(np.arange(3), 50)
-        shapes = []
-        real_cdist = cvi_module.cdist
-        monkeypatch.setattr(
-            cvi_module, "cdist", lambda a, b: shapes.append((a.shape, b.shape)) or real_cdist(a, b)
-        )
-        evaluate_labels(x, labels)
-        assert shapes.count(((3, 2), (3, 2))) == 2

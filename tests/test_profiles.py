@@ -847,13 +847,53 @@ class TestProfileCsv:
                 read_profiles_csv(io.StringIO(text))
 
     def test_read_rejects_surprise_header(self):
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(CsvFormatError, match="line 1: unexpected profile CSV header"):
             read_profiles_csv(io.StringIO("who,what\n"))
 
     def test_read_rejects_short_row(self):
         text = ",".join(PROFILE_CSV_HEADER) + "\nA,1.0,2.0\n"
         with pytest.raises(ValueError, match="slots"):
             read_profiles_csv(io.StringIO(text))
+
+    @staticmethod
+    def profile_text(*rows):
+        """A profile CSV: the header, then one line per row."""
+        return "\n".join([",".join(PROFILE_CSV_HEADER), *rows]) + "\n"
+
+    def read_error(self, text):
+        with pytest.raises(CsvFormatError) as err:
+            read_profiles_csv(io.StringIO(text))
+        return err.value
+
+    def test_bad_value_names_its_line(self):
+        good = "A," + ",".join(["0.1"] * 96)
+        bad = "B," + ",".join(["0.1"] * 40 + ["x"] + ["0.1"] * 55)
+        err = self.read_error(self.profile_text(good, "", bad))
+        assert err.line == 4
+        assert str(err) == "line 4: could not convert string to float: 'x'"
+
+    def test_short_row_names_its_line(self):
+        err = self.read_error(self.profile_text("a," + ",".join(["0.1"] * 96), "b,1.0,2.0"))
+        assert str(err) == "line 3: profile row for 'b' has 2 slots"
+
+    def test_non_finite_names_its_line(self):
+        rows = [f"h{i}," + ",".join(["0.1"] * 96) for i in range(3)]
+        rows[2] = rows[2][: -len("0.1")] + "nan"
+        err = self.read_error(self.profile_text(*rows))
+        assert str(err) == "line 4: profile contains non-finite entries"
+
+    def test_header_without_rows_is_an_error(self):
+        err = self.read_error(self.profile_text())
+        assert str(err) == "line 2: no profiles after the header"
+
+    def test_empty_household_id_rejected(self):
+        err = self.read_error(self.profile_text("," + ",".join(["0.1"] * 96)))
+        assert str(err) == "line 2: empty household_id"
+
+    def test_repeated_household_names_its_line(self):
+        rows = [f"{hid}," + ",".join(["0.1"] * 96) for hid in ("a", "b", "c", "b")]
+        err = self.read_error(self.profile_text(*rows))
+        assert str(err) == "line 5: duplicate household_id 'b'"
 
     def test_profiles_from_readings_end_to_end(self):
         rng = np.random.default_rng(6)
