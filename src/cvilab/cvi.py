@@ -161,7 +161,7 @@ def partition_geometry(points, labels) -> PartitionGeometry:
         label_values=label_values,
         canon=canon,
         centroids=centroids,
-        data_centroid=x.mean(axis=0),
+        data_centroid=x.mean(axis=0) if x.shape[0] else np.full(x.shape[1], math.nan),
         cluster_sizes=sizes,
         diameters=diameters,
         own_gaps=own_gaps,
@@ -336,7 +336,8 @@ def evaluate_geometry(geom: PartitionGeometry) -> CviReport:
 
 
 def evaluate_labels(points, labels) -> CviReport:
-    """All five indices on a hard partition, from one shared geometry."""
+    """All five indices on a hard partition, from one shared geometry.
+    With no points, every index is recorded in ``errors``."""
     return evaluate_geometry(partition_geometry(points, labels))
 
 

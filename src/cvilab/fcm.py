@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cvi import cdist
-from .rng import derive_stream
+from .rng import derive_stream, fork_map
 
 K_MAX_DEFAULT = 10
 
@@ -236,18 +236,14 @@ def select_cluster_count(
         raise ValueError(f"bad k range [{lo}, {hi}]")
     if hi > x.shape[0] - 1:
         raise ValueError(f"k range upper bound {hi} exceeds N-1 = {x.shape[0] - 1}")
-    curve: list[tuple[int, float]] = []
-    best: tuple[int, float, ClusterModel] | None = None
-    for k in range(lo, hi + 1):
-        model = fit_fcm(x, replace(config, k=k))
-        fpc = fuzzy_partition_coefficient(model.memberships)
-        curve.append((k, fpc))
-        # k rises, so a strictly higher FPC is needed to displace a smaller k;
-        # only the best model so far is kept alive.
-        if best is None or fpc > best[1]:
-            best = (k, fpc, model)
-    best_k, _, best_model = best
-    return best_k, curve, best_model
+    from scipy.spatial import distance  # noqa: F401 (loaded once, before the fork)
+    ks = range(lo, hi + 1)
+    # One k per worker task; fork_map hands out the costliest, largest k first.
+    models = fork_map(lambda k: fit_fcm(x, replace(config, k=k)), ks)
+    curve = [(k, fuzzy_partition_coefficient(model.memberships)) for k, model in zip(ks, models)]
+    # max keeps the first of equal FPCs, so a tie goes to the smaller k.
+    best = max(range(len(ks)), key=lambda i: curve[i][1])
+    return ks[best], curve, models[best]
 
 
 def model_to_dict(model: ClusterModel) -> dict:

@@ -6,7 +6,7 @@ singleton clusters, injecting extra points near each cluster's center,
 and shrinking every cluster's radius. The partition is held fixed while
 the indices are recomputed (an optional refit callback re-clusters
 instead), trials draw from per-trial derived RNG streams so runs are
-bit-reproducible and parallelizable, and a per-index verdict summarizes
+bit-reproducible at any worker count, and a per-index verdict summarizes
 whether the perturbation helped.
 """
 
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -31,7 +29,7 @@ from .cvi import (
     report_from_dict,
     report_to_dict,
 )
-from .rng import derive_stream
+from .rng import derive_stream, fork_map, worker_count  # noqa: F401 (perturb.worker_count)
 
 EXPERIMENT_KINDS = ("outliers", "density", "diameter")
 
@@ -104,20 +102,6 @@ class ExperimentReport:
 
     def verdict_map(self) -> dict[str, str]:
         return dict(self.verdicts)
-
-
-def worker_count() -> int:
-    """Trial worker cap: CVILAB_THREADS when set, else the CPU count."""
-    raw = os.environ.get("CVILAB_THREADS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ValueError(f"CVILAB_THREADS must be a positive integer, got {raw!r}")
-        return value
-    return os.cpu_count() or 1
 
 
 def find_singleton_clusters(labels) -> list[int]:
@@ -246,11 +230,7 @@ def _average_rows(
 
 
 def _run_trials(trial_fn, trials: int) -> list[ExperimentRow]:
-    workers = min(worker_count(), trials)
-    if workers <= 1:
-        return [trial_fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial_fn, range(trials)))
+    return fork_map(trial_fn, range(trials))
 
 
 def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> ExperimentReport:

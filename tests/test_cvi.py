@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -509,6 +510,14 @@ class TestFusedEvaluation:
         values, errors = indices_one_by_one(points, labels)
         assert report.value_map() == values
         assert report.errors == errors
+
+    def test_empty_partition_records_every_index_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate_labels(np.empty((0, 2)), np.array([], dtype=int))
+        assert report.value_map() == dict.fromkeys(INDEX_NAMES)
+        assert [name for name, _ in report.errors] == list(INDEX_NAMES)
+        assert report.k_effective == 0
 
     def test_coincident_centroids_error_type(self):
         points = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])

@@ -1,6 +1,9 @@
 """Perturbation experiments: outlier toggling, density, diameter, verdicts."""
 
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from cvilab import (
     shrink_clusters,
 )
 from cvilab.perturb import _sample_in_ball, _sign_test_tail, worker_count
-from cvilab.rng import derive_stream
+from cvilab.rng import derive_stream, fork_map
 
 
 def blob(rng, center, n, spread=0.25):
@@ -311,13 +314,15 @@ class TestDensityExperiment:
         assert experiment_to_json(a) == experiment_to_json(b)
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
+        """Every experiment, density included, at 1, 2 and 3 workers."""
         x, labels = blobs_with_singletons()
         config = PerturbConfig(seed=10, trials=6)
-        monkeypatch.setenv("CVILAB_THREADS", "1")
-        serial = density_experiment(x, labels, config)
-        monkeypatch.setenv("CVILAB_THREADS", "6")
-        threaded = density_experiment(x, labels, config)
-        assert experiment_to_json(serial) == experiment_to_json(threaded)
+        for run in (outlier_experiment, density_experiment, diameter_experiment):
+            texts = []
+            for workers in ("1", "2", "3"):
+                monkeypatch.setenv("CVILAB_THREADS", workers)
+                texts.append(experiment_to_json(run(x, labels, config)))
+            assert texts[1] == texts[0] and texts[2] == texts[0], run.__name__
 
     def test_needs_two_nonsingleton_clusters(self):
         x = np.vstack([np.random.default_rng(0).normal(size=(6, 2)), [[9.0, 9.0]]])
@@ -544,6 +549,8 @@ class TestOneGeometryPerExperiment:
     def test_every_draw_reads_the_baseline_centroids(self, run, monkeypatch):
         """The baseline's geometry is measured once: every sampler call
         of the experiment gets the same centroid array."""
+        # The calls are recorded in this process, so the trials run here.
+        monkeypatch.setenv("CVILAB_THREADS", "1")
         seen = []
         real = perturb._sample_in_ball
 
@@ -755,3 +762,66 @@ class TestSerializationAndCsv:
         assert average.ch == pytest.approx(20.0, abs=1e-12)
         assert dict(counts)["ch"] == 2
         assert dict(counts)["sh"] == 0
+
+
+def _pid_of(item):
+    return os.getpid()
+
+
+class TestForkMap:
+    """fork_map: the trials' and the k-selection's worker processes."""
+
+    def test_results_in_item_order_from_workers(self, monkeypatch):
+        monkeypatch.setenv("CVILAB_THREADS", "3")
+        offset = 7  # reaches the workers through fork, as a closure
+        assert fork_map(lambda i: i * i + offset, range(10)) == [i * i + 7 for i in range(10)]
+        pids = set(fork_map(_pid_of, range(10)))
+        assert os.getpid() not in pids and 1 <= len(pids) <= 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers, items", [("1", 4), ("3", 1)])
+    def test_one_worker_or_item_stays_in_process(self, monkeypatch, workers, items):
+        monkeypatch.setenv("CVILAB_THREADS", workers)
+        assert fork_map(_pid_of, range(items)) == [os.getpid()] * items
+
+    def test_worker_error_keeps_type_and_message(self, monkeypatch):
+        """A sampler failure in a worker reaches the caller as raised; of
+        several failing items, the first in item order is the one raised,
+        as in the plain loop. No worker is left after the failure."""
+        monkeypatch.setenv("CVILAB_THREADS", "3")
+        parent = os.getpid()
+
+        def trial(t):
+            if os.getpid() != parent and t in (1, 3):
+                raise RejectionBudgetError(f"no acceptable sample for cluster {t} in 5 attempts")
+            return t
+
+        with pytest.raises(RejectionBudgetError) as caught:
+            fork_map(trial, range(6))
+        assert str(caught.value) == "no acceptable sample for cluster 1 in 5 attempts"
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_raises_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setenv("CVILAB_THREADS", "2")
+        parent = os.getpid()
+
+        def trial(t):
+            if os.getpid() != parent and t == 2:
+                os._exit(1)
+            return t
+
+        with pytest.raises(BrokenProcessPool):
+            fork_map(trial, range(4))
+        assert multiprocessing.active_children() == []
+
+    def test_call_inside_a_worker_runs_serially(self, monkeypatch):
+        monkeypatch.setenv("CVILAB_THREADS", "2")
+
+        def outer(i):
+            inner = fork_map(_pid_of, range(3))
+            return os.getpid(), inner
+
+        results = fork_map(outer, range(4))
+        for pid, inner in results:
+            assert pid != os.getpid() and inner == [pid] * 3
+        assert multiprocessing.active_children() == []

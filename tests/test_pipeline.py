@@ -406,7 +406,9 @@ def assert_models_bitwise_equal(a, b):
 
 @pytest.fixture
 def fitted_k(monkeypatch):
-    """k of every fit_fcm call made during the test."""
+    """k of every fit_fcm call made during the test. The calls are
+    recorded in this process, so the fits run here."""
+    monkeypatch.setenv("CVILAB_THREADS", "1")
     ks = []
     real_fit = fcm_mod.fit_fcm
 
@@ -431,6 +433,19 @@ class TestFitModels:
         template = fcm_mod.FcmConfig(k=k_star, fuzzifier=config.fuzzifier, seed=config.seed)
         refit = fcm_mod.fit_fcm(reduced, template)
         assert_models_bitwise_equal(model, refit)
+
+    def test_fpc_selection_alike_at_every_worker_count(self, monkeypatch):
+        """The k fits run in forked workers: same k, curve and model bits."""
+        data = np.random.default_rng(4).normal(size=(60, 3))
+        data[:20] += 6.0
+        template = fcm_mod.FcmConfig(k=2, seed=5)
+        runs = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("CVILAB_THREADS", workers)
+            runs.append(fcm_mod.select_cluster_count(data, template, (2, 6)))
+        for k, curve, model in runs[1:]:
+            assert (k, curve) == runs[0][:2]
+            assert_models_bitwise_equal(model, runs[0][2])
 
     def test_fixed_k_fits_once(self, tmp_path, fitted_k):
         config = pl.build_run_config(small_raw(tmp_path))
@@ -927,18 +942,21 @@ class TestSkippedExperiment:
         (["--synth.cluster-size", "4", "--synth.spread", "0", "--k", "3"], "ExperimentSkipped",
          "cluster 0 has zero radius"),
     ], ids=["rejection-budget", "zero-radius"])
-    def test_sampler_that_cannot_draw(self, tmp_path, capsys, flags, error, reason):
-        out = tmp_path / "out"
-        argv = ["--synth.clusters", "3", *flags, "--space", "original", "--seed", "1",
-                "--experiments", "density", "--trials", "5", "--out", str(out)]
-        assert cli.main(["run", *argv]) == 0
-        payload = json.loads((out / "experiment_density.json").read_text())
-        assert payload == {"kind": "density", "skipped": reason}
-        assert f"experiment: density skipped ({reason})" in (out / "summary.txt").read_text()
-        assert pl.verify_manifest(out) == []
-        assert cli_error(capsys, ["experiment", "density", *argv]) == {
-            "error": error, "message": reason,
-        }
+    def test_sampler_that_cannot_draw(self, tmp_path, capsys, monkeypatch, flags, error, reason):
+        """Alike in the process and when the trials fail in workers."""
+        for workers in ("1", "3"):
+            monkeypatch.setenv("CVILAB_THREADS", workers)
+            out = tmp_path / f"out{workers}"
+            argv = ["--synth.clusters", "3", *flags, "--space", "original", "--seed", "1",
+                    "--experiments", "density", "--trials", "5", "--out", str(out)]
+            assert cli.main(["run", *argv]) == 0
+            payload = json.loads((out / "experiment_density.json").read_text())
+            assert payload == {"kind": "density", "skipped": reason}
+            assert f"experiment: density skipped ({reason})" in (out / "summary.txt").read_text()
+            assert pl.verify_manifest(out) == []
+            assert cli_error(capsys, ["experiment", "density", *argv]) == {
+                "error": error, "message": reason,
+            }
 
 
 class TestStaleArtifacts:
