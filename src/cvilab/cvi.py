@@ -292,8 +292,8 @@ def xie_beni(points, labels) -> float:
 class CviReport:
     """All five index values for one partition.
 
-    A value is a finite float normally, ``math.inf`` when flagged in
-    ``degenerate``, and ``None`` when the index raised (message kept in
+    A value is a finite float normally, ``math.inf`` when the index is
+    degenerate, and ``None`` when the index raised (message kept in
     ``errors``). ``fuzzy`` records whether the Xie-Beni value used a
     membership matrix rather than hard labels.
     """
@@ -305,17 +305,21 @@ class CviReport:
     xb: float | None
     k_effective: int
     fuzzy: bool
-    degenerate: tuple[str, ...] = ()
     errors: tuple[tuple[str, str], ...] = ()
 
     def value_map(self) -> dict[str, float | None]:
         return {name: getattr(self, name) for name in INDEX_NAMES}
 
+    @property
+    def degenerate(self) -> tuple[str, ...]:
+        """The indices whose value is infinite, in index order."""
+        return tuple(n for n, v in self.value_map().items() if v is not None and math.isinf(v))
+
 
 def _report(geom: PartitionGeometry, xie_beni_index, fuzzy: bool) -> CviReport:
     """A failing index is recorded in the report; the others still run."""
     values: dict = {}
-    degenerate, errors = [], []
+    errors = []
     indices = (_silhouette, _calinski_harabasz, _davies_bouldin, _dunn, xie_beni_index)
     for name, index in zip(INDEX_NAMES, indices):
         try:
@@ -323,11 +327,7 @@ def _report(geom: PartitionGeometry, xie_beni_index, fuzzy: bool) -> CviReport:
         except ValueError as exc:
             values[name] = None
             errors.append((name, str(exc)))
-            continue
-        if math.isinf(values[name]):
-            degenerate.append(name)
-    return CviReport(k_effective=geom.k, fuzzy=fuzzy, degenerate=tuple(degenerate),
-                     errors=tuple(errors), **values)
+    return CviReport(k_effective=geom.k, fuzzy=fuzzy, errors=tuple(errors), **values)
 
 
 def evaluate_geometry(geom: PartitionGeometry) -> CviReport:
@@ -376,6 +376,7 @@ def report_to_dict(report: CviReport) -> dict:
 
 
 def report_from_dict(payload: dict) -> CviReport:
+    """JSON holds an infinite value as null, its index in ``degenerate_flags``."""
     values: dict = {}
     degenerate = tuple(payload.get("degenerate_flags", ()))
     errors = tuple((k, v) for k, v in payload.get("errors", {}).items())
@@ -390,7 +391,6 @@ def report_from_dict(payload: dict) -> CviReport:
     return CviReport(
         k_effective=int(payload["k_effective"]),
         fuzzy=bool(payload["fuzzy"]),
-        degenerate=degenerate,
         errors=errors,
         **values,
     )

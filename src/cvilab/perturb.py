@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .cvi import (
     report_from_dict,
     report_to_dict,
 )
-from .rng import derive_stream, fork_map, worker_count  # noqa: F401 (perturb.worker_count)
+from .rng import derive_stream, fork_map
 
 EXPERIMENT_KINDS = ("outliers", "density", "diameter")
 
@@ -83,22 +84,48 @@ class PerturbConfig:
 class ExperimentRow:
     """One variant (outlier subset) or one trial of a perturbation."""
 
-    variant: str
     report: CviReport
     kept: tuple[int, ...] | None = None
     trial: int | None = None
 
+    @property
+    def variant(self) -> str:
+        """The singletons kept ("none", "3,4"), or the trial number."""
+        return str(self.trial) if self.kept is None else ",".join(map(str, self.kept)) or "none"
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """The config and the measured indices; the rest is derived from them."""
+
     kind: str
-    seed: int
     config: PerturbConfig
     baseline: CviReport
     rows: tuple[ExperimentRow, ...]
-    average: CviReport | None
-    degenerate_counts: tuple[tuple[str, int], ...]
-    verdicts: tuple[tuple[str, str], ...]
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
+    @cached_property
+    def _averaged(self) -> tuple[CviReport | None, tuple[tuple[str, int], ...]]:
+        if self.kind == "outliers":
+            return None, ()
+        return _average_rows(self.rows, self.baseline.k_effective)
+
+    @property
+    def average(self) -> CviReport | None:
+        """Each index's mean over the trials' finite values; None for outliers."""
+        return self._averaged[0]
+
+    @property
+    def degenerate_counts(self) -> tuple[tuple[str, int], ...]:
+        """Per index, the trials whose value is not finite; () for outliers."""
+        return self._averaged[1]
+
+    @cached_property
+    def verdicts(self) -> tuple[tuple[str, str], ...]:
+        return tuple(judge_hypothesis(self).items())
 
     def verdict_map(self) -> dict[str, str]:
         return dict(self.verdicts)
@@ -212,17 +239,13 @@ def shrink_clusters(geom: PartitionGeometry, config: PerturbConfig, rng) -> np.n
 
 
 def _average_rows(
-    rows: list[ExperimentRow], k_effective: int
+    rows: tuple[ExperimentRow, ...], k_effective: int
 ) -> tuple[CviReport, tuple[tuple[str, int], ...]]:
     values: dict[str, float | None] = {}
     counts: list[tuple[str, int]] = []
     for name in INDEX_NAMES:
-        finite = [
-            row.report.value_map()[name]
-            for row in rows
-            if row.report.value_map()[name] is not None
-            and math.isfinite(row.report.value_map()[name])
-        ]
+        column = [getattr(row.report, name) for row in rows]
+        finite = [v for v in column if v is not None and math.isfinite(v)]
         counts.append((name, len(rows) - len(finite)))
         values[name] = math.fsum(finite) / len(finite) if finite else None
     average = CviReport(k_effective=k_effective, fuzzy=False, **values)
@@ -239,10 +262,9 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
 
     Emits one row per subset in binary-counting order with the first
     singleton as the most significant bit, so the all-excluded subset
-    comes first and the all-kept subset (identical to the baseline)
-    last. Excluded singletons' points are removed and the survivors
-    renumbered; the partition itself is never refitted unless ``refit``
-    is given.
+    comes first and the all-kept subset, the baseline, last. Excluded
+    singletons' points are removed and the survivors renumbered; the
+    partition itself is never refitted unless ``refit`` is given.
     """
     x = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
@@ -252,7 +274,6 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
         raise ExperimentSkipped("no singleton clusters to toggle")
     if s > _MAX_SINGLETONS:
         raise ExperimentSkipped(f"{s} singleton clusters would enumerate 2^{s} subsets")
-    baseline = evaluate_labels(x, labels)
     rows: list[ExperimentRow] = []
     for code in range(2**s):
         kept = tuple(
@@ -262,30 +283,15 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
         sub_x, sub_labels = _remove_clusters(x, labels, excluded)
         if refit is not None and excluded:
             sub_labels = refit(sub_x)
-        variant = ",".join(str(v) for v in kept) if kept else "none"
-        rows.append(
-            ExperimentRow(
-                variant=variant, report=evaluate_labels(sub_x, sub_labels), kept=kept
-            )
-        )
-    report = ExperimentReport(
-        kind="outliers",
-        seed=config.seed,
-        config=config,
-        baseline=baseline,
-        rows=tuple(rows),
-        average=None,
-        degenerate_counts=(),
-        verdicts=(),
-    )
-    return replace(report, verdicts=tuple(judge_hypothesis(report).items()))
+        rows.append(ExperimentRow(report=evaluate_labels(sub_x, sub_labels), kept=kept))
+    return ExperimentReport("outliers", config, rows[-1].report, tuple(rows))
 
 
 def _trial_experiment(
     kind: str, points, labels, config: PerturbConfig, perturb_fn, refit
 ) -> ExperimentReport:
     """Shared trial loop: the singleton-free baseline's geometry, measured
-    once, is scored and handed to every seeded trial; then averages."""
+    once, is scored and handed to every seeded trial."""
     labels = np.asarray(labels)
     base_x, base_labels = _remove_clusters(points, labels, find_singleton_clusters(labels))
     if np.unique(base_labels).shape[0] < 2:
@@ -297,23 +303,9 @@ def _trial_experiment(
         trial_x, trial_labels = perturb_fn(geom, derive_stream(config.seed, t))
         if refit is not None:
             trial_labels = refit(trial_x)
-        return ExperimentRow(
-            variant=str(t), report=evaluate_labels(trial_x, trial_labels), trial=t
-        )
+        return ExperimentRow(report=evaluate_labels(trial_x, trial_labels), trial=t)
 
-    rows = _run_trials(one_trial, config.trials)
-    average, counts = _average_rows(rows, geom.k)
-    report = ExperimentReport(
-        kind=kind,
-        seed=config.seed,
-        config=config,
-        baseline=baseline,
-        rows=tuple(rows),
-        average=average,
-        degenerate_counts=counts,
-        verdicts=(),
-    )
-    return replace(report, verdicts=tuple(judge_hypothesis(report).items()))
+    return ExperimentReport(kind, config, baseline, tuple(_run_trials(one_trial, config.trials)))
 
 
 def density_experiment(points, labels, config: PerturbConfig, refit=None) -> ExperimentReport:
@@ -456,26 +448,18 @@ def experiment_to_dict(report: ExperimentReport) -> dict:
 
 
 def experiment_from_dict(payload: dict) -> ExperimentReport:
+    """The measured part of a record; the seed, averages, degenerate
+    counts, verdicts and variant names stored beside it are derived again."""
     rows = tuple(
         ExperimentRow(
-            variant=entry["variant"],
             report=report_from_dict(entry["cvi"]),
             kept=tuple(entry["kept"]) if entry["kept"] is not None else None,
             trial=entry["trial"],
         )
         for entry in payload["rows"]
     )
-    average = payload.get("average")
-    return ExperimentReport(
-        kind=payload["kind"],
-        seed=int(payload["seed"]),
-        config=PerturbConfig(**payload["config"]),
-        baseline=report_from_dict(payload["baseline"]),
-        rows=rows,
-        average=report_from_dict(average) if average else None,
-        degenerate_counts=tuple(payload.get("degenerate_counts", {}).items()),
-        verdicts=tuple(payload.get("verdicts", {}).items()),
-    )
+    config = PerturbConfig(**payload["config"])
+    return ExperimentReport(payload["kind"], config, report_from_dict(payload["baseline"]), rows)
 
 
 def experiment_to_json(report: ExperimentReport) -> str:

@@ -39,7 +39,7 @@ from .profiles import (
     synthetic_templates,
     write_profiles_csv,
 )
-from .rng import U64_MASK
+from .rng import U64_MASK, worker_count
 from .version import __version__
 
 SPACES = ("reduced", "original")
@@ -251,7 +251,7 @@ def load_run_config(config_path=None, overrides: dict[str, list[str]] | None = N
         if values:
             raw[key] = list(values)
     config = build_run_config(raw)
-    perturb_mod.worker_count()
+    worker_count()
     return config
 
 

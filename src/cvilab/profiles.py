@@ -13,7 +13,7 @@ import csv
 import io
 import math
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import chain
@@ -88,19 +88,24 @@ class ProfileMatrix:
         return self.values.shape[0]
 
 
-@contextmanager
-def _open_text(source):
-    """A text handle on a path, bytes or a stream; only a file opened here
-    is closed on exit."""
+def _text_lines(source):
+    """The lines of a path, bytes or a stream, read whole, each ending at
+    CR, LF or CR LF as in a file opened with ``newline=""``. The line of the
+    first byte that is not UTF-8 raises once reached, so an error the
+    reader finds on an earlier line wins."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield fh
-        return
-    if not isinstance(source, io.TextIOBase):
-        data = source if isinstance(source, bytes) else source.read()
-        # Lines end at \r, \n or \r\n, as in a file opened with newline="".
-        source = io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data, newline="")
-    yield source
+        with open(source, "rb") as fh:
+            source = fh.read()
+    data = source if isinstance(source, bytes) else source.read()
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = io.StringIO(data[: exc.start].decode("utf-8"), newline="")
+            whole = [line for line in head if line.endswith(("\r", "\n"))]
+            yield from whole
+            raise CsvFormatError(len(whole) + 1, "not UTF-8") from None
+    yield from io.StringIO(data, newline="")
 
 
 def _parse_timestamp(raw: str, line: int) -> datetime:
@@ -137,6 +142,8 @@ def ingest_readings(sources) -> ProfileMatrix:
     :class:`ProfileMatrix` rejects.
     """
     files = [_read(source) for source in sources]
+    if not files:
+        raise ValueError("no readings source given")
     ids = sorted((hid, n, i) for n, f in enumerate(files) for i, hid in enumerate(f.households))
     group_of = [np.empty(len(f.households), dtype=np.intp) for f in files]
     for group, (_, n, i) in enumerate(ids):
@@ -162,10 +169,10 @@ def parse_readings(csv_source) -> list[ReadingSeries]:
     ]
 
 
-def _parse_rows(fh) -> list[ReadingSeries]:
+def _parse_rows(lines) -> list[ReadingSeries]:
     """The row-by-row parser: the reference for the columnar reader, and
     the one place that words the line-numbered errors."""
-    reader = csv.reader(fh)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -175,7 +182,8 @@ def _parse_rows(fh) -> list[ReadingSeries]:
 
     offsets: dict[str, timedelta | None] = {}
     per_house: dict[str, dict[datetime, float]] = {}
-    for line, row in enumerate(reader, start=2):
+    for row in reader:
+        line = reader.line_num  # where the row ends
         if not row:
             continue
         if len(row) != 3:
@@ -265,8 +273,7 @@ def _read(source) -> _Readings:
             return _read_columns(_line_blocks(fh))
     except _RowPath:
         pass
-    with _open_text(source) as fh:
-        return _from_series(_parse_rows(fh))
+    return _from_series(_parse_rows(_text_lines(source)))
 
 
 def _from_series(series: list[ReadingSeries]) -> _Readings:
@@ -610,25 +617,24 @@ def read_profiles_csv(source) -> ProfileMatrix:
     households = []
     rows = []
     lines = []  # where each row ends, for the checks made after reading
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != PROFILE_CSV_HEADER:
-            raise CsvFormatError(1, "unexpected profile CSV header")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != SLOTS_PER_DAY + 1:
-                raise CsvFormatError(
-                    reader.line_num, f"profile row for {row[0]!r} has {len(row) - 1} slots"
-                )
-            if not row[0]:
-                raise CsvFormatError(reader.line_num, "empty household_id")
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:  # "could not convert string to float: 'x'"
-                raise CsvFormatError(reader.line_num, str(exc)) from None
-            households.append(row[0])
-            lines.append(reader.line_num)
+    reader = csv.reader(_text_lines(source))
+    if next(reader, None) != PROFILE_CSV_HEADER:
+        raise CsvFormatError(1, "unexpected profile CSV header")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != SLOTS_PER_DAY + 1:
+            raise CsvFormatError(
+                reader.line_num, f"profile row for {row[0]!r} has {len(row) - 1} slots"
+            )
+        if not row[0]:
+            raise CsvFormatError(reader.line_num, "empty household_id")
+        try:
+            rows.append([float(v) for v in row[1:]])
+        except ValueError as exc:  # "could not convert string to float: 'x'"
+            raise CsvFormatError(reader.line_num, str(exc)) from None
+        households.append(row[0])
+        lines.append(reader.line_num)
     if not rows:
         raise CsvFormatError(2, "no profiles after the header")
     if len(set(households)) != len(households):

@@ -603,8 +603,6 @@ def fuzzy_report_reference(points, model):
         crisp,
         xb=xb,
         fuzzy=True,
-        degenerate=tuple(n for n in crisp.degenerate if n != "xb")
-        + (("xb",) if xb is not None and math.isinf(xb) else ()),
         errors=tuple(e for e in crisp.errors if e[0] != "xb") + errors,
     )
 

@@ -1,9 +1,11 @@
 """Perturbation experiments: outlier toggling, density, diameter, verdicts."""
 
+import json
 import math
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,8 +33,8 @@ from cvilab import (
     partition_geometry,
     shrink_clusters,
 )
-from cvilab.perturb import _sample_in_ball, _sign_test_tail, worker_count
-from cvilab.rng import derive_stream, fork_map
+from cvilab.perturb import _sample_in_ball, _sign_test_tail
+from cvilab.rng import derive_stream, fork_map, worker_count
 
 
 def blob(rng, center, n, spread=0.25):
@@ -131,6 +133,17 @@ class TestOutlierExperiment:
         assert len(report.rows) == 8
         assert report.rows[0].variant == "none"
         assert report.rows[-1].variant == "3,4,5"
+
+    def test_scores_each_subset_once(self, monkeypatch):
+        # The all-kept subset is the baseline: 2^3 evaluations, not 2^3 + 1.
+        calls = []
+        real = perturb.evaluate_labels
+        monkeypatch.setattr(perturb, "evaluate_labels", lambda *a: calls.append(a) or real(*a))
+        x, labels = blobs_with_singletons(
+            singles=((50.0, 50.0), (-40.0, 60.0), (45.0, -55.0))
+        )
+        outlier_experiment(x, labels, PerturbConfig(trials=1))
+        assert len(calls) == 8
 
     def test_requires_a_singleton(self):
         rng = np.random.default_rng(0)
@@ -570,18 +583,14 @@ def make_trial_report(kind, baseline_values, trial_values_list):
         return CviReport(k_effective=2, fuzzy=False, **values)
 
     rows = tuple(
-        ExperimentRow(variant=str(t), report=report_of(v), trial=t)
+        ExperimentRow(report=report_of(v), trial=t)
         for t, v in enumerate(trial_values_list)
     )
     return ExperimentReport(
         kind=kind,
-        seed=0,
         config=PerturbConfig(trials=len(rows)),
         baseline=report_of(baseline_values),
         rows=rows,
-        average=None,
-        degenerate_counts=(),
-        verdicts=(),
     )
 
 
@@ -640,9 +649,8 @@ class TestJudgeHypothesis:
         with pytest.raises(ValueError):
             judge_hypothesis(
                 ExperimentReport(
-                    kind="density", seed=0, config=PerturbConfig(),
-                    baseline=report.baseline, rows=(), average=None,
-                    degenerate_counts=(), verdicts=(),
+                    kind="density", config=PerturbConfig(),
+                    baseline=report.baseline, rows=(),
                 )
             )
 
@@ -656,16 +664,14 @@ def make_outlier_report(values_by_subset):
     order = [(), (4,), (3,), (3, 4)]
     rows = tuple(
         ExperimentRow(
-            variant=",".join(map(str, kept)) if kept else "none",
             report=report_of(values_by_subset[frozenset(kept)]),
             kept=kept,
         )
         for kept in order
     )
     return ExperimentReport(
-        kind="outliers", seed=0, config=PerturbConfig(),
-        baseline=rows[-1].report, rows=rows, average=None,
-        degenerate_counts=(), verdicts=(),
+        kind="outliers", config=PerturbConfig(),
+        baseline=rows[-1].report, rows=rows,
     )
 
 
@@ -724,6 +730,27 @@ class TestSerializationAndCsv:
         report = density_experiment(x, labels, PerturbConfig(seed=2, trials=3))
         back = experiment_from_json(experiment_to_json(report))
         assert back == report
+
+    def test_report_holds_only_what_was_measured(self):
+        assert [f.name for f in fields(ExperimentReport)] == ["kind", "config", "baseline", "rows"]
+        assert [f.name for f in fields(ExperimentRow)] == ["report", "kept", "trial"]
+        assert "degenerate" not in {f.name for f in fields(CviReport)}
+
+    @pytest.mark.parametrize("run", [outlier_experiment, density_experiment, diameter_experiment])
+    def test_derived_entries_are_read_from_the_rows(self, run):
+        x, labels = blobs_with_singletons()
+        report = run(x, labels, PerturbConfig(seed=2, trials=6))
+        payload = json.loads(experiment_to_json(report))
+        for key in ("seed", "average", "degenerate_counts", "verdicts"):
+            del payload[key]
+        for row in payload["rows"]:
+            del row["variant"]
+        back = perturb.experiment_from_dict(payload)
+        assert back.verdict_map() == report.verdict_map()
+        assert back.average == report.average
+        assert back.seed == report.seed == 2
+        assert [row.variant for row in back.rows] == [row.variant for row in report.rows]
+        assert experiment_to_json(back) == experiment_to_json(report)
 
     def test_csv_layout_trial_kind(self):
         x, labels = blobs_with_singletons()

@@ -152,6 +152,31 @@ class TestParseReadings:
             assert err.value.line == 2
             assert str(err.value) == "line 2: no readings after the header"
 
+    def test_no_source_rejected(self):
+        with pytest.raises(ValueError, match="no readings source given"):
+            ingest_readings([])
+
+    def test_error_names_the_physical_line(self):
+        # The quoted household id spans lines 2 and 3.
+        data = b'household_id,timestamp,kw\n"H\n1",2024-01-01T00:00:00,1.0\nH2,notatime,1.0\n'
+        for read in (parse_readings, lambda source: ingest_readings([source])):
+            with pytest.raises(CsvFormatError, match="line 4: bad ISO-8601") as err:
+                read(data)
+            assert err.value.line == 4
+
+    def test_bytes_not_utf8_name_their_line(self, tmp_path):
+        rows = ["A,2024-01-01T00:00:00,1.0", "A,2024-01-01T00:15:00,2.0", "B,?,1.0"]
+        data = csv_bytes(rows).replace(b",2.0", b",\xff2.0")
+        path = tmp_path / "readings.csv"
+        path.write_bytes(data)
+        for source in (lambda: path, lambda: data, lambda: io.BytesIO(data)):
+            with pytest.raises(CsvFormatError) as err:
+                ingest_readings([source()])
+            assert (err.value.line, str(err.value)) == (3, "line 3: not UTF-8")
+        # A rule broken on an earlier line is reported first.
+        with pytest.raises(CsvFormatError, match="line 2: negative kW"):
+            ingest_readings([data.replace(b",1.0\n", b",-1.0\n", 1)])
+
     def test_zulu_timestamps_accepted(self):
         data = csv_bytes(["A,2024-01-01T00:00:00Z,1.0"])
         (series,) = parse_readings(data)
@@ -275,8 +300,7 @@ class TestParseReadings:
 
 def row_parse(source):
     """The row parser on a fresh handle: the reference for parse_readings."""
-    with profiles._open_text(source) as fh:
-        return profiles._parse_rows(fh)
+    return profiles._parse_rows(profiles._text_lines(source))
 
 
 def outcome(parse, source):
@@ -301,7 +325,7 @@ def profile_outcome(compute):
 
 
 def forbid_row_parser(monkeypatch):
-    def row_parser(fh):
+    def row_parser(lines):
         raise AssertionError("the row parser ran")
 
     monkeypatch.setattr(profiles, "_parse_rows", row_parser)
@@ -414,28 +438,26 @@ class TestColumnarReader:
         data, plain = file
         path = tmp_path_factory.getbasetemp() / "columnar-property.csv"
         path.write_bytes(data)
-        # Bytes and a stream parse as the file does. Only bytes that are
-        # not UTF-8 differ: a file reports the bad byte at another offset.
-        sources = [lambda: path, lambda: data]
-        reference = path
+        # Bytes and streams parse as the file does.
+        sources = [lambda: path, lambda: data, lambda: io.BytesIO(data)]
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError:
-            reference = None
+            pass
         else:
             sources.append(lambda: io.StringIO(text))
         row_calls = []
         real_rows = profiles._parse_rows
 
-        def counted_rows(fh):
-            row_calls.append(fh)
-            return real_rows(fh)
+        def counted_rows(lines):
+            row_calls.append(lines)
+            return real_rows(lines)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(profiles, "_BLOCK_BYTES", block)
             mp.setattr(profiles, "_parse_rows", counted_rows)
+            want = outcome(row_parse, path)
             for source in sources:
-                want = outcome(row_parse, source() if reference is None else reference)
                 row_calls.clear()
                 assert outcome(parse_readings, source()) == want
                 if plain and isinstance(want, list):
@@ -889,6 +911,20 @@ class TestProfileCsv:
     def test_empty_household_id_rejected(self):
         err = self.read_error(self.profile_text("," + ",".join(["0.1"] * 96)))
         assert str(err) == "line 2: empty household_id"
+
+    def test_bytes_not_utf8_name_their_line(self, tmp_path):
+        good = "a," + ",".join(["0.1"] * 96)
+        data = self.profile_text(good, "b" + good[1:], "c,1.0").encode()
+        data = data.replace(b"\nb,", b"\nb\xff,")
+        path = tmp_path / "profiles.csv"
+        path.write_bytes(data)
+        for source in (path, data, io.BytesIO(data)):
+            with pytest.raises(CsvFormatError) as err:
+                read_profiles_csv(source)
+            assert (err.value.line, str(err.value)) == (3, "line 3: not UTF-8")
+        # A rule broken on an earlier line is reported first.
+        with pytest.raises(CsvFormatError, match="line 2: profile row for 'a' has 1 slots"):
+            read_profiles_csv(data.replace(good.encode(), b"a,1.0", 1))
 
     def test_repeated_household_names_its_line(self):
         rows = [f"{hid}," + ",".join(["0.1"] * 96) for hid in ("a", "b", "c", "b")]
