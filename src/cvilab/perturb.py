@@ -4,10 +4,10 @@ Three experiments measure how the five validation indices respond to a
 known structure change: enumerating every inclusion subset of the
 singleton clusters, injecting extra points near each cluster's center,
 and shrinking every cluster's radius. The partition is held fixed while
-the indices are recomputed (an optional refit callback re-clusters
-instead), trials draw from per-trial derived RNG streams so runs are
-bit-reproducible at any worker count, and a per-index verdict summarizes
-whether the perturbation helped.
+the indices are recomputed (an optional ``refit(points, k) -> labels``
+re-clusters each variant at its cluster count instead), trials draw from
+per-trial derived RNG streams so runs are bit-reproducible at any worker
+count, and a per-index verdict summarizes whether the perturbation helped.
 """
 
 from __future__ import annotations
@@ -263,8 +263,9 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
     Emits one row per subset in binary-counting order with the first
     singleton as the most significant bit, so the all-excluded subset
     comes first and the all-kept subset, the baseline, last. Excluded
-    singletons' points are removed and the survivors renumbered; the
-    partition itself is never refitted unless ``refit`` is given.
+    singletons' points are removed and the survivors renumbered. Given
+    ``refit``, a subset that excludes a singleton is refit at the count of
+    clusters it keeps, if that is at least 2; the all-kept subset never is.
     """
     x = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
@@ -281,8 +282,9 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
         )
         excluded = [v for v in singletons if v not in kept]
         sub_x, sub_labels = _remove_clusters(x, labels, excluded)
-        if refit is not None and excluded:
-            sub_labels = refit(sub_x)
+        k = int(sub_labels.max(initial=-1)) + 1
+        if refit is not None and excluded and k >= 2:
+            sub_labels = refit(sub_x, k)
         rows.append(ExperimentRow(report=evaluate_labels(sub_x, sub_labels), kept=kept))
     return ExperimentReport("outliers", config, rows[-1].report, tuple(rows))
 
@@ -302,7 +304,7 @@ def _trial_experiment(
     def one_trial(t: int) -> ExperimentRow:
         trial_x, trial_labels = perturb_fn(geom, derive_stream(config.seed, t))
         if refit is not None:
-            trial_labels = refit(trial_x)
+            trial_labels = refit(trial_x, geom.k)
         return ExperimentRow(report=evaluate_labels(trial_x, trial_labels), trial=t)
 
     return ExperimentReport(kind, config, baseline, tuple(_run_trials(one_trial, config.trials)))

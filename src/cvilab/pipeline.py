@@ -31,6 +31,7 @@ from . import pca as pca_mod
 from . import perturb as perturb_mod
 from .profiles import (
     SLOTS_PER_DAY,
+    CsvFormatError,
     ProfileMatrix,
     SynthSpec,
     generate_synthetic,
@@ -391,7 +392,8 @@ _ARTIFACTS: dict[str, tuple[str, Callable | None]] = {
 def _load_stored(config: RunConfig, *names: str) -> list:
     """Artifacts read back from the output directory and parsed, in the
     order named; every read-back goes through here. An artifact the
-    manifest lists must match its digest before it is parsed."""
+    manifest lists must match its digest before it is parsed; one that
+    does not parse is a ValueError (a CSV error keeps its line)."""
     out = Path(config.out_dir)
     listed = load_manifest(out).artifacts if (out / "manifest.json").exists() else {}
     loaded = []
@@ -402,7 +404,12 @@ def _load_stored(config: RunConfig, *names: str) -> list:
         data = (out / name).read_bytes()
         if name in listed and hashlib.sha256(data).hexdigest() != listed[name]:
             raise RuntimeError(f"artifact digest mismatch: {name}")
-        loaded.append(read(data))
+        try:
+            loaded.append(read(data))
+        except CsvFormatError:
+            raise
+        except (AttributeError, LookupError, TypeError, ValueError):  # not the shape written
+            raise ValueError(f"malformed artifact: {name}") from None
     return loaded
 
 
@@ -432,43 +439,35 @@ def _write_data(config: RunConfig, matrix: ProfileMatrix, truth: np.ndarray | No
     return ["profiles.csv", "synth_labels.csv"]
 
 
-def _choose_dprime(config: RunConfig, model: pca_mod.PcaModel) -> int:
-    cevr = pca_mod.cumulative_explained_variance(model)
-    if config.dprime == "elbow":
-        return pca_mod.select_dimensions_elbow(cevr)
-    return int(config.dprime)
+def _fcm_config(config: RunConfig, k: int) -> fcm_mod.FcmConfig:
+    """The settings of every FCM fit of a run: baseline and refits alike."""
+    return fcm_mod.FcmConfig(k=k, fuzzifier=config.fuzzifier, seed=config.seed)
 
 
 def _fit_models(
     config: RunConfig, matrix: ProfileMatrix
-) -> tuple[pca_mod.PcaModel, fcm_mod.ClusterModel, list[tuple[int, float]]]:
-    """PCA + projection + FCM with the configured selection rules."""
+) -> tuple[pca_mod.PcaModel, fcm_mod.ClusterModel, list[tuple[int, float]], np.ndarray]:
+    """PCA + projection + FCM with the configured selection rules, a fixed k
+    as the one-point FPC range; also the FPC and CEVR curves."""
     pca_model = pca_mod.fit_pca(matrix)
-    dprime = _choose_dprime(config, pca_model)
+    cevr = pca_mod.cumulative_explained_variance(pca_model)
+    dprime = (pca_mod.select_dimensions_elbow(cevr) if config.dprime == "elbow"
+              else int(config.dprime))
     pca_model = pca_model.with_dprime(dprime)
     reduced = pca_mod.project(pca_model, matrix, dprime)
-    n = reduced.shape[0]
-    if config.k == "fpc":
-        k_hi = min(fcm_mod.K_MAX_DEFAULT, n - 1)
-        if k_hi < 2:
-            raise ValueError("too few profiles to select a cluster count")
-        template = fcm_mod.FcmConfig(k=2, fuzzifier=config.fuzzifier, seed=config.seed)
-        _, curve, model = fcm_mod.select_cluster_count(reduced, template, (2, k_hi))
-    else:
-        template = fcm_mod.FcmConfig(k=config.k, fuzzifier=config.fuzzifier, seed=config.seed)
-        model = fcm_mod.fit_fcm(reduced, template)
-        curve = [(model.k, fcm_mod.fuzzy_partition_coefficient(model.memberships))]
-    return pca_model, model, curve
+    k_range = ((2, min(fcm_mod.K_MAX_DEFAULT, reduced.shape[0] - 1)) if config.k == "fpc"
+               else (config.k, config.k))
+    _, curve, model = fcm_mod.select_cluster_count(reduced, _fcm_config(config, k_range[0]), k_range)
+    return pca_model, model, curve, cevr
 
 
 def _fit(
     config: RunConfig, matrix: ProfileMatrix
 ) -> tuple[pca_mod.PcaModel, fcm_mod.ClusterModel, list[str]]:
     """pca.json, cevr.csv, cluster.json and fpc.csv."""
-    pca_model, model, curve = _fit_models(config, matrix)
+    pca_model, model, curve, cevr = _fit_models(config, matrix)
     out = Path(config.out_dir)
     _write_json(out / "pca.json", pca_mod.model_to_dict(pca_model))
-    cevr = pca_mod.cumulative_explained_variance(pca_model)
     cevr_lines = ["dprime,cevr"] + [
         f"{i + 1},{_fmt9(value)}" for i, value in enumerate(cevr)
     ]
@@ -500,19 +499,6 @@ def _score(
     return report, ["cvi.json"]
 
 
-def _refit_callback(config: RunConfig, model: fcm_mod.ClusterModel):
-    if not config.recluster:
-        return None
-
-    def refit(points: np.ndarray) -> np.ndarray:
-        cfg = fcm_mod.FcmConfig(
-            k=model.k, fuzzifier=model.fuzzifier, seed=config.seed
-        )
-        return fcm_mod.fit_fcm(points, cfg).labels
-
-    return refit
-
-
 def _experiment(
     kind: str, config: RunConfig, points: np.ndarray, model: fcm_mod.ClusterModel
 ) -> tuple[perturb_mod.ExperimentReport, list[str]]:
@@ -522,7 +508,10 @@ def _experiment(
         "density": perturb_mod.density_experiment,
         "diameter": perturb_mod.diameter_experiment,
     }[kind]
-    report = runner(points, model.labels, config.perturb, refit=_refit_callback(config, model))
+    # Each variant is refit at its own cluster count, with the baseline's settings.
+    refit = None if not config.recluster else (
+        lambda variant, k: fcm_mod.fit_fcm(variant, _fcm_config(config, k)).labels)
+    report = runner(points, model.labels, config.perturb, refit=refit)
     out = Path(config.out_dir)
     _write_json(out / f"experiment_{kind}.json", perturb_mod.experiment_to_dict(report))
     _write_text(out / f"experiment_{kind}.csv", perturb_mod.experiment_to_csv(report))

@@ -614,9 +614,7 @@ def read_profiles_csv(source) -> ProfileMatrix:
     number or a file with no profiles raises :class:`CsvFormatError` with
     the line.
     """
-    households = []
-    rows = []
-    lines = []  # where each row ends, for the checks made after reading
+    profiles: dict[str, list[float]] = {}
     reader = csv.reader(_text_lines(source))
     if next(reader, None) != PROFILE_CSV_HEADER:
         raise CsvFormatError(1, "unexpected profile CSV header")
@@ -630,18 +628,14 @@ def read_profiles_csv(source) -> ProfileMatrix:
         if not row[0]:
             raise CsvFormatError(reader.line_num, "empty household_id")
         try:
-            rows.append([float(v) for v in row[1:]])
+            values = [float(v) for v in row[1:]]
         except ValueError as exc:  # "could not convert string to float: 'x'"
             raise CsvFormatError(reader.line_num, str(exc)) from None
-        households.append(row[0])
-        lines.append(reader.line_num)
-    if not rows:
+        if row[0] in profiles:
+            raise CsvFormatError(reader.line_num, f"duplicate household_id {row[0]!r}")
+        if not all(map(math.isfinite, values)):
+            raise CsvFormatError(reader.line_num, "profile contains non-finite entries")
+        profiles[row[0]] = values
+    if not profiles:
         raise CsvFormatError(2, "no profiles after the header")
-    if len(set(households)) != len(households):
-        dup = next(i for i, hid in enumerate(households) if households.index(hid) < i)
-        raise CsvFormatError(lines[dup], f"duplicate household_id {households[dup]!r}")
-    values = np.array(rows, dtype=float)
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        raise CsvFormatError(lines[int(bad.argmax())], "profile contains non-finite entries")
-    return ProfileMatrix(households=tuple(households), values=values)
+    return ProfileMatrix(households=tuple(profiles), values=np.array(list(profiles.values())))

@@ -176,7 +176,7 @@ class TestOutlierExperiment:
         x, labels = blobs_with_singletons()
         calls = []
 
-        def refit(points):
+        def refit(points, k):
             calls.append(len(points))
             split = len(points) // 2
             return np.concatenate(
@@ -188,6 +188,31 @@ class TestOutlierExperiment:
         assert len(calls) == 3
         assert report.rows[-1].report == report.baseline
         assert report.rows[0].report.k_effective == 2
+
+    def test_refit_at_each_subset_cluster_count(self):
+        x, labels = blobs_with_singletons()
+        calls = []
+
+        def refit(points, k):
+            calls.append(k)
+            return np.arange(len(points)) % k
+
+        report = outlier_experiment(x, labels, PerturbConfig(trials=1), refit=refit)
+        # none kept: the 3 blobs; one singleton kept: 4 clusters.
+        assert calls == [3, 4, 4]
+        assert [row.report.k_effective for row in report.rows] == [3, 4, 4, 5]
+
+    def test_subset_of_one_cluster_keeps_its_labels(self):
+        x, labels = blobs_with_singletons(sizes=(9,))
+        calls = []
+
+        def refit(points, k):
+            calls.append(k)
+            return np.arange(len(points)) % k
+
+        report = outlier_experiment(x, labels, PerturbConfig(trials=1), refit=refit)
+        assert calls == [2, 2]
+        assert report.rows[0].report == evaluate_labels(x[:9], np.zeros(9, dtype=int))
 
     def test_deserialized_report_judges_identically(self):
         x, labels = blobs_with_singletons()
@@ -342,6 +367,17 @@ class TestDensityExperiment:
         labels = np.array([0] * 6 + [1])
         with pytest.raises(perturb.ExperimentSkipped, match="non-singleton"):
             density_experiment(x, labels, PerturbConfig(trials=1))
+
+    @pytest.mark.parametrize("experiment", [density_experiment, diameter_experiment])
+    def test_refit_at_the_baseline_cluster_count(self, experiment):
+        x, labels = blobs_with_singletons()
+
+        def refit(points, k):
+            return np.arange(len(points)) % k
+
+        report = experiment(x, labels, PerturbConfig(seed=1, trials=3), refit=refit)
+        assert report.baseline.k_effective == 3
+        assert [row.report.k_effective for row in report.rows] == [3, 3, 3]
 
 
 class TestDiameterExperiment:

@@ -424,7 +424,7 @@ class TestFitModels:
     def test_fpc_selection_keeps_the_winning_model(self, tmp_path, fitted_k):
         config = pl.build_run_config(small_raw(tmp_path, k="fpc"))
         matrix, _ = pl._load_profiles(config)
-        pca_model, model, curve = pl._fit_models(config, matrix)
+        pca_model, model, curve, _ = pl._fit_models(config, matrix)
         k_hi = min(fcm_mod.K_MAX_DEFAULT, len(matrix) - 1)
         assert fitted_k == list(range(2, k_hi + 1))  # k_hi - 1 fits, no refit
         k_star = max(curve, key=lambda kv: (kv[1], -kv[0]))[0]
@@ -450,9 +450,19 @@ class TestFitModels:
     def test_fixed_k_fits_once(self, tmp_path, fitted_k):
         config = pl.build_run_config(small_raw(tmp_path))
         matrix, _ = pl._load_profiles(config)
-        _, model, curve = pl._fit_models(config, matrix)
+        _, model, curve, _ = pl._fit_models(config, matrix)
         assert fitted_k == [3]
         assert [k for k, _ in curve] == [3] and model.k == 3
+
+    def test_fixed_k_is_fit_fcm_bit_for_bit(self, tmp_path, fitted_k):
+        config = pl.build_run_config(small_raw(tmp_path, m="1.7"))
+        matrix, _ = pl._load_profiles(config)
+        pca_model, model, curve, _ = pl._fit_models(config, matrix)
+        assert fitted_k == [3]
+        reduced = project(pca_model, matrix, pca_model.chosen_dprime)
+        alone = fcm_mod.fit_fcm(reduced, fcm_mod.FcmConfig(k=3, fuzzifier=1.7, seed=5))
+        assert_models_bitwise_equal(model, alone)
+        assert curve == [(3, fcm_mod.fuzzy_partition_coefficient(alone.memberships))]
 
 
 class TestManifestMerge:
@@ -714,6 +724,29 @@ class TestRunFull:
         assert cli.main(["run", *argv]) == 0
         assert sorted(pl.load_manifest(out).artifacts) == sorted(written)
         assert pl.verify_manifest(out) == []
+
+
+class TestRecluster:
+    def test_each_variant_is_refit_at_its_own_cluster_count(self, tmp_path):
+        """The model has k = 5 (3 clusters and 2 singletons); the refits
+        keep the clusters a variant has, so removing both singletons gives
+        back the singleton-free baseline."""
+        raw = {"synth.clusters": ["3"], "synth.cluster-size": ["20"], "synth.outliers": ["2"],
+               "trials": ["6"], "recluster": ["true"], "out": [str(tmp_path)],
+               "experiments": ["outliers,density,diameter"]}
+        pl.run_full(pl.build_run_config(raw))
+        model, outliers, density, diameter = pl._load_stored(
+            pl.build_run_config(raw), "cluster.json",
+            *(f"experiment_{kind}.json" for kind in ("outliers", "density", "diameter")))
+        assert model.k == 5
+        # The refit may number the clusters otherwise: equal up to summation order.
+        none_kept = outliers.rows[0].report.value_map()
+        assert none_kept == pytest.approx(density.baseline.value_map(), rel=1e-12)
+        assert [row.report.k_effective for row in outliers.rows] == [3, 4, 4, 5]
+        for report in (density, diameter):
+            assert report.baseline.k_effective == 3
+            assert {row.report.k_effective for row in report.rows} == {3}
+        assert density.verdict_map()["sh"] == "POSITIVE"
 
 
 @pytest.fixture(scope="module")
@@ -1343,6 +1376,32 @@ class TestCliErrors:
         assert err == {"error": "ValueError",
                        "message": f"malformed manifest: {out / 'manifest.json'}"}
         assert not (out / "pca.json").exists()
+
+    def test_unlisted_artifact_that_does_not_parse_is_a_typed_error(self, capsys, tmp_path):
+        out = tmp_path / "x"
+        assert cli.main(["synth", "--synth.clusters", "2", "--out", str(out)]) == 0
+        assert cli.main(["cluster", "--out", str(out)]) == 0
+        (out / "manifest.json").unlink()
+        payload = json.loads((out / "cluster.json").read_text())
+        del payload["U"]
+        (out / "cluster.json").write_text(json.dumps(payload))
+        err = cli_error(capsys, ["validate", "--out", str(out)])
+        assert err == {"error": "ValueError", "message": "malformed artifact: cluster.json"}
+        # A profile CSV error keeps its type and line.
+        lines = (out / "profiles.csv").read_text().splitlines(keepends=True)
+        (out / "profiles.csv").write_text("".join(lines[:2] + lines[1:2]))
+        err = cli_error(capsys, ["validate", "--out", str(out)])
+        assert err["error"] == "CsvFormatError"
+        assert err["message"].startswith("line 3: duplicate household_id")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--synth.cluster-size", "2", "--k", "4"], "k range upper bound 4 exceeds N-1 = 3"),
+        (["--synth.cluster-size", "1", "--dprime", "1"], "bad k range [2, 1]"),
+    ])
+    def test_too_few_profiles_for_the_k_range(self, capsys, tmp_path, flags, message):
+        err = cli_error(capsys, ["run", "--synth.clusters", "2", *flags,
+                                 "--out", str(tmp_path / "x")])
+        assert err == {"error": "ValueError", "message": message}
 
     @pytest.mark.parametrize("data, line", [
         (b"\xff\xfes\x00e\x00e\x00d\x00 \x00=\x00 \x001\x00\n\x00", 1),

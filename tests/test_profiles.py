@@ -926,6 +926,18 @@ class TestProfileCsv:
         with pytest.raises(CsvFormatError, match="line 2: profile row for 'a' has 1 slots"):
             read_profiles_csv(data.replace(good.encode(), b"a,1.0", 1))
 
+    @pytest.mark.parametrize("rows, expected", [
+        ([b"a,0.1", b"a,0.1", b"c\xff,0.1"], "line 3: duplicate household_id 'a'"),
+        ([b"a,nan", b"b,0.1", b"b,0.1"], "line 2: profile contains non-finite entries"),
+    ])
+    def test_first_bad_row_is_reported(self, rows, expected):
+        """Each row is checked as it is read, before any later line."""
+        header = ",".join(PROFILE_CSV_HEADER).encode()
+        data = b"\n".join([header] + [row + b",0.1" * 95 for row in rows]) + b"\n"
+        with pytest.raises(CsvFormatError) as err:
+            read_profiles_csv(data)
+        assert str(err.value) == expected
+
     def test_repeated_household_names_its_line(self):
         rows = [f"{hid}," + ",".join(["0.1"] * 96) for hid in ("a", "b", "c", "b")]
         err = self.read_error(self.profile_text(*rows))
