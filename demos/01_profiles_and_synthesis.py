@@ -2,21 +2,16 @@
 """Walkthrough: 15-minute readings to median daily profiles, plus the
 seeded synthetic population generator."""
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from cvilab.profiles import (
     SynthSpec,
     generate_synthetic,
-    l2_normalize,
-    median_daily_profile,
-    parse_readings,
+    ingest_readings,
     synthetic_templates,
 )
 
-# --- a tiny readings file: one household, two days, one slot differing ---
+# --- tiny readings: one household, three days, one slot spiking once ---
 # The per-slot median over days is what survives into the profile, so a
 # single spiky day does not move the result.
 lines = ["household_id,timestamp,kw"]
@@ -27,17 +22,13 @@ for day in ("2024-03-01", "2024-03-02", "2024-03-03"):
             kw = 9.0  # one-off spike, should vanish under the median
         hh, mm = divmod(slot * 15, 60)
         lines.append(f"H00,{day}T{hh:02d}:{mm:02d}:00+00:00,{kw}")
-with tempfile.TemporaryDirectory() as work:
-    path = Path(work) / "readings.csv"
-    path.write_text("\n".join(lines) + "\n")
-    series = parse_readings(path)
-print(f"parsed {len(series)} household(s), {len(series[0])} readings")
+# A path or the file's bytes: both read the same way.
+profiles = ingest_readings([("\n".join(lines) + "\n").encode()])
+print(f"ingested {len(profiles)} household(s) from {len(lines) - 1} readings")
 
-profile = median_daily_profile(series[0])
-print("slot 40 median:", profile[40], "(the 9.0 spike is gone)")
-
-unit = l2_normalize(profile)
-print("norm after scaling:", float(np.linalg.norm(unit)))
+profile = profiles.values[0]
+print("slot 40 equals slot 39:", bool(profile[40] == profile[39]), "(the 9.0 spike is gone)")
+print("norm of the unit profile:", float(np.linalg.norm(profile)))
 
 # --- synthetic population: 3 template shapes, 30 households each ---
 spec = SynthSpec(

@@ -2,6 +2,7 @@
 """Walkthrough: the three perturbation experiments and how their verdicts
 are reached."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -49,10 +50,12 @@ print("\ndiameter verdicts over", config.trials, "trials:", diam.verdict_map())
 # Every report serializes, and the CSV is ready for a plotting tool.
 with tempfile.TemporaryDirectory() as tmp:
     work = Path(tmp)
-    (work / "experiment_diameter.json").write_text(perturb.experiment_to_json(diam))
+    record = perturb.experiment_to_dict(diam)
+    (work / "experiment_diameter.json").write_text(json.dumps(record, indent=2))
     (work / "experiment_diameter.csv").write_text(perturb.experiment_to_csv(diam))
     print("\nwrote", work / "experiment_diameter.csv")
     print((work / "experiment_diameter.csv").read_text().splitlines()[0])
-    roundtrip = perturb.experiment_from_json((work / "experiment_diameter.json").read_text())
+    stored = json.loads((work / "experiment_diameter.json").read_text())
+    roundtrip = perturb.experiment_from_dict(stored)
 print("verdicts survive the round trip:",
       roundtrip.verdict_map() == diam.verdict_map())

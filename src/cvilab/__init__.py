@@ -48,9 +48,7 @@ from .perturb import (
     RejectionBudgetError,
     density_experiment,
     diameter_experiment,
-    experiment_from_json,
     experiment_to_csv,
-    experiment_to_json,
     find_singleton_clusters,
     inject_density,
     judge_hypothesis,
@@ -70,15 +68,11 @@ from .profiles import (
     CsvFormatError,
     MissingSlotError,
     ProfileMatrix,
-    ReadingSeries,
     SynthSpec,
     ZeroProfileError,
     generate_synthetic,
     ingest_readings,
     l2_normalize,
-    median_daily_profile,
-    parse_readings,
-    profiles_from_readings,
     read_profiles_csv,
     synthetic_templates,
     write_profiles_csv,

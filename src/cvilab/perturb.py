@@ -12,7 +12,6 @@ count, and a per-index verdict summarizes whether the perturbation helped.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -164,7 +163,10 @@ def _sample_in_ball(
     while filled < count:
         missing = count - filled
         samples = center + rng.normal(0.0, sigma, size=(missing, center.shape[0]))
-        gaps = np.linalg.norm(centroids - samples[:, None, :], axis=2)
+        # A gap that overflows to inf lies outside every ball and is
+        # rejected anyway.
+        with np.errstate(over="ignore"):
+            gaps = np.linalg.norm(centroids - samples[:, None, :], axis=2)
         accepted = np.flatnonzero(
             (gaps[:, own] <= radius) & (gaps[:, own] == gaps.min(axis=1))
         )
@@ -462,14 +464,6 @@ def experiment_from_dict(payload: dict) -> ExperimentReport:
     )
     config = PerturbConfig(**payload["config"])
     return ExperimentReport(payload["kind"], config, report_from_dict(payload["baseline"]), rows)
-
-
-def experiment_to_json(report: ExperimentReport) -> str:
-    return json.dumps(experiment_to_dict(report), indent=2)
-
-
-def experiment_from_json(text: str) -> ExperimentReport:
-    return experiment_from_dict(json.loads(text))
 
 
 def _csv_cell(value: float | None) -> str:

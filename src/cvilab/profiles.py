@@ -56,18 +56,6 @@ class MissingSlotError(ValueError):
 
 
 @dataclass(frozen=True)
-class ReadingSeries:
-    """Time-sorted 15-minute readings for one household."""
-
-    household_id: str
-    times: tuple[datetime, ...]
-    loads: np.ndarray  # kW, nonnegative, same length as times
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-@dataclass(frozen=True)
 class ProfileMatrix:
     """Stack of daily profiles in stable (sorted) household order."""
 
@@ -131,15 +119,15 @@ def ingest_readings(sources) -> ProfileMatrix:
     household carries the UTC offset of its first row (naive counts as one
     offset), so its samples slot and de-duplicate by one wall clock.
 
-    Each source is a path, bytes or a stream (read whole first), read as a
-    file opened with ``newline=""`` in blocks of whole lines; each distinct
-    household, timestamp and kW string is parsed once. Input outside the plain grammar
-    (quotes, blank lines, a wrong comma count, bytes that are not UTF-8), with no
-    rows, or breaking a rule goes to the row parser, which raises the line-numbered
-    error. All sources are read before any median is taken. The households
-    come out in sorted id order; the first one with an empty slot or no
-    energy raises, and one in two sources gives two rows, which
-    :class:`ProfileMatrix` rejects.
+    Each source is a path or bytes, read as a file opened with
+    ``newline=""`` in blocks of whole lines; each distinct household,
+    timestamp and kW string is parsed once. Input outside the plain grammar
+    (quotes, blank lines, a wrong comma count, bytes that are not UTF-8),
+    with no rows, or breaking a rule goes to the row parser, which raises
+    the line-numbered error. All sources are read before any median is
+    taken. The households come out in sorted id order; the first one with
+    an empty slot or no energy raises, and one in two sources gives two
+    rows, which :class:`ProfileMatrix` rejects.
     """
     files = [_read(source) for source in sources]
     if not files:
@@ -154,24 +142,9 @@ def ingest_readings(sources) -> ProfileMatrix:
     return _profile_matrix([hid for hid, _, _ in ids], house, slot, load, loads)
 
 
-def parse_readings(csv_source) -> list[ReadingSeries]:
-    """One time-sorted series per household of a readings CSV, read and
-    checked as :func:`ingest_readings` reads each source. The series share
-    one ``datetime`` per distinct timestamp string."""
-    readings = _read(csv_source)
-    order = np.argsort(_clock_keys(readings))
-    stamps = readings.stamp[order].tolist()
-    loads = readings.loads[readings.load[order]]
-    ends = np.cumsum(np.bincount(readings.house, minlength=len(readings.households)))
-    return [
-        ReadingSeries(hid, tuple(readings.times[i] for i in stamps[start:end]), loads[start:end])
-        for hid, start, end in zip(readings.households, chain([0], ends), ends)
-    ]
-
-
-def _parse_rows(lines) -> list[ReadingSeries]:
-    """The row-by-row parser: the reference for the columnar reader, and
-    the one place that words the line-numbered errors."""
+def _parse_rows(lines) -> _Readings:
+    """The row-by-row parser, one stamp per row: the reference for the
+    columnar reader, and the one place that words the line-numbered errors."""
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -181,7 +154,8 @@ def _parse_rows(lines) -> list[ReadingSeries]:
         raise CsvFormatError(1, f"unexpected header {header!r}")
 
     offsets: dict[str, timedelta | None] = {}
-    per_house: dict[str, dict[datetime, float]] = {}
+    seen: set[tuple[str, datetime]] = set()
+    hids, times, kws = [], [], []
     for row in reader:
         line = reader.line_num  # where the row ends
         if not row:
@@ -201,40 +175,31 @@ def _parse_rows(lines) -> list[ReadingSeries]:
         if kw < 0:
             raise CsvFormatError(line, f"negative kW value {kw}")
         offset = ts.utcoffset()
-        samples = per_house.setdefault(hid, {})
         if offset != offsets.setdefault(hid, offset):
             raise CsvFormatError(
                 line,
                 f"mixed UTC offsets for {hid}: {_offset_name(offset)} here, "
                 f"{_offset_name(offsets[hid])} on its first row",
             )
-        if ts in samples:
+        if (hid, ts) in seen:
             raise CsvFormatError(line, f"duplicate reading for {hid} at {ts.isoformat()}")
-        samples[ts] = kw
-    if not per_house:
+        seen.add((hid, ts))
+        hids.append(hid)
+        times.append(ts)
+        kws.append(kw)
+    if not offsets:
         raise CsvFormatError(2, "no readings after the header")
 
-    series = []
-    for hid in sorted(per_house):
-        times, loads = zip(*sorted(per_house[hid].items()))
-        series.append(ReadingSeries(hid, times, np.array(loads, dtype=float)))
-    return series
+    ids = sorted(offsets)
+    code = {hid: i for i, hid in enumerate(ids)}
+    house = np.array([code[hid] for hid in hids], dtype=np.intp)
+    loads, load = _ranked([np.array(kws, dtype=float)], [np.arange(len(kws))])
+    return _Readings(ids, house, np.arange(len(times)), times, load, loads)
 
 
 class _RowPath(Exception):
     """The input is outside the columnar reader's plain grammar or breaks a
     rule; the row parser takes the whole source."""
-
-
-def _open_bytes(source) -> io.BufferedIOBase:
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "rb")
-    if isinstance(source, io.StringIO):
-        try:
-            return io.BytesIO(source.getvalue().encode("utf-8"))
-        except UnicodeEncodeError:
-            raise _RowPath from None
-    return io.BytesIO(source)
 
 
 def _line_blocks(fh):
@@ -264,26 +229,14 @@ class _Readings(NamedTuple):
 
 
 def _read(source) -> _Readings:
-    """One source, through the columnar reader or else the row parser."""
-    if not isinstance(source, (str, os.PathLike, bytes)):
-        data = source.read()
-        source = data if isinstance(data, bytes) else io.StringIO(data, newline="")
+    """One path or bytes, through the columnar reader or else the row parser."""
+    path = isinstance(source, (str, os.PathLike))
     try:
-        with _open_bytes(source) as fh:
+        with open(source, "rb") if path else io.BytesIO(source) as fh:
             return _read_columns(_line_blocks(fh))
     except _RowPath:
         pass
-    return _from_series(_parse_rows(_text_lines(source)))
-
-
-def _from_series(series: list[ReadingSeries]) -> _Readings:
-    """Series as codes, in the order given, one stamp per reading."""
-    times = list(chain.from_iterable(s.times for s in series))
-    kw = np.concatenate([np.empty(0)] + [np.asarray(s.loads, dtype=float) for s in series])
-    loads, load = _ranked([kw], [np.arange(kw.size)])
-    house = np.repeat(np.arange(len(series)), [len(s) for s in series])
-    ids = [s.household_id for s in series]
-    return _Readings(ids, house, np.arange(len(times)), times, load, loads)
+    return _parse_rows(_text_lines(source))
 
 
 def _block_fields(block: bytes) -> list[np.ndarray]:
@@ -446,33 +399,21 @@ def _profile_matrix(households, group, slot, load, loads) -> ProfileMatrix:
     return ProfileMatrix(households=tuple(households), values=np.array(profiles, dtype=float))
 
 
-def median_daily_profile(series: ReadingSeries) -> np.ndarray:
-    """Per-slot median over all observed days, in kW.
-
-    Even observation counts take the mean of the two central order
-    statistics. Every one of the 96 slots needs at least one observation;
-    gaps are an error rather than being imputed.
-    """
-    r = _from_series([series])
-    (profile,) = _medians(r.households, r.house, _slots(r.times), r.load, r.loads)
-    return profile
-
-
 def l2_normalize(profile: np.ndarray) -> np.ndarray:
     """Scale a vector to unit Euclidean norm."""
     vec = np.asarray(profile, dtype=float)
     if not np.all(np.isfinite(vec)):
         raise ValueError("profile contains non-finite entries")
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if norm in (0.0, math.inf) and vec.any():
+        # The sum of squares under- or overflowed: scale by the largest
+        # entry first, which leaves it within the float range.
+        vec = vec / np.abs(vec).max()
+        norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ZeroProfileError("all-zero profile cannot be normalized")
     return vec / norm
-
-
-def profiles_from_readings(series: list[ReadingSeries]) -> ProfileMatrix:
-    """Median + normalize every series and stack into a ProfileMatrix."""
-    r = _from_series(series)
-    return _profile_matrix(r.households, r.house, _slots(r.times), r.load, r.loads)
 
 
 @dataclass(frozen=True)

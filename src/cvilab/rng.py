@@ -33,9 +33,12 @@ def derive_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def worker_count() -> int:
-    """Worker cap: CVILAB_THREADS when set, else the CPU count. The trials
-    and the FPC k-selection run in up to this many forked worker processes
-    (:func:`fork_map`); results never depend on the count."""
+    """Worker cap: CVILAB_THREADS when set, at most the CPUs this process
+    may run on, else that CPU count. The trials and the FPC k-selection run
+    in up to this many forked worker processes (:func:`fork_map`); results
+    never depend on the count."""
+    usable = getattr(os, "sched_getaffinity", None)
+    cpus = len(usable(0)) if usable else os.cpu_count() or 1
     raw = os.environ.get("CVILAB_THREADS", "").strip()
     if raw:
         try:
@@ -44,8 +47,8 @@ def worker_count() -> int:
             value = 0
         if value < 1:
             raise ValueError(f"CVILAB_THREADS must be a positive integer, got {raw!r}")
-        return value
-    return os.cpu_count() or 1
+        return min(value, cpus)
+    return cpus
 
 
 def _install(fn) -> None:  # the pool initializer, run in each forked worker

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 
@@ -23,9 +24,7 @@ from cvilab import (
     density_experiment,
     diameter_experiment,
     evaluate_labels,
-    experiment_from_json,
     experiment_to_csv,
-    experiment_to_json,
     find_singleton_clusters,
     inject_density,
     judge_hypothesis,
@@ -33,8 +32,23 @@ from cvilab import (
     partition_geometry,
     shrink_clusters,
 )
-from cvilab.perturb import _sample_in_ball, _sign_test_tail
+from cvilab.perturb import (
+    _sample_in_ball,
+    _sign_test_tail,
+    experiment_from_dict,
+    experiment_to_dict,
+)
 from cvilab.rng import derive_stream, fork_map, worker_count
+
+
+def stored_json(report):
+    """A report as the pipeline writes it."""
+    return json.dumps(experiment_to_dict(report), indent=2)
+
+
+def many_cpus(monkeypatch):
+    """Let CVILAB_THREADS alone set the worker count, on any box."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
 
 
 def blob(rng, center, n, spread=0.25):
@@ -84,6 +98,7 @@ class TestConfigAndHelpers:
             PerturbConfig(sigma_divisor=value)
 
     def test_worker_count_env(self, monkeypatch):
+        many_cpus(monkeypatch)
         monkeypatch.setenv("CVILAB_THREADS", "3")
         assert worker_count() == 3
         monkeypatch.setenv("CVILAB_THREADS", "0")
@@ -91,6 +106,15 @@ class TestConfigAndHelpers:
             worker_count()
         monkeypatch.delenv("CVILAB_THREADS")
         assert worker_count() >= 1
+
+    def test_worker_count_capped_at_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setenv("CVILAB_THREADS", "1000")
+        assert worker_count() == 2
+        monkeypatch.setenv("CVILAB_THREADS", "1")
+        assert worker_count() == 1
+        monkeypatch.delenv("CVILAB_THREADS")
+        assert worker_count() == 2
 
     @pytest.mark.parametrize("raw", ["two", "1.5", "-2"])
     def test_worker_count_rejects_non_integers(self, monkeypatch, raw):
@@ -217,7 +241,7 @@ class TestOutlierExperiment:
     def test_deserialized_report_judges_identically(self):
         x, labels = blobs_with_singletons()
         report = outlier_experiment(x, labels, PerturbConfig(trials=1))
-        back = experiment_from_json(experiment_to_json(report))
+        back = experiment_from_dict(json.loads(stored_json(report)))
         assert judge_hypothesis(back) == report.verdict_map()
         assert back.verdicts == report.verdicts
 
@@ -274,6 +298,20 @@ class TestInjectDensity:
                 partition_geometry(x, labels), 0, 1, np.random.default_rng(0),
                 sigma_divisor=1e-4, max_rejection_attempts=5,
             )
+
+    def test_overflowing_gaps_are_rejected_without_a_warning(self):
+        # sigma near 1e300: the squared gaps overflow to inf, which lies
+        # outside every ball, so the budget runs out with no RuntimeWarning.
+        rng = np.random.default_rng(2)
+        x = np.vstack([blob(rng, (0, 0), 10), blob(rng, (9, 0), 10)])
+        labels = np.repeat([0, 1], 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RejectionBudgetError, match="cluster 0 in 5 attempts"):
+                inject_density(
+                    partition_geometry(x, labels), 0, 1, np.random.default_rng(0),
+                    sigma_divisor=1e-300, max_rejection_attempts=5,
+                )
 
 
 class TestShrinkClusters:
@@ -349,7 +387,7 @@ class TestDensityExperiment:
         config = PerturbConfig(seed=10, trials=4)
         a = density_experiment(x, labels, config)
         b = density_experiment(x, labels, config)
-        assert experiment_to_json(a) == experiment_to_json(b)
+        assert stored_json(a) == stored_json(b)
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         """Every experiment, density included, at 1, 2 and 3 workers."""
@@ -359,7 +397,7 @@ class TestDensityExperiment:
             texts = []
             for workers in ("1", "2", "3"):
                 monkeypatch.setenv("CVILAB_THREADS", workers)
-                texts.append(experiment_to_json(run(x, labels, config)))
+                texts.append(stored_json(run(x, labels, config)))
             assert texts[1] == texts[0] and texts[2] == texts[0], run.__name__
 
     def test_needs_two_nonsingleton_clusters(self):
@@ -412,7 +450,7 @@ class TestDiameterExperiment:
         config = PerturbConfig(seed=6, trials=3, shrink_factor=0.8)
         a = diameter_experiment(x, labels, config)
         b = diameter_experiment(x, labels, config)
-        assert experiment_to_json(a) == experiment_to_json(b)
+        assert stored_json(a) == stored_json(b)
 
 
 # --- scalar references: one candidate per draw, one call per point ---
@@ -764,7 +802,7 @@ class TestSerializationAndCsv:
     def test_json_round_trip(self):
         x, labels = blobs_with_singletons()
         report = density_experiment(x, labels, PerturbConfig(seed=2, trials=3))
-        back = experiment_from_json(experiment_to_json(report))
+        back = experiment_from_dict(json.loads(stored_json(report)))
         assert back == report
 
     def test_report_holds_only_what_was_measured(self):
@@ -776,17 +814,17 @@ class TestSerializationAndCsv:
     def test_derived_entries_are_read_from_the_rows(self, run):
         x, labels = blobs_with_singletons()
         report = run(x, labels, PerturbConfig(seed=2, trials=6))
-        payload = json.loads(experiment_to_json(report))
+        payload = json.loads(stored_json(report))
         for key in ("seed", "average", "degenerate_counts", "verdicts"):
             del payload[key]
         for row in payload["rows"]:
             del row["variant"]
-        back = perturb.experiment_from_dict(payload)
+        back = experiment_from_dict(payload)
         assert back.verdict_map() == report.verdict_map()
         assert back.average == report.average
         assert back.seed == report.seed == 2
         assert [row.variant for row in back.rows] == [row.variant for row in report.rows]
-        assert experiment_to_json(back) == experiment_to_json(report)
+        assert stored_json(back) == stored_json(report)
 
     def test_csv_layout_trial_kind(self):
         x, labels = blobs_with_singletons()
@@ -833,6 +871,10 @@ def _pid_of(item):
 
 class TestForkMap:
     """fork_map: the trials' and the k-selection's worker processes."""
+
+    @pytest.fixture(autouse=True)
+    def _many_cpus(self, monkeypatch):
+        many_cpus(monkeypatch)
 
     def test_results_in_item_order_from_workers(self, monkeypatch):
         monkeypatch.setenv("CVILAB_THREADS", "3")

@@ -582,8 +582,8 @@ class TestStagedCli:
 
     def test_outlier_rows_cover_every_subset(self, staged):
         out = staged[0]
-        report = perturb.experiment_from_json(
-            (out / "experiment_outliers.json").read_text()
+        report = perturb.experiment_from_dict(
+            json.loads((out / "experiment_outliers.json").read_text())
         )
         variants = [row.variant for row in report.rows]
         assert len(variants) == 8  # three far outliers, 2^3 subsets
@@ -601,8 +601,8 @@ class TestStagedCli:
     def test_stored_verdicts_match_rejudged(self, staged):
         out = staged[0]
         for kind in ("outliers", "density"):
-            report = perturb.experiment_from_json(
-                (out / f"experiment_{kind}.json").read_text()
+            report = perturb.experiment_from_dict(
+                json.loads((out / f"experiment_{kind}.json").read_text())
             )
             assert perturb.judge_hypothesis(report) == report.verdict_map()
 
@@ -610,8 +610,8 @@ class TestStagedCli:
         summary = (staged[0] / "summary.txt").read_text()
         assert "experiment: outliers" in summary
         assert "experiment: density" in summary
-        report = perturb.experiment_from_json(
-            (staged[0] / "experiment_outliers.json").read_text()
+        report = perturb.experiment_from_dict(
+            json.loads((staged[0] / "experiment_outliers.json").read_text())
         )
         for verdict in report.verdict_map().values():
             assert verdict in summary

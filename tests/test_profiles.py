@@ -2,13 +2,12 @@
 
 import gc
 import io
-import math
 import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -24,16 +23,13 @@ from cvilab import (
     generate_synthetic,
     ingest_readings,
     l2_normalize,
-    median_daily_profile,
-    parse_readings,
-    profiles_from_readings,
     project,
     read_profiles_csv,
     synthetic_templates,
     write_profiles_csv,
 )
 from cvilab import profiles
-from cvilab.profiles import PROFILE_CSV_HEADER, SLOTS_PER_DAY, ReadingSeries
+from cvilab.profiles import PROFILE_CSV_HEADER, SLOTS_PER_DAY
 
 
 # Timestamp suffix -> UTC offset; "" is naive, Z and +00:00 are one offset.
@@ -64,80 +60,67 @@ class TestParseReadings:
         data = csv_bytes(
             ["A,2024-01-01T00:00:00,1.5", "A,2024-01-01T00:15:00,2.0"]
         )
-        series = parse_readings(data)
-        assert len(series) == 1
-        assert series[0].household_id == "A"
-        assert len(series[0]) == 2
-        assert list(series[0].loads) == [1.5, 2.0]
-
-    def test_rows_sorted_within_household(self):
-        data = csv_bytes(
-            [
-                "A,2024-01-01T00:15:00,2.0",
-                "A,2024-01-01T00:00:00,1.0",
-                "A,2024-01-02T00:00:00,3.0",
-            ]
-        )
-        (series,) = parse_readings(data)
-        assert list(series.loads) == [1.0, 2.0, 3.0]
-        assert list(series.times) == sorted(series.times)
+        assert read_rows(data) == [
+            ("A", "2024-01-01T00:00:00", bits(1.5)),
+            ("A", "2024-01-01T00:15:00", bits(2.0)),
+        ]
 
     def test_households_in_sorted_order(self):
         data = csv_bytes(
             ["b,2024-01-01T00:00:00,1", "a,2024-01-01T00:00:00,1"]
         )
-        assert [s.household_id for s in parse_readings(data)] == ["a", "b"]
+        assert profiles._read(data).households == ["a", "b"]
 
     def test_negative_kw_names_line(self):
         data = csv_bytes(
             ["A,2024-01-01T00:00:00,1.0", "A,2024-01-01T00:15:00,-1.0"]
         )
         with pytest.raises(CsvFormatError, match="line 3") as err:
-            parse_readings(data)
+            ingest_readings([data])
         assert err.value.line == 3
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_kw_rejected(self, bad):
         data = csv_bytes([f"A,2024-01-01T00:00:00,{bad}"])
         with pytest.raises(CsvFormatError, match="line 2"):
-            parse_readings(data)
+            ingest_readings([data])
 
     def test_unparsable_kw_rejected(self):
         data = csv_bytes(["A,2024-01-01T00:00:00,1;5"])
         with pytest.raises(CsvFormatError, match="line 2"):
-            parse_readings(data)
+            ingest_readings([data])
 
     def test_bad_timestamp_rejected(self):
         data = csv_bytes(["A,not-a-time,1.0"])
         with pytest.raises(CsvFormatError, match="line 2"):
-            parse_readings(data)
+            ingest_readings([data])
 
     def test_off_grid_timestamp_rejected(self):
         data = csv_bytes(["A,2024-01-01T00:07:00,1.0"])
         with pytest.raises(CsvFormatError, match="15-minute"):
-            parse_readings(data)
+            ingest_readings([data])
 
     def test_duplicate_reading_rejected(self):
         data = csv_bytes(
             ["A,2024-01-01T00:00:00,1.0", "A,2024-01-01T00:00:00,2.0"]
         )
         with pytest.raises(CsvFormatError, match="duplicate"):
-            parse_readings(data)
+            ingest_readings([data])
 
     def test_wrong_field_count_rejected(self):
         data = csv_bytes(["A,2024-01-01T00:00:00"])
         with pytest.raises(CsvFormatError, match="3 fields"):
-            parse_readings(data)
+            ingest_readings([data])
 
     def test_bad_header_rejected(self):
         data = csv_bytes([], header="house,when,load")
         with pytest.raises(CsvFormatError) as err:
-            parse_readings(data)
+            ingest_readings([data])
         assert err.value.line == 1
 
     def test_empty_input_rejected(self):
         with pytest.raises(CsvFormatError) as err:
-            parse_readings(b"")
+            ingest_readings([b""])
         assert err.value.line == 1
 
     @pytest.mark.parametrize("data", [
@@ -146,11 +129,10 @@ class TestParseReadings:
         b"household_id,timestamp,kw\r\n\r\n",  # blank lines: the row parser's path
     ])
     def test_header_without_rows_rejected(self, data):
-        for read in (parse_readings, lambda source: ingest_readings([source])):
-            with pytest.raises(CsvFormatError) as err:
-                read(data)
-            assert err.value.line == 2
-            assert str(err.value) == "line 2: no readings after the header"
+        with pytest.raises(CsvFormatError) as err:
+            ingest_readings([data])
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: no readings after the header"
 
     def test_no_source_rejected(self):
         with pytest.raises(ValueError, match="no readings source given"):
@@ -159,19 +141,18 @@ class TestParseReadings:
     def test_error_names_the_physical_line(self):
         # The quoted household id spans lines 2 and 3.
         data = b'household_id,timestamp,kw\n"H\n1",2024-01-01T00:00:00,1.0\nH2,notatime,1.0\n'
-        for read in (parse_readings, lambda source: ingest_readings([source])):
-            with pytest.raises(CsvFormatError, match="line 4: bad ISO-8601") as err:
-                read(data)
-            assert err.value.line == 4
+        with pytest.raises(CsvFormatError, match="line 4: bad ISO-8601") as err:
+            ingest_readings([data])
+        assert err.value.line == 4
 
     def test_bytes_not_utf8_name_their_line(self, tmp_path):
         rows = ["A,2024-01-01T00:00:00,1.0", "A,2024-01-01T00:15:00,2.0", "B,?,1.0"]
         data = csv_bytes(rows).replace(b",2.0", b",\xff2.0")
         path = tmp_path / "readings.csv"
         path.write_bytes(data)
-        for source in (lambda: path, lambda: data, lambda: io.BytesIO(data)):
+        for source in (path, data):
             with pytest.raises(CsvFormatError) as err:
-                ingest_readings([source()])
+                ingest_readings([source])
             assert (err.value.line, str(err.value)) == (3, "line 3: not UTF-8")
         # A rule broken on an earlier line is reported first.
         with pytest.raises(CsvFormatError, match="line 2: negative kW"):
@@ -179,15 +160,14 @@ class TestParseReadings:
 
     def test_zulu_timestamps_accepted(self):
         data = csv_bytes(["A,2024-01-01T00:00:00Z,1.0"])
-        (series,) = parse_readings(data)
-        assert len(series) == 1
+        assert read_rows(data) == [("A", "2024-01-01T00:00:00+00:00", bits(1.0))]
 
     def test_naive_after_zoned_names_line(self):
         data = csv_bytes(
             ["A,2024-01-01T00:00:00Z,1.0", "A,2024-01-01T00:15:00,1.0"]
         )
         with pytest.raises(CsvFormatError, match="mixed UTC offsets") as err:
-            parse_readings(data)
+            ingest_readings([data])
         assert err.value.line == 3
 
     def test_zoned_after_naive_names_line(self):
@@ -199,7 +179,7 @@ class TestParseReadings:
             ]
         )
         with pytest.raises(CsvFormatError, match="naive on its first row") as err:
-            parse_readings(data)
+            ingest_readings([data])
         assert err.value.line == 4
 
     def test_same_instant_in_another_offset_is_mixed_not_duplicate(self):
@@ -208,7 +188,7 @@ class TestParseReadings:
             ["A,2024-01-01T00:00:00Z,1.0", "A,2024-01-01T01:00:00+01:00,2.0"]
         )
         with pytest.raises(CsvFormatError, match="UTC\\+01:00 here, UTC on") as err:
-            parse_readings(data)
+            ingest_readings([data])
         assert err.value.line == 3
 
     def test_local_time_across_dst_change_is_refused(self):
@@ -217,11 +197,10 @@ class TestParseReadings:
         local = ["A,2024-03-31T01:45:00+01:00,1.0", "A,2024-03-31T03:00:00+02:00,2.0"]
         offsets = "UTC\\+02:00 here, UTC\\+01:00"
         with pytest.raises(CsvFormatError, match=offsets) as err:
-            parse_readings(csv_bytes(local))
+            ingest_readings([csv_bytes(local)])
         assert err.value.line == 3
         utc = ["A,2024-03-31T00:45:00Z,1.0", "A,2024-03-31T01:00:00Z,2.0"]
-        (series,) = parse_readings(csv_bytes(utc))
-        assert list(series.loads) == [1.0, 2.0]
+        assert [kw for *_, kw in read_rows(csv_bytes(utc))] == [bits(1.0), bits(2.0)]
 
     def test_offset_is_per_household_and_spelling_free(self):
         data = csv_bytes(
@@ -232,10 +211,12 @@ class TestParseReadings:
                 "C,2024-01-01T00:00:00,4.0",
             ]
         )
-        a, b, c = parse_readings(data)
-        assert list(a.loads) == [1.0, 3.0]
-        assert b.times[0].utcoffset() == timedelta(hours=-5)
-        assert c.times[0].tzinfo is None
+        assert read_rows(data) == [
+            ("A", "2024-01-01T00:00:00+00:00", bits(1.0)),
+            ("A", "2024-01-01T00:15:00+00:00", bits(3.0)),
+            ("B", "2024-01-01T00:00:00-05:00", bits(2.0)),
+            ("C", "2024-01-01T00:00:00", bits(4.0)),
+        ]
 
     @given(
         rows=st.lists(
@@ -263,19 +244,21 @@ class TestParseReadings:
                 offending = line
                 break
         if offending is None:
-            series = parse_readings(csv_bytes(lines))
-            assert sum(len(s) for s in series) == len(rows)
-            for s in series:
-                assert {t.utcoffset() for t in s.times} == {first[s.household_id]}
-                assert list(s.times) == sorted(s.times)
+            readings = profiles._read(csv_bytes(lines))
+            assert readings.house.size == len(rows)
+            offsets = {
+                (readings.households[h], readings.times[t].utcoffset())
+                for h, t in zip(readings.house, readings.stamp)
+            }
+            assert offsets == set(first.items())
         else:
             with pytest.raises(CsvFormatError, match="mixed UTC offsets") as err:
-                parse_readings(csv_bytes(lines))
+                ingest_readings([csv_bytes(lines)])
             assert err.value.line == offending
 
     def test_bulk_file_against_count_and_sort_oracle(self):
         # 50 households x 180 days x 96 slots, checked against plain
-        # per-household row counting and pairwise time ordering.
+        # per-household row counting and np.median over each slot's days.
         rng = np.random.default_rng(3)
         days, houses = 180, 50
         day_stamps = [
@@ -283,36 +266,52 @@ class TestParseReadings:
             for d in range(days)
             for s in range(SLOTS_PER_DAY)
         ]
-        rows = []
+        rows, want = [], []
         for h in range(houses):
-            loads = rng.random(len(day_stamps))
+            texts = [f"{kw:.3f}" for kw in rng.random(len(day_stamps))]
+            loads = np.array([float(kw) for kw in texts])
             hid = f"H{h:02d}"
-            rows.extend(
-                f"{hid},{ts},{loads[i]:.3f}" for i, ts in enumerate(day_stamps)
-            )
-        series = parse_readings(csv_bytes(rows))
-        assert len(series) == houses
-        for s in series:
-            assert len(s) == days * SLOTS_PER_DAY
-            times = s.times
-            assert all(times[i] < times[i + 1] for i in range(len(times) - 1))
+            rows.extend(f"{hid},{ts},{kw}" for ts, kw in zip(day_stamps, texts))
+            want.append(l2_normalize(np.median(loads.reshape(days, SLOTS_PER_DAY), axis=0)))
+        data = csv_bytes(rows)
+        counts = np.bincount(profiles._read(data).house)
+        assert counts.tolist() == [days * SLOTS_PER_DAY] * houses
+        matrix = ingest_readings([data])
+        assert matrix.households == tuple(f"H{h:02d}" for h in range(houses))
+        assert matrix.values.tobytes() == np.array(want).tobytes()
+
+
+def bits(kw):
+    """The int64 bits of a kW value."""
+    return int(np.float64(kw).view(np.int64))
+
+
+def rows_of(readings):
+    """Readings in one canonical form, whichever reader made them: sorted
+    (household, ISO timestamp, kW bits) rows."""
+    load_bits = readings.loads.view(np.int64).tolist()
+    return sorted(
+        (readings.households[h], readings.times[t].isoformat(), load_bits[k])
+        for h, t, k in zip(*(a.tolist() for a in (readings.house, readings.stamp, readings.load)))
+    )
+
+
+def read_rows(source):
+    return rows_of(profiles._read(source))
 
 
 def row_parse(source):
-    """The row parser on a fresh handle: the reference for parse_readings."""
+    """The row parser on the whole source: the reference for the columnar reader."""
     return profiles._parse_rows(profiles._text_lines(source))
 
 
-def outcome(parse, source):
-    """What a parser makes of a source: the series, or the error it raised."""
+def outcome(read, source):
+    """What a reader makes of a source: its rows, or the error it raised."""
     try:
-        series = parse(source)
-    except Exception as exc:  # the two parsers must fail alike
+        readings = read(source)
+    except Exception as exc:  # the two readers must fail alike
         return type(exc), str(exc), getattr(exc, "line", None)
-    return [
-        (s.household_id, s.times, tuple(t.isoformat() for t in s.times), s.loads.tobytes())
-        for s in series
-    ]
+    return rows_of(readings)
 
 
 def profile_outcome(compute):
@@ -329,6 +328,13 @@ def forbid_row_parser(monkeypatch):
         raise AssertionError("the row parser ran")
 
     monkeypatch.setattr(profiles, "_parse_rows", row_parser)
+
+
+def force_row_parser(monkeypatch):
+    def columnar(blocks):
+        raise profiles._RowPath
+
+    monkeypatch.setattr(profiles, "_read_columns", columnar)
 
 
 HOUSEHOLDS = ("a", "b", "hh-7", "\u00dc")
@@ -427,25 +433,17 @@ def readings_files(draw, full_days=False):
 
 
 class TestColumnarReader:
-    """parse_readings against the row parser it falls back on."""
+    """The columnar reader against the row parser it falls back on."""
 
     @given(
         file=readings_files(),
         block=st.sampled_from([16, 64, 1 << 22]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_same_series_or_same_error_as_row_parser(self, tmp_path_factory, file, block):
+    def test_same_rows_or_same_error_as_row_parser(self, tmp_path_factory, file, block):
         data, plain = file
         path = tmp_path_factory.getbasetemp() / "columnar-property.csv"
         path.write_bytes(data)
-        # Bytes and streams parse as the file does.
-        sources = [lambda: path, lambda: data, lambda: io.BytesIO(data)]
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            pass
-        else:
-            sources.append(lambda: io.StringIO(text))
         row_calls = []
         real_rows = profiles._parse_rows
 
@@ -457,9 +455,9 @@ class TestColumnarReader:
             mp.setattr(profiles, "_BLOCK_BYTES", block)
             mp.setattr(profiles, "_parse_rows", counted_rows)
             want = outcome(row_parse, path)
-            for source in sources:
+            for source in (path, data):  # bytes read as the file does
                 row_calls.clear()
-                assert outcome(parse_readings, source()) == want
+                assert outcome(profiles._read, source) == want
                 if plain and isinstance(want, list):
                     assert not row_calls  # plain, valid input stays columnar
 
@@ -470,11 +468,12 @@ class TestColumnarReader:
     @settings(max_examples=150, deadline=None)
     def test_same_profiles_or_same_error_as_row_parser(self, file, block):
         data, _ = file
-        with np.errstate(over="ignore"):
-            want = profile_outcome(lambda: profiles_from_readings(row_parse(data)))
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(profiles, "_BLOCK_BYTES", block)
-                assert profile_outcome(lambda: ingest_readings([data])) == want
+        with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
+            force_row_parser(mp)
+            want = profile_outcome(lambda: ingest_readings([data]))
+            mp.undo()
+            mp.setattr(profiles, "_BLOCK_BYTES", block)
+            assert profile_outcome(lambda: ingest_readings([data])) == want
 
     def test_households_split_across_blocks(self, monkeypatch):
         rows = []
@@ -489,31 +488,25 @@ class TestColumnarReader:
         forbid_row_parser(monkeypatch)
         for block in (100, 1000, 1 << 22):
             monkeypatch.setattr(profiles, "_BLOCK_BYTES", block)
-            assert outcome(parse_readings, data) == want
-        assert [len(s) for s in parse_readings(data)] == [2 * SLOTS_PER_DAY] * 2
-
-    def test_timestamps_shared_per_distinct_string(self):
-        data = csv_bytes(
-            ["a,2024-01-01T00:00:00Z,1", "b,2024-01-01T00:00:00Z,2", "c,2024-01-01T00:00:00+00:00,3"]
-        )
-        a, b, c = parse_readings(data)
-        assert a.times[0] is b.times[0]
-        assert c.times == a.times
+            assert outcome(profiles._read, data) == want
+        assert np.bincount(profiles._read(data).house).tolist() == [2 * SLOTS_PER_DAY] * 2
 
     def test_crlf_and_padding_stay_columnar(self, monkeypatch):
         data = b"household_id, timestamp ,kw\r\n A ,2024-01-01T00:15 , 2.5\r\nA,2024-01-01T00:00,1\r\n"
         forbid_row_parser(monkeypatch)
-        (series,) = parse_readings(data)
-        assert series.household_id == "A"
-        assert list(series.loads) == [1.0, 2.5]
+        assert read_rows(data) == [
+            ("A", "2024-01-01T00:00:00", bits(1.0)),
+            ("A", "2024-01-01T00:15:00", bits(2.5)),
+        ]
         with pytest.raises(AssertionError, match="row parser ran"):  # mixed offsets
-            parse_readings(data.replace(b"00:00,", b"00:00Z,"))
+            read_rows(data.replace(b"00:00,", b"00:00Z,"))
 
     def test_path_sources_are_closed(self, tmp_path):
+        rows = full_day_rows("A", "2024-01-01T00:00:00", [1.0] * SLOTS_PER_DAY)
         readings = tmp_path / "readings.csv"
-        readings.write_bytes(csv_bytes(["A,2024-01-01T00:00:00,1.0"]))
+        readings.write_bytes(csv_bytes(rows))
         quoted = tmp_path / "quoted.csv"
-        quoted.write_bytes(csv_bytes(['"A",2024-01-01T00:00:00,1.0']))
+        quoted.write_bytes(csv_bytes(rows).replace(b"\nA,", b'\n"A",', 1))
         matrix, _ = generate_synthetic(
             SynthSpec(templates=synthetic_templates(2), cluster_size=2, spread=0.01)
         )
@@ -521,33 +514,35 @@ class TestColumnarReader:
         write_profiles_csv(matrix, stored)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            parse_readings(readings)
-            parse_readings(quoted)
+            ingest_readings([readings])
+            ingest_readings([quoted])
             read_profiles_csv(stored)
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
-        with open(readings, encoding="utf-8", newline="") as own, open(
-            stored, encoding="utf-8", newline=""
-        ) as other:
-            parse_readings(own)
+        with open(stored, encoding="utf-8", newline="") as other:
             read_profiles_csv(other)
-            assert not own.closed and not other.closed
+            assert not other.closed
+
+
+def slot_medians(data):
+    """The per-slot medians, in kW, of the one household in a readings CSV."""
+    r = profiles._read(data)
+    (median,) = profiles._medians(
+        r.households, r.house, profiles._slots(r.times)[r.stamp], r.load, r.loads
+    )
+    return median
 
 
 class TestMedianDailyProfile:
     def test_single_day_verbatim(self):
         values = np.random.default_rng(0).random(SLOTS_PER_DAY)
-        (series,) = parse_readings(
-            csv_bytes(full_day_rows("A", "2024-01-01T00:00:00", values))
-        )
-        profile = median_daily_profile(series)
+        profile = slot_medians(csv_bytes(full_day_rows("A", "2024-01-01T00:00:00", values)))
         np.testing.assert_allclose(profile, np.round(values, 12), atol=5e-13)
 
     def test_even_count_takes_middle_mean(self):
         rows = full_day_rows("A", "2024-01-01T00:00:00", [1.0] * SLOTS_PER_DAY)
         rows += full_day_rows("A", "2024-01-02T00:00:00", [3.0] * SLOTS_PER_DAY)
-        (series,) = parse_readings(csv_bytes(rows))
-        assert median_daily_profile(series).tolist() == [2.0] * SLOTS_PER_DAY
+        assert slot_medians(csv_bytes(rows)).tolist() == [2.0] * SLOTS_PER_DAY
 
     def test_seven_days_match_sort_and_pick_oracle(self):
         rng = np.random.default_rng(9)
@@ -555,17 +550,15 @@ class TestMedianDailyProfile:
         rows = []
         for d in range(7):
             rows += full_day_rows("A", f"2024-01-0{d + 1}T00:00:00", data[d])
-        (series,) = parse_readings(csv_bytes(rows))
-        profile = median_daily_profile(series)
+        profile = slot_medians(csv_bytes(rows))
         for s in range(SLOTS_PER_DAY):
             ordered = sorted(float(f"{v:.17g}") for v in data[:, s])
             assert profile[s] == pytest.approx(ordered[3], abs=1e-12)
 
     def test_missing_slot_is_an_error(self):
         rows = full_day_rows("A", "2024-01-01T00:00:00", [1.0] * SLOTS_PER_DAY)
-        (series,) = parse_readings(csv_bytes(rows[:-1]))
         with pytest.raises(MissingSlotError, match="slot"):
-            median_daily_profile(series)
+            slot_medians(csv_bytes(rows[:-1]))
 
     def test_day_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -576,18 +569,8 @@ class TestMedianDailyProfile:
             rows = []
             for i, d in enumerate(order):
                 rows += full_day_rows("A", f"2024-01-0{i + 1}T00:00:00", data[d])
-            (series,) = parse_readings(csv_bytes(rows))
-            results.append(median_daily_profile(series))
+            results.append(slot_medians(csv_bytes(rows)))
         np.testing.assert_array_equal(results[0], results[1])
-
-
-def median_reference(series):
-    """Plain per-slot buckets and np.median: the medians as they were
-    first defined."""
-    buckets = [[] for _ in range(SLOTS_PER_DAY)]
-    for ts, kw in zip(series.times, series.loads):
-        buckets[ts.hour * 4 + ts.minute // 15].append(kw)
-    return np.array([np.median(b) for b in buckets], dtype=float)
 
 
 # Ties, and loads near the float maximum where (a + a) / 2 would overflow.
@@ -597,84 +580,79 @@ MEDIAN_LOADS = (0.0, 0.25, 1.0, 1.0, 3.5, 7.125, 1.5e308, 1.7976931348623157e308
 
 
 @st.composite
-def slot_series(draw, hid, stamps, loads=MEDIAN_LOADS, min_count=1):
-    """A series with an uneven number of days per slot (missing days),
-    reusing the datetime objects in ``stamps`` the way parse_readings does."""
+def slot_buckets(draw, loads=MEDIAN_LOADS, min_count=1):
+    """Each slot's (day, kW) readings for one household, an uneven number
+    of days per slot (missing days)."""
     counts = draw(st.lists(
         st.integers(min_value=min_count, max_value=5),
         min_size=SLOTS_PER_DAY, max_size=SLOTS_PER_DAY,
     ))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    pairs = []
-    for slot, count in enumerate(counts):
-        days = rng.choice(7, size=count, replace=False)
-        pairs += [(stamps[day, slot], loads[i]) for day, i in zip(days, rng.integers(len(loads), size=count))]
-    pairs.sort(key=lambda pair: pair[0])
-    return ReadingSeries(
-        hid, tuple(t for t, _ in pairs), np.array([kw for _, kw in pairs], dtype=float)
-    )
+    return [
+        [(int(day), loads[i]) for day, i in zip(rng.choice(7, size=count, replace=False),
+                                               rng.integers(len(loads), size=count))]
+        for count in counts
+    ]
 
 
-STAMPS = {
-    (day, slot): datetime(2024, 1, 1) + timedelta(days=day, minutes=15 * slot)
-    for day in range(7)
-    for slot in range(SLOTS_PER_DAY)
-}
+def buckets_csv(households):
+    """Readings CSV bytes of ``{household: slot buckets}``, rows shuffled."""
+    rows = [
+        f"{hid},{(datetime(2024, 1, 1) + timedelta(days=day, minutes=15 * s)).isoformat()},{kw!r}"
+        for hid, buckets in households.items()
+        for s, bucket in enumerate(buckets)
+        for day, kw in bucket
+    ]
+    return csv_bytes(list(np.random.default_rng(len(rows)).permutation(rows)))
+
+
+def median_reference(buckets):
+    """Plain per-slot np.median: the medians as they were first defined."""
+    return np.array([np.median([kw for _, kw in bucket]) for bucket in buckets], dtype=float)
 
 
 class TestGroupedMedian:
-    """median_daily_profile and profiles_from_readings take every median
-    from one sort over all households; the medians must be np.median's,
-    byte for byte."""
+    """Every median comes from one sort over all households' rows; the
+    medians must be np.median's, byte for byte."""
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_per_slot_np_median(self, data):
-        series = data.draw(slot_series("A", STAMPS))
+        buckets = data.draw(slot_buckets())
         with np.errstate(over="ignore"):
-            want = median_reference(series)
-            got = median_daily_profile(series)
+            want = median_reference(buckets)
+            got = slot_medians(buckets_csv({"A": buckets}))
         assert got.tobytes() == want.tobytes()
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_profiles_bitwise_equal_to_reference(self, data):
-        # Households a and b share datetime objects; c has equal copies.
-        copies = {key: t.replace() for key, t in STAMPS.items()}
         loads = MEDIAN_LOADS[1:6]
-        series = [
-            data.draw(slot_series("a", STAMPS, loads)),
-            data.draw(slot_series("b", STAMPS, loads)),
-            data.draw(slot_series("c", copies, loads)),
-        ]
-        matrix = profiles_from_readings(series)
-        want = np.array([l2_normalize(median_reference(s)) for s in series])
+        households = {hid: data.draw(slot_buckets(loads)) for hid in ("c", "a", "b")}
+        matrix = ingest_readings([buckets_csv(households)])
+        want = np.array([l2_normalize(median_reference(households[h])) for h in "abc"])
         assert matrix.households == ("a", "b", "c")
         assert matrix.values.tobytes() == want.tobytes()
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_empty_slot_message(self, data):
-        series = data.draw(slot_series("H7", STAMPS, min_count=0))
-        missing = [s for s, v in enumerate(median_reference_counts(series)) if v == 0]
+        buckets = data.draw(slot_buckets(min_count=0))
+        assume(any(buckets))  # a file with no readings fails earlier
+        missing = [s for s, bucket in enumerate(buckets) if not bucket]
+        readings = buckets_csv({"H7": buckets})
         if not missing:
-            np.testing.assert_array_equal(median_daily_profile(series), median_reference(series))
+            with np.errstate(over="ignore"):
+                np.testing.assert_array_equal(slot_medians(readings), median_reference(buckets))
             return
         message = (
             f"household H7: no observations for {len(missing)} slot(s), "
             f"first missing slot {missing[0]}"
         )
-        for compute in (median_daily_profile, lambda s: profiles_from_readings([s])):
+        for compute in (slot_medians, lambda data: ingest_readings([data])):
             with pytest.raises(MissingSlotError) as err:
-                compute(series)
+                compute(readings)
             assert str(err.value) == message
-
-
-def median_reference_counts(series):
-    counts = [0] * SLOTS_PER_DAY
-    for ts in series.times:
-        counts[ts.hour * 4 + ts.minute // 15] += 1
-    return counts
 
 
 class TestL2Normalize:
@@ -701,6 +679,25 @@ class TestL2Normalize:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroProfileError):
             l2_normalize(np.zeros(SLOTS_PER_DAY))
+
+    @pytest.mark.parametrize("scale", [1e300, 1.7976931348623157e308, 1e-170, 5e-324])
+    def test_sum_of_squares_out_of_range(self, scale):
+        # The squares of these entries over- or underflow; the profile is
+        # still the unit vector of its shape, without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = l2_normalize(np.full(SLOTS_PER_DAY, scale))
+        assert out.tobytes() == l2_normalize(np.ones(SLOTS_PER_DAY)).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-170])
+    def test_shape_kept_when_squares_out_of_range(self, scale):
+        vec = np.zeros(SLOTS_PER_DAY)
+        vec[:2] = 3 * scale, 4 * scale
+        assert l2_normalize(vec)[:2] == pytest.approx([0.6, 0.8], abs=1e-15)
+
+    def test_finite_norm_keeps_its_bits(self):
+        vec = np.random.default_rng(5).random(SLOTS_PER_DAY)
+        assert l2_normalize(vec).tobytes() == (vec / np.linalg.norm(vec)).tobytes()
 
     def test_non_finite_rejected(self):
         vec = np.ones(SLOTS_PER_DAY)
@@ -943,7 +940,7 @@ class TestProfileCsv:
         err = self.read_error(self.profile_text(*rows))
         assert str(err) == "line 5: duplicate household_id 'b'"
 
-    def test_profiles_from_readings_end_to_end(self):
+    def test_ingest_readings_end_to_end(self):
         rng = np.random.default_rng(6)
         rows = []
         for hid in ["a", "b"]:
@@ -951,7 +948,7 @@ class TestProfileCsv:
                 rows += full_day_rows(
                     hid, f"2024-01-0{d + 1}T00:00:00", rng.random(SLOTS_PER_DAY) + 0.5
                 )
-        matrix = profiles_from_readings(parse_readings(csv_bytes(rows)))
+        matrix = ingest_readings([csv_bytes(rows)])
         assert matrix.households == ("a", "b")
         assert matrix.dimension == SLOTS_PER_DAY
         assert np.abs(np.linalg.norm(matrix.values, axis=1) - 1.0).max() < 1e-9
