@@ -4,12 +4,7 @@ seeded synthetic population generator."""
 
 import numpy as np
 
-from cvilab.profiles import (
-    SynthSpec,
-    generate_synthetic,
-    ingest_readings,
-    synthetic_templates,
-)
+from cvilab.profiles import SynthSpec, generate_synthetic, ingest_readings
 
 # --- tiny readings: one household, three days, one slot spiking once ---
 # The per-slot median over days is what survives into the profile, so a
@@ -32,10 +27,10 @@ print("norm of the unit profile:", float(np.linalg.norm(profile)))
 
 # --- synthetic population: 3 template shapes, 30 households each ---
 spec = SynthSpec(
-    templates=synthetic_templates(3),
+    clusters=3,
     cluster_size=30,
     spread=0.02,
-    outlier_count=2,
+    outliers=2,
     outlier_mode="far",
     seed=42,
 )

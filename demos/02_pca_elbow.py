@@ -10,11 +10,9 @@ from cvilab.pca import (
     project,
     select_dimensions_elbow,
 )
-from cvilab.profiles import SynthSpec, generate_synthetic, synthetic_templates
+from cvilab.profiles import SynthSpec, generate_synthetic
 
-spec = SynthSpec(
-    templates=synthetic_templates(3), cluster_size=30, spread=0.02, seed=7
-)
+spec = SynthSpec(clusters=3, cluster_size=30, spread=0.02, seed=7)
 matrix, _ = generate_synthetic(spec)
 print("profiles:", matrix.values.shape)
 

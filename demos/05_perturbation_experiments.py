@@ -9,14 +9,14 @@ from pathlib import Path
 import numpy as np
 
 from cvilab import perturb
-from cvilab.profiles import SynthSpec, generate_synthetic, synthetic_templates
+from cvilab.profiles import SynthSpec, generate_synthetic
 
 # --- outlier toggling: every subset of the singleton clusters ---
 spec = SynthSpec(
-    templates=synthetic_templates(3),
+    clusters=3,
     cluster_size=30,
     spread=0.02,
-    outlier_count=2,
+    outliers=2,
     outlier_mode="far",
     seed=42,
 )

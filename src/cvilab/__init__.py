@@ -58,7 +58,6 @@ from .perturb import (
 from .pipeline import (
     RunConfig,
     RunManifest,
-    SynthPlan,
     emit_report,
     load_run_config,
     run_experiment,

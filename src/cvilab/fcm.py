@@ -50,8 +50,7 @@ class ClusterModel:
 
     ``memberships`` rows sum to 1; ``labels`` is their per-row argmax (ties
     to the lowest index); ``objective_trace`` holds the objective after each
-    iteration of the winning restart. ``empty_clusters`` flags clusters that
-    received no points under hardening.
+    iteration of the winning restart.
     """
 
     centroids: np.ndarray        # (k, d)
@@ -59,11 +58,15 @@ class ClusterModel:
     fuzzifier: float
     labels: np.ndarray           # (N,)
     objective_trace: np.ndarray  # (iterations,)
-    empty_clusters: tuple[int, ...] = ()
 
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
+
+    @property
+    def empty_clusters(self) -> tuple[int, ...]:
+        """The clusters that received no points under hardening."""
+        return tuple(j for j in range(self.k) if not np.any(self.labels == j))
 
 
 def _cluster_sum(a: np.ndarray) -> np.ndarray:
@@ -197,15 +200,12 @@ def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
     # The lowest final objective wins; min keeps the first of equals.
     best = min(range(config.restarts), key=lambda restart: traces[restart][-1])
     u = np.ascontiguousarray(final_u[best].T)
-    labels = np.argmax(u, axis=1)
-    empty = tuple(int(j) for j in range(config.k) if not np.any(labels == j))
     return ClusterModel(
         centroids=final_centroids[best].copy(),
         memberships=u,
         fuzzifier=m,
-        labels=labels,
+        labels=np.argmax(u, axis=1),
         objective_trace=np.array(traces[best], dtype=float),
-        empty_clusters=empty,
     )
 
 
@@ -264,5 +264,4 @@ def model_from_dict(payload: dict) -> ClusterModel:
         fuzzifier=float(payload["m"]),
         labels=np.array(payload["labels"], dtype=int),
         objective_trace=np.array(payload["objective_trace"], dtype=float),
-        empty_clusters=tuple(payload.get("empty_clusters", ())),
     )

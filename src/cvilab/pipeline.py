@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -37,7 +37,6 @@ from .profiles import (
     generate_synthetic,
     ingest_readings,
     read_profiles_csv,
-    synthetic_templates,
     write_profiles_csv,
 )
 from .rng import U64_MASK, worker_count
@@ -51,37 +50,13 @@ def _fmt9(value: float) -> str:
 
 
 @dataclass(frozen=True)
-class SynthPlan:
-    """Scalar knobs for a synthetic population; templates are derived
-    from the cluster count."""
-
-    clusters: int = 3
-    cluster_size: int = 30
-    spread: float = 0.02
-    outliers: int = 0
-    outlier_mode: str = "far"
-
-    def __post_init__(self):
-        self.to_spec(0)  # a bad plan fails with the config, not mid-run
-
-    def to_spec(self, seed: int) -> SynthSpec:
-        return SynthSpec(
-            templates=synthetic_templates(self.clusters),
-            cluster_size=self.cluster_size,
-            spread=self.spread,
-            outlier_count=self.outliers,
-            outlier_mode=self.outlier_mode,
-            seed=seed,
-        )
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs; exactly one data source (inputs or synth)
-    must be present before the pipeline itself may start."""
+    must be present before the pipeline itself may start. ``seed`` is the
+    one seed of the run: the perturbation and synthesis settings take it."""
 
     inputs: tuple[str, ...] = ()
-    synth: SynthPlan | None = None
+    synth: SynthSpec | None = None
     out_dir: str = "out"
     seed: int = 0
     dprime: int | str = "elbow"
@@ -99,6 +74,9 @@ class RunConfig:
             raise ValueError("give input paths or a synth plan, not both")
         if not 0 <= self.seed <= U64_MASK:
             raise ValueError(f"seed {self.seed} out of range 0..{U64_MASK}")
+        object.__setattr__(self, "perturb", replace(self.perturb, seed=self.seed))
+        if self.synth is not None:
+            object.__setattr__(self, "synth", replace(self.synth, seed=self.seed))
         if self.dprime != "elbow" and (isinstance(self.dprime, str) or self.dprime < 1):
             raise ValueError("dprime must be a positive integer or 'elbow'")
         if self.dprime != "elbow" and self.dprime > SLOTS_PER_DAY:  # one PCA axis per slot
@@ -228,13 +206,9 @@ def build_run_config(raw: dict[str, list[str]]) -> RunConfig:
             if value is not None:
                 group, _, name = row.field.rpartition(".")
                 fields[group][name] = value
-    synth = None
-    if any(key.startswith("synth.") for key in raw):
-        synth = SynthPlan(**fields["synth"])
-    perturb = perturb_mod.PerturbConfig(
-        seed=fields[""].get("seed", RunConfig.seed), **fields["perturb"]
-    )
-    return RunConfig(synth=synth, perturb=perturb, **fields[""])
+    synth = SynthSpec(**fields["synth"]) if any(key.startswith("synth.") for key in raw) else None
+    return RunConfig(synth=synth, perturb=perturb_mod.PerturbConfig(**fields["perturb"]),
+                     **fields[""])
 
 
 def load_run_config(config_path=None, overrides: dict[str, list[str]] | None = None) -> RunConfig:
@@ -322,7 +296,11 @@ def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
     out = Path(config.out_dir)
     manifest_path = out / "manifest.json"
     previous = load_manifest(out) if manifest_path.exists() else None
-    artifacts: dict[str, str] = dict(previous.artifacts if previous else {})
+    # What a command writes replaces all it wrote before: a skipped
+    # experiment's record drops the table of an earlier run.
+    owners = {_ARTIFACTS.get(name, (name,))[0] for name in written}
+    artifacts = {name: digest for name, digest in (previous.artifacts if previous else {}).items()
+                 if _ARTIFACTS.get(name, (name,))[0] not in owners}
     for name in written:
         artifacts[name] = _sha256(out / name)
     if "profiles.csv" in written:
@@ -417,7 +395,7 @@ def _load_profiles(config: RunConfig) -> tuple[ProfileMatrix, np.ndarray | None]
     """Profiles straight from the data source."""
     config.require_data_source()
     if config.synth is not None:
-        return generate_synthetic(config.synth.to_spec(config.seed))
+        return generate_synthetic(config.synth)
     return ingest_readings(config.inputs), None
 
 
@@ -501,8 +479,9 @@ def _score(
 
 def _experiment(
     kind: str, config: RunConfig, points: np.ndarray, model: fcm_mod.ClusterModel
-) -> tuple[perturb_mod.ExperimentReport, list[str]]:
-    """experiment_<kind>.json and .csv."""
+) -> tuple[perturb_mod.ExperimentReport | str, list[str]]:
+    """experiment_<kind>.json and .csv. An experiment the partition cannot
+    support is recorded as skipped, with its reason, in the JSON alone."""
     runner = {
         "outliers": perturb_mod.outlier_experiment,
         "density": perturb_mod.density_experiment,
@@ -511,8 +490,13 @@ def _experiment(
     # Each variant is refit at its own cluster count, with the baseline's settings.
     refit = None if not config.recluster else (
         lambda variant, k: fcm_mod.fit_fcm(variant, _fcm_config(config, k)).labels)
-    report = runner(points, model.labels, config.perturb, refit=refit)
     out = Path(config.out_dir)
+    try:
+        report = runner(points, model.labels, config.perturb, refit=refit)
+    except perturb_mod.ExperimentSkipped as exc:
+        (out / f"experiment_{kind}.csv").unlink(missing_ok=True)
+        _write_json(out / f"experiment_{kind}.json", {"kind": kind, "skipped": str(exc)})
+        return str(exc), [f"experiment_{kind}.json"]
     _write_json(out / f"experiment_{kind}.json", perturb_mod.experiment_to_dict(report))
     _write_text(out / f"experiment_{kind}.csv", perturb_mod.experiment_to_csv(report))
     return report, [f"experiment_{kind}.json", f"experiment_{kind}.csv"]
@@ -611,28 +595,14 @@ def stage_validate(config: RunConfig) -> list[str]:
 
 def run_experiment(
     kind: str, config: RunConfig
-) -> tuple[perturb_mod.ExperimentReport, list[str]]:
-    """One perturbation experiment against the stored partition, written
-    as experiment_<kind>.json and .csv.
-
-    With no partition in the output directory but a data source in the
-    config, the data, cluster and validate stages run first. Returns the
-    report and every artifact name written along the way.
-    """
+) -> tuple[perturb_mod.ExperimentReport | str, list[str]]:
+    """One perturbation experiment against the partition stored in the
+    output directory; returns the report (the reason, if skipped) and the
+    names written."""
     if kind not in perturb_mod.EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    written: list[str] = []
-    if not all((Path(config.out_dir) / name).exists() for name in _FITTED):
-        if not config.inputs and config.synth is None:
-            raise ValueError(
-                "missing baseline: no pipeline artifacts in the output "
-                "directory and no data source in the config"
-            )
-        written = stage_data(config) + stage_cluster(config) + stage_validate(config)
     matrix, pca_model, model = _load_stored(config, *_FITTED)
-    points = _evaluation_points(config, matrix, pca_model)
-    report, names = _experiment(kind, config, points, model)
-    return report, written + names
+    return _experiment(kind, config, _evaluation_points(config, matrix, pca_model), model)
 
 
 def emit_report(config: RunConfig) -> list[str]:
@@ -650,10 +620,6 @@ def run_full(config: RunConfig) -> list[str]:
     names written, and the caller records them with update_manifest as
     after any staged command. The stages are the ones the staged commands
     run, chained in memory, so nothing written is read back.
-
-    An experiment the partition cannot support is recorded as skipped,
-    with its reason, in experiment_<kind>.json (no CSV), and the run goes
-    on.
     """
     matrix, truth = _load_profiles(config)
     written = _write_data(config, matrix, truth)
@@ -664,11 +630,6 @@ def run_full(config: RunConfig) -> list[str]:
     written += names
     experiments: dict[str, perturb_mod.ExperimentReport | str] = {}
     for kind in config.experiments:
-        try:
-            experiments[kind], names = _experiment(kind, config, points, model)
-        except perturb_mod.ExperimentSkipped as exc:
-            experiments[kind] = str(exc)
-            names = [f"experiment_{kind}.json"]
-            _write_json(Path(config.out_dir) / names[0], {"kind": kind, "skipped": str(exc)})
+        experiments[kind], names = _experiment(kind, config, points, model)
         written += names
     return written + _report(config, matrix, pca_model, model, baseline, experiments)

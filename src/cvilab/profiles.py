@@ -119,15 +119,15 @@ def ingest_readings(sources) -> ProfileMatrix:
     household carries the UTC offset of its first row (naive counts as one
     offset), so its samples slot and de-duplicate by one wall clock.
 
-    Each source is a path or bytes, read as a file opened with
-    ``newline=""`` in blocks of whole lines; each distinct household,
-    timestamp and kW string is parsed once. Input outside the plain grammar
-    (quotes, blank lines, a wrong comma count, bytes that are not UTF-8),
-    with no rows, or breaking a rule goes to the row parser, which raises
-    the line-numbered error. All sources are read before any median is
-    taken. The households come out in sorted id order; the first one with
-    an empty slot or no energy raises, and one in two sources gives two
-    rows, which :class:`ProfileMatrix` rejects.
+    Each source is a path or bytes (anything else is a TypeError), read as
+    a file opened with ``newline=""`` in blocks of whole lines; each
+    distinct household, timestamp and kW string is parsed once. Input
+    outside the plain grammar (quotes, blank lines, a wrong comma count,
+    bytes that are not UTF-8), with no rows, or breaking a rule goes to the
+    row parser, which raises the line-numbered error. All sources are read
+    before any median is taken. The households come out in sorted id order;
+    the first one with an empty slot or no energy raises, and one in two
+    sources gives two rows, which :class:`ProfileMatrix` rejects.
     """
     files = [_read(source) for source in sources]
     if not files:
@@ -231,6 +231,8 @@ class _Readings(NamedTuple):
 def _read(source) -> _Readings:
     """One path or bytes, through the columnar reader or else the row parser."""
     path = isinstance(source, (str, os.PathLike))
+    if not path and not isinstance(source, bytes):
+        raise TypeError(f"readings source must be a path or bytes, not {type(source).__name__}")
     try:
         with open(source, "rb") if path else io.BytesIO(source) as fh:
             return _read_columns(_line_blocks(fh))
@@ -420,41 +422,34 @@ def l2_normalize(profile: np.ndarray) -> np.ndarray:
 class SynthSpec:
     """Recipe for a seeded synthetic household population.
 
-    Each of ``cluster_count`` clusters gets ``cluster_size`` profiles built
-    as its template plus isotropic Gaussian noise of scale ``spread``,
-    clipped at zero and unit-normalized. Outliers are single extra profiles;
-    in ``"far"`` mode they sit at >= 5x the maximum inter-template distance
-    from every template (measured before normalization, realized as spikes
-    on otherwise-quiet slots so they stay remote after normalization too),
-    in ``"near"`` mode they sit at the template centroid.
+    Each of ``clusters`` clusters gets ``cluster_size`` profiles built as
+    its :func:`synthetic_templates` shape plus isotropic Gaussian noise of
+    scale ``spread``, clipped at zero and unit-normalized. The ``outliers``
+    are single extra profiles; in ``"far"`` mode they sit at >= 5x the
+    maximum inter-template distance from every template (measured before
+    normalization, realized as spikes on otherwise-quiet slots so they stay
+    remote after normalization too), in ``"near"`` mode they sit at the
+    template centroid.
     """
 
-    templates: np.ndarray  # (cluster_count, 96)
-    cluster_size: int
-    spread: float
-    outlier_count: int = 0
+    clusters: int = 3
+    cluster_size: int = 30
+    spread: float = 0.02
+    outliers: int = 0
     outlier_mode: str = "far"
     seed: int = 0
 
     def __post_init__(self):
-        t = np.asarray(self.templates, dtype=float)
-        object.__setattr__(self, "templates", t)
-        if t.ndim != 2 or t.shape[1] != SLOTS_PER_DAY or t.shape[0] < 1:
-            raise ValueError(f"templates must be (clusters, {SLOTS_PER_DAY})")
-        if np.any(t < 0) or not np.all(np.isfinite(t)):
-            raise ValueError("templates must be finite and nonnegative")
+        if self.clusters < 1:
+            raise ValueError("need at least one template")
         if self.cluster_size < 1:
             raise ValueError("cluster_size must be positive")
         if not 0 <= self.spread < math.inf:
             raise ValueError(f"spread must be finite and nonnegative, got {self.spread!r}")
-        if self.outlier_count < 0:
-            raise ValueError("outlier_count must be nonnegative")
+        if self.outliers < 0:
+            raise ValueError("outliers must be nonnegative")
         if self.outlier_mode not in ("far", "near"):
             raise ValueError("outlier_mode must be 'far' or 'near'")
-
-    @property
-    def cluster_count(self) -> int:
-        return self.templates.shape[0]
 
 
 def synthetic_templates(count: int) -> np.ndarray:
@@ -505,12 +500,13 @@ def generate_synthetic(spec: SynthSpec) -> tuple[ProfileMatrix, np.ndarray]:
     k, k+1, ... since it is meant to surface as a singleton cluster.
     """
     rng = master_stream(spec.seed)
-    k = spec.cluster_count
+    templates = synthetic_templates(spec.clusters)
+    k = spec.clusters
     rows = []
     labels = []
     for j in range(k):
         noise = rng.normal(0.0, spec.spread, size=(spec.cluster_size, SLOTS_PER_DAY))
-        raw = np.clip(spec.templates[j] + noise, 0.0, None)
+        raw = np.clip(templates[j] + noise, 0.0, None)
         for r in range(spec.cluster_size):
             if not raw[r].any():
                 raise ZeroProfileError(
@@ -518,14 +514,12 @@ def generate_synthetic(spec: SynthSpec) -> tuple[ProfileMatrix, np.ndarray]:
                 )
             rows.append(l2_normalize(raw[r]))
             labels.append(j)
-    if spec.outlier_count:
+    if spec.outliers:
         if spec.outlier_mode == "far":
-            raw_outliers = _far_outliers(spec.templates, spec.outlier_count)
+            raw_outliers = _far_outliers(templates, spec.outliers)
         else:
-            raw_outliers = np.broadcast_to(
-                spec.templates.mean(axis=0), (spec.outlier_count, SLOTS_PER_DAY)
-            )
-        for i in range(spec.outlier_count):
+            raw_outliers = np.broadcast_to(templates.mean(axis=0), (spec.outliers, SLOTS_PER_DAY))
+        for i in range(spec.outliers):
             rows.append(l2_normalize(raw_outliers[i]))
             labels.append(k + i)
 

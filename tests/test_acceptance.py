@@ -25,7 +25,7 @@ from cvilab.fcm import (
     select_cluster_count,
 )
 from cvilab.pca import cumulative_explained_variance, fit_pca, select_dimensions_elbow
-from cvilab.profiles import SynthSpec, generate_synthetic, synthetic_templates
+from cvilab.profiles import SynthSpec, generate_synthetic
 
 
 def announce(number: int, elapsed: float | None = None, budget: float | None = None):
@@ -105,10 +105,10 @@ def test_criterion_3_outlier_toggling_directions():
     budget = 10.0
     start = time.perf_counter()
     spec = SynthSpec(
-        templates=synthetic_templates(3),
+        clusters=3,
         cluster_size=30,
         spread=0.02,
-        outlier_count=3,
+        outliers=3,
         outlier_mode="far",
         seed=42,
     )

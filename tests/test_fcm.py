@@ -452,3 +452,12 @@ class TestSerialization:
         assert set(payload) == {
             "centroids", "U", "m", "labels", "objective_trace", "empty_clusters",
         }
+
+    def test_record_without_empty_clusters_reads_back_equal(self):
+        # empty_clusters is derived from the labels, so it is not read back.
+        p, q = np.array([0.0, 0.0]), np.array([4.0, 1.0])
+        x = np.array([p, p, p, p, q, q, q, q])
+        payload = model_to_dict(fit_fcm(x, FcmConfig(k=3, seed=0, restarts=1, max_iter=50)))
+        assert payload["empty_clusters"]
+        bare = {key: value for key, value in payload.items() if key != "empty_clusters"}
+        assert model_to_dict(model_from_dict(bare)) == payload

@@ -18,7 +18,6 @@ from cvilab import (
     generate_synthetic,
     project,
     select_dimensions_elbow,
-    synthetic_templates,
 )
 from cvilab.pca import model_from_dict, model_to_dict
 
@@ -95,8 +94,7 @@ class TestFitPca:
 
     def test_accepts_profile_matrix(self):
         matrix, _ = generate_synthetic(
-            SynthSpec(templates=synthetic_templates(3), cluster_size=5,
-                      spread=0.02, seed=1)
+            SynthSpec(clusters=3, cluster_size=5, spread=0.02, seed=1)
         )
         model = fit_pca(matrix)
         assert model.components.shape == (96, 96)

@@ -225,8 +225,8 @@ class TestConfigTable:
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = readme.split("cat > lab.cfg <<'EOF'\n", 1)[1].split("\nEOF", 1)[0]
         config = pl.build_run_config(pl.parse_config_text(block))
-        assert config.synth == pl.SynthPlan(
-            clusters=3, cluster_size=30, spread=0.02, outliers=3
+        assert config.synth == cvilab.SynthSpec(
+            clusters=3, cluster_size=30, spread=0.02, outliers=3, seed=42
         )
         assert (config.seed, config.k, config.dprime, config.perturb.trials) == (
             42, 6, "elbow", 100
@@ -248,8 +248,8 @@ class TestConfigTable:
 
 
 def run_core_stages(config):
-    """Data through indices, as ``cvilab experiment`` bootstraps them:
-    every core artifact written and digested."""
+    """Data through indices, as the staged commands run them: every core
+    artifact written and digested."""
     written = pl.stage_data(config) + pl.stage_cluster(config) + pl.stage_validate(config)
     return pl.update_manifest(config, written)
 
@@ -373,8 +373,9 @@ class TestRunPipeline:
 
     def test_experiment_without_baseline_or_source(self, tmp_path):
         config = pl.build_run_config({"out": [str(tmp_path / "void")]})
-        with pytest.raises(ValueError, match="missing baseline"):
+        with pytest.raises(FileNotFoundError) as err:
             pl.run_experiment("outliers", config)
+        assert str(err.value) == "missing artifact: profiles.csv (run synth or preprocess first)"
 
     def test_unknown_experiment_kind(self, small_run):
         config = small_run[1]
@@ -693,22 +694,23 @@ class TestRunCommand:
         baseline = (runs[0][1] / "profiles.csv").read_bytes()
         assert (out / "profiles.csv").read_bytes() != baseline
 
-    def test_experiment_command_bootstraps_pipeline(self, full_runs, tmp_path):
-        # a bare output directory plus a data source: the experiment
-        # command runs the core pipeline implicitly and manifests it all
+    def test_experiment_command_needs_a_fitted_partition(self, full_runs, tmp_path, capsys):
+        # A data source in the config does not stand in for the stored
+        # partition: the experiment command runs no earlier stage.
         cfg, _ = full_runs
-        out = tmp_path / "implicit"
-        rc = cli.main(["experiment", "outliers", "--config", str(cfg),
-                       "--out", str(out), "--recluster", "--trials", "2"])
-        assert rc == 0
-        manifest = pl.load_manifest(out)
-        expected = CORE_ARTIFACTS + [
-            "experiment_outliers.json",
-            "experiment_outliers.csv",
-        ]
-        assert sorted(manifest.artifacts) == sorted(expected)
-        assert manifest.config["recluster"] is True
-        assert pl.verify_manifest(out) == []
+        out = tmp_path / "bare"
+        argv = ["experiment", "outliers", "--config", str(cfg), "--out", str(out)]
+        assert cli_error(capsys, argv) == {
+            "error": "FileNotFoundError",
+            "message": "missing artifact: profiles.csv (run synth or preprocess first)",
+        }
+        assert not out.exists()
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli_error(capsys, argv) == {
+            "error": "FileNotFoundError", "message": "missing artifact: pca.json (run cluster first)",
+        }
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "profiles.csv", "synth_labels.csv"]
 
 
 class TestRunFull:
@@ -724,6 +726,24 @@ class TestRunFull:
         assert cli.main(["run", *argv]) == 0
         assert sorted(pl.load_manifest(out).artifacts) == sorted(written)
         assert pl.verify_manifest(out) == []
+
+    def test_python_config_runs_at_its_own_seed(self, tmp_path):
+        """A RunConfig built in Python draws the population and every trial
+        from its one seed, as ``--seed`` does."""
+        config = pl.RunConfig(
+            synth=cvilab.SynthSpec(clusters=3, cluster_size=10), seed=7, k=3,
+            experiments=("density",), perturb=perturb.PerturbConfig(trials=2),
+            out_dir=str(tmp_path / "python"),
+        )
+        assert (config.synth.seed, config.perturb.seed) == (7, 7)
+        pl.run_full(config)
+        assert cli.main(["run", "--synth.clusters", "3", "--synth.cluster-size", "10",
+                         "--seed", "7", "--k", "3", "--experiments", "density",
+                         "--trials", "2", "--out", str(tmp_path / "cli")]) == 0
+        for name in ("profiles.csv", "synth_labels.csv", "experiment_density.json",
+                     "experiment_density.csv"):
+            assert ((tmp_path / "python" / name).read_bytes()
+                    == (tmp_path / "cli" / name).read_bytes()), name
 
 
 class TestRecluster:
@@ -958,25 +978,26 @@ class TestSkippedExperiment:
         assert cli.main(["report", "--out", str(out)]) == 0
         assert (out / "summary.txt").read_bytes() == (skipped_run[0] / "summary.txt").read_bytes()
 
-    def test_experiment_command_still_fails(self, skipped_run, capsys):
-        out, argv, _ = skipped_run
-        error = cli_error(capsys, ["experiment", "outliers", *argv])
-        assert error == {
-            "error": "ExperimentSkipped",
-            "message": "no singleton clusters to toggle",
-        }
-        assert issubclass(perturb.ExperimentSkipped, ValueError)
+    def test_experiment_command_records_the_skip(self, skipped_run, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(skipped_run[0], out)
+        (out / "experiment_outliers.json").unlink()
+        assert cli.main(["experiment", "outliers", *skipped_run[1], "--out", str(out)]) == 0
+        assert ((out / "experiment_outliers.json").read_bytes()
+                == (skipped_run[0] / "experiment_outliers.json").read_bytes())
+        assert pl.verify_manifest(out) == []
 
-    @pytest.mark.parametrize("flags, error, reason", [
+    @pytest.mark.parametrize("flags, reason", [
         # In 96 dimensions a per-axis sigma of radius/4 lands draws about
         # 2.4 radii out, so the sampler never accepts one.
-        (["--synth.cluster-size", "30", "--synth.outliers", "2"], "RejectionBudgetError",
+        (["--synth.cluster-size", "30", "--synth.outliers", "2"],
          "no acceptable sample for cluster 0 in 1000 attempts"),
-        (["--synth.cluster-size", "4", "--synth.spread", "0", "--k", "3"], "ExperimentSkipped",
+        (["--synth.cluster-size", "4", "--synth.spread", "0", "--k", "3"],
          "cluster 0 has zero radius"),
     ], ids=["rejection-budget", "zero-radius"])
-    def test_sampler_that_cannot_draw(self, tmp_path, capsys, monkeypatch, flags, error, reason):
-        """Alike in the process and when the trials fail in workers."""
+    def test_sampler_that_cannot_draw(self, tmp_path, monkeypatch, flags, reason):
+        """Alike in the process and when the trials fail in workers, and in
+        the staged command, which rewrites the same record."""
         for workers in ("1", "3"):
             monkeypatch.setenv("CVILAB_THREADS", workers)
             out = tmp_path / f"out{workers}"
@@ -987,9 +1008,11 @@ class TestSkippedExperiment:
             assert payload == {"kind": "density", "skipped": reason}
             assert f"experiment: density skipped ({reason})" in (out / "summary.txt").read_text()
             assert pl.verify_manifest(out) == []
-            assert cli_error(capsys, ["experiment", "density", *argv]) == {
-                "error": error, "message": reason,
-            }
+            ran = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+            assert cli.main(["experiment", "density", *argv]) == 0
+            assert {p.name: p.read_bytes() for p in out.iterdir()
+                    if p.name != "manifest.json"} == ran
+            assert pl.verify_manifest(out) == []
 
 
 class TestStaleArtifacts:
@@ -1142,6 +1165,37 @@ class TestStagedMatchesRun:
         assert cli.main(["run", *argv, "--out", str(run)]) == 0
         self.assert_same_outputs(staged, run)
 
+    def test_synthetic_with_a_skipped_experiment(self, tmp_path):
+        # No outliers, so no singleton cluster to toggle.
+        argv = ["--synth.clusters", "3", "--synth.cluster-size", "10", "--k", "3",
+                "--experiments", "outliers,diameter"]
+        staged, run = tmp_path / "staged", tmp_path / "run"
+        commands = [["synth"], ["cluster"], ["validate"], ["experiment", "outliers"],
+                    ["experiment", "diameter"], ["report"]]
+        assert [cli.main([*command, *argv, "--out", str(staged)])
+                for command in commands] == [0] * len(commands)
+        assert cli.main(["run", *argv, "--out", str(run)]) == 0
+        assert "skipped" in json.loads((run / "experiment_outliers.json").read_text())
+        self.assert_same_outputs(staged, run)
+
+    def test_staged_skip_replaces_an_earlier_table(self, tmp_path):
+        """Density runs in reduced space, then is skipped in the original
+        space, where the sampler cannot draw: its table goes."""
+        argv = ["--synth.clusters", "3", "--synth.cluster-size", "30", "--synth.outliers", "2",
+                "--seed", "1", "--space", "original", "--experiments", "density",
+                "--trials", "5"]
+        staged, run = tmp_path / "staged", tmp_path / "run"
+        for command in (["synth"], ["cluster"], ["validate"]):
+            assert cli.main([*command, *argv, "--out", str(staged)]) == 0
+        assert cli.main(["experiment", "density", *argv, "--space", "reduced",
+                         "--out", str(staged)]) == 0
+        assert "experiment_density.csv" in pl.load_manifest(staged).artifacts
+        for command in (["experiment", "density"], ["report"]):
+            assert cli.main([*command, *argv, "--out", str(staged)]) == 0
+        assert not (staged / "experiment_density.csv").exists()
+        assert cli.main(["run", *argv, "--out", str(run)]) == 0
+        self.assert_same_outputs(staged, run)
+
     def test_readings(self, readings_csv, tmp_path):
         argv = ["--input", str(readings_csv), "--k", "2"]
         staged, run = tmp_path / "staged", tmp_path / "run"
@@ -1240,8 +1294,10 @@ class TestCliErrors:
     def test_experiment_missing_baseline(self, capsys, tmp_path):
         err = cli_error(capsys, ["experiment", "outliers", "--out",
                                  str(tmp_path / "empty")])
-        assert err["error"] == "ValueError"
-        assert "missing baseline" in err["message"]
+        assert err == {
+            "error": "FileNotFoundError",
+            "message": "missing artifact: profiles.csv (run synth or preprocess first)",
+        }
 
     def test_synth_without_plan(self, capsys, tmp_path):
         err = cli_error(capsys, ["synth", "--out", str(tmp_path / "x")])

@@ -138,6 +138,17 @@ class TestParseReadings:
         with pytest.raises(ValueError, match="no readings source given"):
             ingest_readings([])
 
+    @pytest.mark.parametrize("source, kind", [
+        (io.BytesIO(b"household_id,timestamp,kw\n"), "BytesIO"),
+        (bytearray(b"household_id,timestamp,kw\n"), "bytearray"),
+        (memoryview(b"household_id,timestamp,kw\n"), "memoryview"),
+        (7, "int"),
+    ], ids=["BytesIO", "bytearray", "memoryview", "int"])
+    def test_source_of_another_kind_rejected(self, source, kind):
+        with pytest.raises(TypeError) as err:
+            ingest_readings([source])
+        assert str(err.value) == f"readings source must be a path or bytes, not {kind}"
+
     def test_error_names_the_physical_line(self):
         # The quoted household id spans lines 2 and 3.
         data = b'household_id,timestamp,kw\n"H\n1",2024-01-01T00:00:00,1.0\nH2,notatime,1.0\n'
@@ -508,7 +519,7 @@ class TestColumnarReader:
         quoted = tmp_path / "quoted.csv"
         quoted.write_bytes(csv_bytes(rows).replace(b"\nA,", b'\n"A",', 1))
         matrix, _ = generate_synthetic(
-            SynthSpec(templates=synthetic_templates(2), cluster_size=2, spread=0.01)
+            SynthSpec(clusters=2, cluster_size=2, spread=0.01)
         )
         stored = tmp_path / "profiles.csv"
         write_profiles_csv(matrix, stored)
@@ -719,9 +730,7 @@ class TestL2Normalize:
 
 class TestGenerateSynthetic:
     def test_zero_spread_gives_identical_cluster_rows(self):
-        spec = SynthSpec(
-            templates=synthetic_templates(3), cluster_size=5, spread=0.0
-        )
+        spec = SynthSpec(clusters=3, cluster_size=5, spread=0.0)
         matrix, labels = generate_synthetic(spec)
         assert len(matrix) == 15
         for j in range(3):
@@ -730,10 +739,10 @@ class TestGenerateSynthetic:
 
     def test_same_seed_bit_identical(self):
         spec = SynthSpec(
-            templates=synthetic_templates(4),
+            clusters=4,
             cluster_size=7,
             spread=0.05,
-            outlier_count=2,
+            outliers=2,
             seed=123,
         )
         m1, l1 = generate_synthetic(spec)
@@ -744,10 +753,10 @@ class TestGenerateSynthetic:
 
     def test_unit_norm_rows(self):
         spec = SynthSpec(
-            templates=synthetic_templates(3),
+            clusters=3,
             cluster_size=10,
             spread=0.05,
-            outlier_count=3,
+            outliers=3,
             seed=5,
         )
         matrix, _ = generate_synthetic(spec)
@@ -757,10 +766,10 @@ class TestGenerateSynthetic:
 
     def test_outliers_get_singleton_labels(self):
         spec = SynthSpec(
-            templates=synthetic_templates(3),
+            clusters=3,
             cluster_size=4,
             spread=0.01,
-            outlier_count=2,
+            outliers=2,
             seed=8,
         )
         _, labels = generate_synthetic(spec)
@@ -769,10 +778,10 @@ class TestGenerateSynthetic:
 
     def test_far_outliers_remote_after_normalization(self):
         spec = SynthSpec(
-            templates=synthetic_templates(3),
+            clusters=3,
             cluster_size=10,
             spread=0.02,
-            outlier_count=2,
+            outliers=2,
             seed=3,
         )
         matrix, labels = generate_synthetic(spec)
@@ -789,10 +798,10 @@ class TestGenerateSynthetic:
     def test_near_outliers_sit_at_template_centroid(self):
         templates = synthetic_templates(3)
         spec = SynthSpec(
-            templates=templates,
+            clusters=3,
             cluster_size=2,
             spread=0.0,
-            outlier_count=1,
+            outliers=1,
             outlier_mode="near",
             seed=0,
         )
@@ -804,7 +813,7 @@ class TestGenerateSynthetic:
         # Nine well-separated clusters, ~2000 profiles: hardened FCM on
         # the reduced data should match ground truth almost perfectly.
         spec = SynthSpec(
-            templates=synthetic_templates(9),
+            clusters=9,
             cluster_size=222,
             spread=0.01,
             seed=77,
@@ -817,16 +826,16 @@ class TestGenerateSynthetic:
         assert oracles.label_agreement(model.labels, truth) >= 0.99
 
     def test_spec_validation(self):
-        templates = synthetic_templates(2)
+        with pytest.raises(ValueError, match="need at least one template"):
+            SynthSpec(clusters=0, cluster_size=1, spread=0.1)
         with pytest.raises(ValueError):
-            SynthSpec(templates=templates, cluster_size=0, spread=0.1)
+            SynthSpec(clusters=2, cluster_size=0, spread=0.1)
         with pytest.raises(ValueError):
-            SynthSpec(templates=templates, cluster_size=1, spread=-0.1)
+            SynthSpec(clusters=2, cluster_size=1, spread=-0.1)
+        with pytest.raises(ValueError, match="outliers must be nonnegative"):
+            SynthSpec(clusters=2, cluster_size=1, spread=0.1, outliers=-1)
         with pytest.raises(ValueError):
-            SynthSpec(templates=templates, cluster_size=1, spread=0.1,
-                      outlier_mode="sideways")
-        with pytest.raises(ValueError):
-            SynthSpec(templates=np.ones((2, 5)), cluster_size=1, spread=0.1)
+            SynthSpec(clusters=2, cluster_size=1, spread=0.1, outlier_mode="sideways")
 
     def test_templates_need_positive_count(self):
         with pytest.raises(ValueError):
@@ -842,9 +851,7 @@ class TestProfileCsv:
         assert len(PROFILE_CSV_HEADER) == SLOTS_PER_DAY + 1
 
     def test_round_trip(self, tmp_path):
-        spec = SynthSpec(
-            templates=synthetic_templates(3), cluster_size=4, spread=0.03, seed=2
-        )
+        spec = SynthSpec(clusters=3, cluster_size=4, spread=0.03, seed=2)
         matrix, _ = generate_synthetic(spec)
         path = tmp_path / "profiles.csv"
         write_profiles_csv(matrix, path)
