@@ -1,20 +1,21 @@
 """End-to-end runs: data to artifacts, reproducibly.
 
 A run carries profiles (parsed from readings or synthesized) through the
-dimension reduction, the fuzzy clustering, the five validation indices,
-and any requested perturbation experiments, writing every result as a
-CSV or JSON artifact plus a manifest of content digests. The pipeline
-has one path: ``cvilab run`` chains the stage functions in memory, and
-each staged command loads its inputs from the output directory and calls
-the same function. Every artifact reads back bit for bit, so given the
-same config, inputs, and seed, every non-timestamp byte of the output is
-identical between the two, between runs on one machine, and whatever the
-trial worker count.
+dimension reduction, the fuzzy clustering, the five validation indices
+and any requested perturbation experiments, writing every result as a CSV
+or JSON artifact plus a manifest of content digests. ``cvilab run`` chains
+the stage functions in memory; each staged command loads its inputs from
+the output directory and calls the same function. Every artifact reads
+back bit for bit, so given the same config, inputs and seed, every
+non-timestamp byte of the output is identical between the two, between
+runs on one machine, and whatever the trial worker count. Each write
+removes every artifact computed from what it replaces: no two partitions mix.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from collections.abc import Callable
@@ -90,10 +91,6 @@ class RunConfig:
         for kind in self.experiments:
             if kind not in perturb_mod.EXPERIMENT_KINDS:
                 raise ValueError(f"unknown experiment kind {kind!r}")
-
-    def require_data_source(self) -> None:
-        if not self.inputs and self.synth is None:
-            raise ValueError("config needs input paths or a synth plan")
 
 
 # --- config file: flat "key = value" lines, # comments, repeated keys ---
@@ -250,13 +247,8 @@ def config_to_dict(config: RunConfig) -> dict:
 # --- artifact writing ---
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -278,16 +270,18 @@ def load_manifest(out_dir) -> RunManifest:
     path = Path(out_dir) / "manifest.json"
     try:
         manifest = RunManifest(**json.loads(path.read_bytes()))
-        if isinstance(manifest.artifacts, dict) and isinstance(manifest.input_digests, dict):
+        if (isinstance(manifest.artifacts, dict) and isinstance(manifest.input_digests, dict)
+                and manifest.artifacts.keys() <= _ARTIFACTS.keys()):
             return manifest
-    except (ValueError, TypeError):  # not JSON, not an object, other keys
+    except (ValueError, TypeError):  # not JSON, not an object, other keys, other names
         pass
     raise ValueError(f"malformed manifest: {path}")
 
 
 def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
     """Write manifest.json covering previously listed plus newly written
-    artifacts, with fresh digests for the new ones.
+    artifacts, with fresh digests for the new ones; the entries the write
+    made stale go.
 
     Input digests record the bytes profiles.csv was built from: they are
     taken by the command that writes profiles.csv and carried forward by
@@ -296,11 +290,9 @@ def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
     out = Path(config.out_dir)
     manifest_path = out / "manifest.json"
     previous = load_manifest(out) if manifest_path.exists() else None
-    # What a command writes replaces all it wrote before: a skipped
-    # experiment's record drops the table of an earlier run.
-    owners = {_ARTIFACTS.get(name, (name,))[0] for name in written}
+    stale = _stale(written)
     artifacts = {name: digest for name, digest in (previous.artifacts if previous else {}).items()
-                 if _ARTIFACTS.get(name, (name,))[0] not in owners}
+                 if name not in stale}
     for name in written:
         artifacts[name] = _sha256(out / name)
     if "profiles.csv" in written:
@@ -317,29 +309,26 @@ def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
         input_digests=input_digests,
         artifacts=dict(sorted(artifacts.items())),
     )
-    _write_text(manifest_path, json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n",
+                             encoding="utf-8", newline="\n")
     return manifest
 
 
 def verify_manifest(out_dir) -> list[str]:
     """Names whose on-disk digest no longer matches the manifest."""
-    manifest = load_manifest(out_dir)
     out = Path(out_dir)
-    bad = []
-    for name, digest in manifest.artifacts.items():
-        target = out / name
-        if not target.exists() or _sha256(target) != digest:
-            bad.append(name)
-    return bad
+    return [name for name, digest in load_manifest(out).artifacts.items()
+            if not (out / name).exists() or _sha256(out / name) != digest]
 
 
 # --- pipeline stages ---
 #
-# Each stage is one function of in-memory values that writes its own
-# artifacts and returns the names it wrote. run_full chains them in
+# Each stage is one function of in-memory values that hands its artifacts'
+# texts to _write and returns the names written. run_full chains them in
 # memory; each staged command loads its inputs from the output directory
 # and calls the same function. Every artifact reads back exactly what was
-# written, so both paths write the same bytes.
+# written, so both paths write the same bytes. A write also removes all
+# that was computed from what it replaces (_stale).
 
 # The fitted partition, as the later staged commands load it.
 _FITTED = ("profiles.csv", "pca.json", "cluster.json")
@@ -351,20 +340,43 @@ def _read_experiment(data: bytes) -> perturb_mod.ExperimentReport | str:
     return payload["skipped"] if "skipped" in payload else perturb_mod.experiment_from_dict(payload)
 
 
-# Every artifact a run may write: the command that writes it and, if a later
-# command reads it back, its parser (lambdas resolve names at call time).
-_ARTIFACTS: dict[str, tuple[str, Callable | None]] = {
-    "profiles.csv": ("synth or preprocess", lambda data: read_profiles_csv(data)),
-    "synth_labels.csv": ("synth", None),
-    "pca.json": ("cluster", lambda data: pca_mod.model_from_dict(json.loads(data))),
-    "cluster.json": ("cluster", lambda data: fcm_mod.model_from_dict(json.loads(data))),
-    "cevr.csv": ("cluster", None), "fpc.csv": ("cluster", None),
-    "cvi.json": ("validate", lambda data: cvi_mod.report_from_dict(json.loads(data))),
-    **{f"experiment_{k}.{ext}": (f"experiment {k}", read) for k in perturb_mod.EXPERIMENT_KINDS
+# Every artifact a run may write: its stage, the command that writes it and,
+# if a later command reads it back, its parser (lambdas resolve names at
+# call time). Every command rewrites manifest.json, and new data replace it.
+_ARTIFACTS: dict[str, tuple[int, str, Callable | None]] = {
+    "profiles.csv": (0, "synth or preprocess", lambda data: read_profiles_csv(data)),
+    "synth_labels.csv": (0, "synth or preprocess", None),
+    "manifest.json": (0, "synth or preprocess", None),  # parsed by load_manifest only
+    "pca.json": (1, "cluster", lambda data: pca_mod.model_from_dict(json.loads(data))),
+    "cluster.json": (1, "cluster", lambda data: fcm_mod.model_from_dict(json.loads(data))),
+    "cevr.csv": (1, "cluster", None), "fpc.csv": (1, "cluster", None),
+    "cvi.json": (2, "validate", lambda data: cvi_mod.report_from_dict(json.loads(data))),
+    **{f"experiment_{k}.{ext}": (2, f"experiment {k}", read) for k in perturb_mod.EXPERIMENT_KINDS
        for ext, read in (("json", _read_experiment), ("csv", None))},
-    "summary.txt": ("report", None), "scatter2d.csv": ("report", None),
-    "manifest.json": ("any command", None),  # parsed by load_manifest only
+    "summary.txt": (3, "report", None), "scatter2d.csv": (3, "report", None),
 }
+
+
+def _stale(written) -> set[str]:
+    """What a write of ``written`` replaces: every artifact of a later stage
+    than the earliest written, and the writing command's own artifacts that
+    were not written this time."""
+    first = min(_ARTIFACTS[name][0] for name in written)
+    commands = {_ARTIFACTS[name][1] for name in written}
+    return {name for name, (stage, command, _) in _ARTIFACTS.items()
+            if stage > first or (command in commands and name not in written)}
+
+
+def _write(config: RunConfig, texts: dict[str, str]) -> list[str]:
+    """The one writer of stage artifacts: removes what the write makes
+    stale, then writes each text under its name; returns the names."""
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in _stale(texts):
+        (out / name).unlink(missing_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8", newline="\n")
+    return list(texts)
 
 
 def _load_stored(config: RunConfig, *names: str) -> list:
@@ -376,7 +388,7 @@ def _load_stored(config: RunConfig, *names: str) -> list:
     listed = load_manifest(out).artifacts if (out / "manifest.json").exists() else {}
     loaded = []
     for name in names:
-        producer, read = _ARTIFACTS[name]
+        _, producer, read = _ARTIFACTS[name]
         if not (out / name).exists():
             raise FileNotFoundError(f"missing artifact: {name} (run {producer} first)")
         data = (out / name).read_bytes()
@@ -393,28 +405,24 @@ def _load_stored(config: RunConfig, *names: str) -> list:
 
 def _load_profiles(config: RunConfig) -> tuple[ProfileMatrix, np.ndarray | None]:
     """Profiles straight from the data source."""
-    config.require_data_source()
     if config.synth is not None:
         return generate_synthetic(config.synth)
+    if not config.inputs:
+        raise ValueError("config needs input paths or a synth plan")
     return ingest_readings(config.inputs), None
 
 
 def _write_data(config: RunConfig, matrix: ProfileMatrix, truth: np.ndarray | None) -> list[str]:
     """profiles.csv (and synth_labels.csv for synthetic runs). New profiles
-    start a new run, so every artifact and the manifest an earlier run left
-    in the output directory go first: they would describe other data."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in _ARTIFACTS:
-        (out / name).unlink(missing_ok=True)
-    write_profiles_csv(matrix, out / "profiles.csv")
-    if truth is None:
-        return ["profiles.csv"]
-    lines = ["household_id,label"] + [
-        f"{hid},{label}" for hid, label in zip(matrix.households, truth)
-    ]
-    _write_text(out / "synth_labels.csv", "\n".join(lines) + "\n")
-    return ["profiles.csv", "synth_labels.csv"]
+    start a new run: every artifact and the manifest an earlier run left
+    in the output directory go, as they would describe other data."""
+    profiles = io.StringIO()
+    write_profiles_csv(matrix, profiles)
+    texts = {"profiles.csv": profiles.getvalue()}
+    if truth is not None:
+        rows = "".join(f"{hid},{label}\n" for hid, label in zip(matrix.households, truth))
+        texts["synth_labels.csv"] = "household_id,label\n" + rows
+    return _write(config, texts)
 
 
 def _fcm_config(config: RunConfig, k: int) -> fcm_mod.FcmConfig:
@@ -444,16 +452,14 @@ def _fit(
 ) -> tuple[pca_mod.PcaModel, fcm_mod.ClusterModel, list[str]]:
     """pca.json, cevr.csv, cluster.json and fpc.csv."""
     pca_model, model, curve, cevr = _fit_models(config, matrix)
-    out = Path(config.out_dir)
-    _write_json(out / "pca.json", pca_mod.model_to_dict(pca_model))
-    cevr_lines = ["dprime,cevr"] + [
-        f"{i + 1},{_fmt9(value)}" for i, value in enumerate(cevr)
-    ]
-    _write_text(out / "cevr.csv", "\n".join(cevr_lines) + "\n")
-    _write_json(out / "cluster.json", fcm_mod.model_to_dict(model))
+    cevr_lines = ["dprime,cevr"] + [f"{i + 1},{_fmt9(value)}" for i, value in enumerate(cevr)]
     fpc_lines = ["k,fpc"] + [f"{k},{_fmt9(value)}" for k, value in curve]
-    _write_text(out / "fpc.csv", "\n".join(fpc_lines) + "\n")
-    return pca_model, model, ["pca.json", "cevr.csv", "cluster.json", "fpc.csv"]
+    return pca_model, model, _write(config, {
+        "pca.json": _json(pca_mod.model_to_dict(pca_model)),
+        "cevr.csv": "\n".join(cevr_lines) + "\n",
+        "cluster.json": _json(fcm_mod.model_to_dict(model)),
+        "fpc.csv": "\n".join(fpc_lines) + "\n",
+    })
 
 
 def _evaluation_points(
@@ -473,8 +479,7 @@ def _score(
     # crisp mode.
     report = (cvi_mod.evaluate_all(points, model) if config.space == "reduced"
               else cvi_mod.evaluate_labels(points, model.labels))
-    _write_json(Path(config.out_dir) / "cvi.json", cvi_mod.report_to_dict(report))
-    return report, ["cvi.json"]
+    return report, _write(config, {"cvi.json": _json(cvi_mod.report_to_dict(report))})
 
 
 def _experiment(
@@ -490,16 +495,13 @@ def _experiment(
     # Each variant is refit at its own cluster count, with the baseline's settings.
     refit = None if not config.recluster else (
         lambda variant, k: fcm_mod.fit_fcm(variant, _fcm_config(config, k)).labels)
-    out = Path(config.out_dir)
+    name = f"experiment_{kind}"
     try:
         report = runner(points, model.labels, config.perturb, refit=refit)
     except perturb_mod.ExperimentSkipped as exc:
-        (out / f"experiment_{kind}.csv").unlink(missing_ok=True)
-        _write_json(out / f"experiment_{kind}.json", {"kind": kind, "skipped": str(exc)})
-        return str(exc), [f"experiment_{kind}.json"]
-    _write_json(out / f"experiment_{kind}.json", perturb_mod.experiment_to_dict(report))
-    _write_text(out / f"experiment_{kind}.csv", perturb_mod.experiment_to_csv(report))
-    return report, [f"experiment_{kind}.json", f"experiment_{kind}.csv"]
+        return str(exc), _write(config, {f"{name}.json": _json({"kind": kind, "skipped": str(exc)})})
+    return report, _write(config, {f"{name}.json": _json(perturb_mod.experiment_to_dict(report)),
+                                   f"{name}.csv": perturb_mod.experiment_to_csv(report)})
 
 
 def _summary_cell(value: float | None) -> str:
@@ -521,14 +523,11 @@ def _report(
     """summary.txt (indices, experiment averages, verdicts) and
     scatter2d.csv (2-component projection with cluster labels). An
     experiment given as a string was skipped for that reason."""
-    out = Path(config.out_dir)
     flat = pca_mod.project(pca_model, matrix, 2)
     scatter_lines = ["x,y,cluster"] + [
         f"{_fmt9(row[0])},{_fmt9(row[1])},{label}"
         for row, label in zip(flat, model.labels)
     ]
-    _write_text(out / "scatter2d.csv", "\n".join(scatter_lines) + "\n")
-
     lines = [
         "cluster validation summary",
         f"households: {len(matrix.households)}",
@@ -568,8 +567,8 @@ def _report(
                 f"{_summary_cell(compare.value_map()[name]):>16}"
                 f"{verdicts.get(name, ''):>22}"
             )
-    _write_text(out / "summary.txt", "\n".join(lines) + "\n")
-    return ["summary.txt", "scatter2d.csv"]
+    return _write(config, {"summary.txt": "\n".join(lines) + "\n",
+                           "scatter2d.csv": "\n".join(scatter_lines) + "\n"})
 
 
 # --- staged commands: load the inputs, run one stage ---
@@ -582,13 +581,14 @@ def stage_data(config: RunConfig) -> list[str]:
 
 
 def stage_cluster(config: RunConfig) -> list[str]:
-    """Reduce and cluster the profiles already in the output directory."""
+    """Reduce and cluster the profiles already in the output directory; the
+    scores, experiments and report of the earlier partition go."""
     (matrix,) = _load_stored(config, "profiles.csv")
     return _fit(config, matrix)[2]
 
 
 def stage_validate(config: RunConfig) -> list[str]:
-    """Score the stored partition; writes cvi.json."""
+    """Score the stored partition: cvi.json, in place of the stale report."""
     matrix, pca_model, model = _load_stored(config, *_FITTED)
     return _score(config, _evaluation_points(config, matrix, pca_model), model)[1]
 

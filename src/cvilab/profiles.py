@@ -537,8 +537,8 @@ def write_profiles_csv(matrix: ProfileMatrix, target) -> None:
     with open(target, "w", encoding="utf-8", newline="") if own else nullcontext(target) as fh:
         writer = csv.writer(fh)
         writer.writerow(PROFILE_CSV_HEADER)
-        for hid, row in zip(matrix.households, matrix.values.tolist()):
-            writer.writerow([hid] + [repr(v) for v in row])
+        for hid, row in zip(matrix.households, matrix.values):
+            writer.writerow([hid] + [repr(v) for v in row.tolist()])
 
 
 def read_profiles_csv(source) -> ProfileMatrix:

@@ -469,19 +469,19 @@ class TestFitModels:
 class TestManifestMerge:
     def test_later_updates_keep_earlier_entries(self, tmp_path):
         config = pl.build_run_config({"out": [str(tmp_path)]})
-        (tmp_path / "a.txt").write_text("alpha\n")
-        pl.update_manifest(config, ["a.txt"])
-        (tmp_path / "b.txt").write_text("beta\n")
-        manifest = pl.update_manifest(config, ["b.txt"])
-        assert sorted(manifest.artifacts) == ["a.txt", "b.txt"]
+        (tmp_path / "cvi.json").write_text("alpha\n")
+        pl.update_manifest(config, ["cvi.json"])
+        (tmp_path / "experiment_density.json").write_text("beta\n")
+        manifest = pl.update_manifest(config, ["experiment_density.json"])
+        assert sorted(manifest.artifacts) == ["cvi.json", "experiment_density.json"]
         assert pl.verify_manifest(tmp_path) == []
 
     def test_rewritten_artifact_gets_fresh_digest(self, tmp_path):
         config = pl.build_run_config({"out": [str(tmp_path)]})
-        (tmp_path / "a.txt").write_text("alpha\n")
-        first = pl.update_manifest(config, ["a.txt"]).artifacts["a.txt"]
-        (tmp_path / "a.txt").write_text("alpha prime\n")
-        second = pl.update_manifest(config, ["a.txt"]).artifacts["a.txt"]
+        (tmp_path / "cvi.json").write_text("alpha\n")
+        first = pl.update_manifest(config, ["cvi.json"]).artifacts["cvi.json"]
+        (tmp_path / "cvi.json").write_text("alpha prime\n")
+        second = pl.update_manifest(config, ["cvi.json"]).artifacts["cvi.json"]
         assert first != second
         assert pl.verify_manifest(tmp_path) == []
 
@@ -997,7 +997,8 @@ class TestSkippedExperiment:
     ], ids=["rejection-budget", "zero-radius"])
     def test_sampler_that_cannot_draw(self, tmp_path, monkeypatch, flags, reason):
         """Alike in the process and when the trials fail in workers, and in
-        the staged command, which rewrites the same record."""
+        the staged command, which rewrites the same record and drops the
+        report; a following report restores it."""
         for workers in ("1", "3"):
             monkeypatch.setenv("CVILAB_THREADS", workers)
             out = tmp_path / f"out{workers}"
@@ -1011,13 +1012,52 @@ class TestSkippedExperiment:
             ran = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
             assert cli.main(["experiment", "density", *argv]) == 0
             assert {p.name: p.read_bytes() for p in out.iterdir()
+                    if p.name != "manifest.json"} == {
+                name: data for name, data in ran.items()
+                if name not in ("summary.txt", "scatter2d.csv")}
+            assert pl.verify_manifest(out) == []
+            assert cli.main(["report", *argv]) == 0
+            assert {p.name: p.read_bytes() for p in out.iterdir()
                     if p.name != "manifest.json"} == ran
             assert pl.verify_manifest(out) == []
 
 
 class TestStaleArtifacts:
     """A run into a used output directory leaves and lists only what it
-    wrote itself."""
+    wrote itself, and a staged command removes what was computed from what
+    it replaces."""
+
+    def test_recluster_drops_what_the_old_partition_made(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        argv = ["--synth.clusters", "3", "--synth.cluster-size", "10", "--seed", "5",
+                "--trials", "2", "--out", str(out)]
+        for command in (["synth"], ["cluster", "--k", "3"], ["validate"],
+                        ["experiment", "density"], ["report"], ["cluster", "--k", "4"]):
+            assert cli.main([*command, *argv]) == 0
+        gone = ["cvi.json", "experiment_density.json", "experiment_density.csv",
+                "summary.txt", "scatter2d.csv"]
+        listed = pl.load_manifest(out).artifacts
+        for name in gone:
+            assert not (out / name).exists(), name
+            assert name not in listed, name
+        assert pl.verify_manifest(out) == []
+        err = cli_error(capsys, ["report", *argv])
+        assert err == {"error": "FileNotFoundError",
+                       "message": "missing artifact: cvi.json (run validate first)"}
+        for command in ("validate", "report"):
+            assert cli.main([command, *argv]) == 0
+        k_effective = json.loads((out / "cvi.json").read_text())["k_effective"]
+        assert f"k: {k_effective}" in (out / "summary.txt").read_text().splitlines()
+
+    def test_validate_after_report_drops_the_report(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["--synth.clusters", "3", "--synth.cluster-size", "10", "--seed", "5",
+                "--k", "3", "--out", str(out)]
+        for command in ("synth", "cluster", "validate", "report", "validate"):
+            assert cli.main([command, *argv]) == 0
+        assert not (out / "summary.txt").exists()
+        assert not (out / "scatter2d.csv").exists()
+        assert pl.verify_manifest(out) == []
 
     def test_rerun_drops_what_it_no_longer_writes(self, tmp_path):
         out = tmp_path / "out"
@@ -1423,7 +1463,12 @@ class TestCliErrors:
         assert cli.main(argv) == 0
         assert pl.load_manifest(out).seed == 2**64 - 1
 
-    @pytest.mark.parametrize("content", ["not json", "[1, 2]", '{"artifacts": 5}'])
+    @pytest.mark.parametrize("content", [
+        "not json", "[1, 2]", '{"artifacts": 5}',
+        # a name outside the directory, whose bytes every verify would hash
+        '{"version": "0", "created_utc": "", "seed": 0, "config": {}, "input_digests": {},'
+        ' "artifacts": {"../outside.txt": "0"}}',
+    ])
     def test_malformed_manifest_is_a_typed_error(self, capsys, tmp_path, content):
         out = tmp_path / "x"
         assert cli.main(["synth", "--synth.clusters", "2", "--out", str(out)]) == 0
