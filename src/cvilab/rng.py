@@ -3,12 +3,14 @@
 Everything stochastic in this package runs off numpy's PCG64 generator.
 Repetition units (Monte-Carlo trials, restart attempts) get their own child
 stream so that running them serially, in forked worker processes, or out
-of order cannot change any result.
+of order cannot change any result. The workers are bare forks that take
+item numbers from one pipe; no helper thread runs beside them.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 
 import numpy as np
 
@@ -35,8 +37,8 @@ def derive_stream(seed: int, index: int) -> np.random.Generator:
 def worker_count() -> int:
     """Worker cap: CVILAB_THREADS when set, at most the CPUs this process
     may run on, else that CPU count. The trials and the FPC k-selection run
-    in up to this many forked worker processes (:func:`fork_map`); results
-    never depend on the count."""
+    in up to this many forked workers (:func:`fork_map`); results never
+    depend on the count."""
     usable = getattr(os, "sched_getaffinity", None)
     cpus = len(usable(0)) if usable else os.cpu_count() or 1
     raw = os.environ.get("CVILAB_THREADS", "").strip()
@@ -51,32 +53,78 @@ def worker_count() -> int:
     return cpus
 
 
-def _install(fn) -> None:  # the pool initializer, run in each forked worker
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _call(item):
-    return _worker_fn(item)
+_in_worker = False  # set in each forked worker, so that a call inside it runs serially
 
 
 def fork_map(fn, items) -> list:
     """``[fn(item) for item in items]`` in up to :func:`worker_count` forked
-    processes, one item per task, last first (a larger k costs more). ``fn``
-    reaches them through fork, not pickle, so closures work. The first
-    failing item in item order raises. One worker or item, no ``fork``, or
-    a call inside a worker runs the plain loop. No worker outlives the call."""
+    workers, with no helper thread. ``fn`` reaches them through fork, not
+    pickle, so closures work. The workers take item numbers from one pipe,
+    last item first (a larger k costs more), and each answers once. The
+    first failing item in item order raises; a worker that dies raises
+    ``BrokenProcessPool``. One worker or item, no ``fork``, or a call inside
+    a worker runs the plain loop. No worker outlives the call."""
     items = list(items)
     workers = min(worker_count(), len(items))
-    if workers > 1:
-        import multiprocessing as mp
-        if "fork" in mp.get_all_start_methods() and mp.parent_process() is None:
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(workers, mp.get_context("fork"), _install, (fn,))
+    if workers < 2 or _in_worker or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    from multiprocessing.connection import Pipe
+    todo, feed = (open(fd, mode, buffering=0) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+    children = []  # (pid, answer receiver) of each worker
+    try:
+        for _ in range(workers):
+            receiver, sender = Pipe(duplex=False)
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, items, todo, feed, sender)
+            children.append((pid, receiver))
+            sender.close()
+        todo.close()  # with no worker left, a write fails instead of blocking
+        numbers = memoryview(np.arange(len(items) - 1, -1, -1, dtype="<u4").tobytes())
+        try:
+            while numbers:
+                numbers = numbers[feed.write(numbers):]
+        except BrokenPipeError:
+            pass  # every worker is gone; reading their answers says so
+        feed.close()
+        answers = {}
+        for _, receiver in children:
             try:
-                pending = [pool.submit(_call, item) for item in reversed(items)]
-                return [future.result() for future in reversed(pending)]
-            finally:
-                # Drops the tasks not yet started and joins every worker.
-                pool.shutdown(cancel_futures=True)
-    return [fn(item) for item in items]
+                answers.update(receiver.recv())
+            except EOFError:
+                from concurrent.futures.process import BrokenProcessPool
+                raise BrokenProcessPool("a fork_map worker exited before it answered") from None
+    except BaseException:
+        from signal import SIGKILL
+        for pid, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        todo.close()
+        feed.close()
+        for pid, receiver in children:
+            receiver.close()
+            os.waitpid(pid, 0)
+    for ok, value in map(answers.get, range(len(items))):
+        if not ok:
+            raise value
+    return [pickle.loads(answers[i][1]) for i in range(len(items))]
+
+
+def _work(fn, items, todo, feed, sender) -> None:
+    """A forked worker: ``fn`` on each item number read from ``todo`` until
+    the pipe is dry (it holds whole 4-byte numbers only), then one answer,
+    ``{number: (True, pickled value) or (False, exception)}``, and exit."""
+    global _in_worker
+    _in_worker, results = True, {}
+    try:
+        feed.close()
+        while number := todo.read(4):
+            i = int.from_bytes(number, "little")
+            try:
+                results[i] = True, pickle.dumps(fn(items[i]))
+            except Exception as exc:  # an unpicklable value fails as its item does
+                results[i] = False, exc
+        sender.send(results)
+    finally:
+        os._exit(0)  # never back into the caller's code; the parent reads no exit code

@@ -4,6 +4,9 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
+import signal
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
@@ -869,6 +872,14 @@ def _pid_of(item):
     return os.getpid()
 
 
+def assert_no_children():
+    """No worker is left, reaped or not: ``active_children`` sees only the
+    processes that multiprocessing started, ``waitpid`` sees every child."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestForkMap:
     """fork_map: the trials' and the k-selection's worker processes."""
 
@@ -882,12 +893,28 @@ class TestForkMap:
         assert fork_map(lambda i: i * i + offset, range(10)) == [i * i + 7 for i in range(10)]
         pids = set(fork_map(_pid_of, range(10)))
         assert os.getpid() not in pids and 1 <= len(pids) <= 3
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     @pytest.mark.parametrize("workers, items", [("1", 4), ("3", 1)])
     def test_one_worker_or_item_stays_in_process(self, monkeypatch, workers, items):
         monkeypatch.setenv("CVILAB_THREADS", workers)
         assert fork_map(_pid_of, range(items)) == [os.getpid()] * items
+        assert_no_children()
+
+    def test_more_item_numbers_than_a_pipe_holds(self, monkeypatch):
+        """20,000 4-byte numbers overfill a 64 KiB pipe, so the parent
+        writes while the workers read."""
+        monkeypatch.setenv("CVILAB_THREADS", "3")
+        assert fork_map(lambda i: -i, range(20_000)) == [-i for i in range(20_000)]
+        assert_no_children()
+
+    def test_answers_larger_than_a_pipe(self, monkeypatch):
+        """Each result is 1.2 MB, so every worker's answer exceeds 1 MiB."""
+        monkeypatch.setenv("CVILAB_THREADS", "2")
+        results = fork_map(lambda i: np.full(150_000, float(i)), range(5))
+        for i, result in enumerate(results):
+            np.testing.assert_array_equal(result, np.full(150_000, float(i)))
+        assert_no_children()
 
     def test_worker_error_keeps_type_and_message(self, monkeypatch):
         """A sampler failure in a worker reaches the caller as raised; of
@@ -904,7 +931,28 @@ class TestForkMap:
         with pytest.raises(RejectionBudgetError) as caught:
             fork_map(trial, range(6))
         assert str(caught.value) == "no acceptable sample for cluster 1 in 5 attempts"
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+
+    def test_unpicklable_result_raises_its_pickling_error(self, monkeypatch):
+        """As when the result is pickled in the caller's process; it fails
+        as its item, before a later item's own error."""
+        monkeypatch.setenv("CVILAB_THREADS", "2")
+
+        def local():
+            pass
+
+        with pytest.raises(Exception) as expected:
+            pickle.dumps(local)
+
+        def trial(t):
+            if t == 3:
+                raise ValueError("a later item's error")
+            return local if t == 1 else t
+
+        with pytest.raises(type(expected.value)) as caught:
+            fork_map(trial, range(5))
+        assert str(caught.value) == str(expected.value)
+        assert_no_children()
 
     def test_worker_that_dies_raises_instead_of_hanging(self, monkeypatch):
         monkeypatch.setenv("CVILAB_THREADS", "2")
@@ -917,7 +965,45 @@ class TestForkMap:
 
         with pytest.raises(BrokenProcessPool):
             fork_map(trial, range(4))
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+
+    def test_every_worker_dies_while_item_numbers_are_written(self, monkeypatch):
+        """The pipe holds 16,384 numbers and the workers die on their first,
+        so the parent's write finds no reader; that is a dead pool too."""
+        monkeypatch.setenv("CVILAB_THREADS", "3")
+        parent = os.getpid()
+
+        def trial(t):
+            if os.getpid() != parent:
+                os._exit(1)
+            return t
+
+        with pytest.raises(BrokenProcessPool):
+            fork_map(trial, range(20_000))
+        assert_no_children()
+
+    def test_exception_in_the_caller_stops_the_workers(self, monkeypatch):
+        """An exception raised in the caller's process while the workers
+        sleep in ``fn`` propagates at once, and no worker is left."""
+        monkeypatch.setenv("CVILAB_THREADS", "2")
+
+        class Alarm(Exception):
+            pass
+
+        def ring(signum, frame):
+            raise Alarm
+
+        previous = signal.signal(signal.SIGALRM, ring)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            start = time.monotonic()
+            with pytest.raises(Alarm):
+                fork_map(lambda t: time.sleep(60), range(4))
+            assert time.monotonic() - start < 1.2
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_children()
 
     def test_call_inside_a_worker_runs_serially(self, monkeypatch):
         monkeypatch.setenv("CVILAB_THREADS", "2")
@@ -929,4 +1015,4 @@ class TestForkMap:
         results = fork_map(outer, range(4))
         for pid, inner in results:
             assert pid != os.getpid() and inner == [pid] * 3
-        assert multiprocessing.active_children() == []
+        assert_no_children()

@@ -1281,6 +1281,16 @@ raise SystemExit(code)
 """
 
 
+# Runs the CLI on its arguments, then prints whether the executor is loaded.
+EXECUTOR_PROBE = """
+import sys
+from cvilab import cli
+code = cli.main(sys.argv[1:])
+print("concurrent.futures.process" in sys.modules)
+raise SystemExit(code)
+"""
+
+
 class TestStartUp:
     """scipy is loaded at the first distance, so a command that measures
     none never imports it. Children, since this process holds scipy."""
@@ -1308,6 +1318,18 @@ class TestStartUp:
             proc = run_child(tmp_path, "-c", SCIPY_PROBE, *argv)
             assert proc.returncode == code, (argv, proc.stderr)
             assert proc.stdout.splitlines()[-1] == loaded, argv
+
+    def test_trials_in_workers_load_no_executor(self, tmp_path):
+        """fork_map runs its workers on bare forks: the executor is loaded
+        only to report a worker that died."""
+        out = tmp_path / "out"
+        proc = run_child(tmp_path, "-c", EXECUTOR_PROBE, "run", "--synth.clusters", "3",
+                         "--synth.cluster-size", "20", "--synth.outliers", "2", "--trials", "6",
+                         "--experiments", "density,diameter", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+        for kind in ("density", "diameter"):
+            assert (out / f"experiment_{kind}.csv").exists(), kind
 
 
 class TestCliErrors:
