@@ -9,20 +9,14 @@ diameter shrinkage. Everything is seeded and bit-reproducible.
 """
 
 from .cvi import (
-    CoincidentCentroidsError,
     CviReport,
     HIGHER_IS_BETTER,
     INDEX_NAMES,
     PartitionGeometry,
-    calinski_harabasz,
-    davies_bouldin,
-    dunn,
     evaluate_all,
     evaluate_geometry,
     evaluate_labels,
     partition_geometry,
-    silhouette,
-    xie_beni,
 )
 from .fcm import (
     ClusterModel,

@@ -22,14 +22,9 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
     repeated flag accumulates as a repeated key in the file does."""
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     for key, row in pipeline._KNOWN_KEYS.items():
-        if row.metavar is None:
-            parser.add_argument(
-                f"--{key}", dest=key, action="append_const", const="true", help=row.help
-            )
-        else:
-            parser.add_argument(
-                f"--{key}", dest=key, action="append", metavar=row.metavar, help=row.help
-            )
+        kind = ({"action": "append_const", "const": "true"} if row.metavar is None
+                else {"action": "append", "metavar": row.metavar})
+        parser.add_argument(f"--{key}", dest=key, help=row.help, **kind)
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, list[str]]:

@@ -1,14 +1,27 @@
 """Cluster validation indices and the geometry statistics behind them.
 
-Five scores over a crisp partition: silhouette, Calinski-Harabasz,
-Davies-Bouldin, Dunn and Xie-Beni, each read from one
-:class:`PartitionGeometry`; :func:`evaluate_all` alone scores Xie-Beni
-fuzzily, from a fitted model's memberships and centroids. Distances are
-Euclidean throughout. Structural
-degeneracies that send a score to infinity (zero within-cluster scatter,
-zero max diameter) return ``math.inf`` and are flagged "degenerate" in
-reports instead of being serialized as a float; a genuine division by
-zero (coincident centroids) raises :class:`CoincidentCentroidsError`.
+Five scores over a crisp partition, each read from one
+:class:`PartitionGeometry` and returned together in a :class:`CviReport`:
+
+- ``sh``, mean silhouette width. Per point, a = mean distance to
+  co-members (self excluded), b = the smallest over other clusters of the
+  mean distance to that cluster's members, s = (b-a)/max(a,b); a point in
+  a singleton cluster, or with a 0/0, scores s = 0.
+- ``ch``, Calinski-Harabasz: between/within variance ratio, adjusted for
+  degrees of freedom.
+- ``db``, Davies-Bouldin: mean over clusters of the worst
+  (scatter_i + scatter_j) / gap_ij over partners j.
+- ``di``, Dunn: min single-linkage inter-cluster distance over max cluster
+  diameter.
+- ``xb``, Xie-Beni: within-cluster sum of squared distances to the
+  centroids over N times the squared minimum centroid separation; only
+  :func:`evaluate_all` scores it fuzzily, from a model's memberships.
+
+Distances are Euclidean throughout. Zero within-cluster scatter (ch) or
+zero max diameter (di) sends a score to ``math.inf``, flagged "degenerate"
+in reports instead of being serialized as a float; coincident centroids
+(db, xb) are a genuine division by zero and raise a ``ValueError``, which
+the report records in its ``errors``.
 
 One pass over the points sorted by cluster yields the silhouette's
 per-cluster distance sums, the diameters and the minimum separation: a
@@ -45,10 +58,6 @@ def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return distance.cdist(xa, xb)
 
 
-class CoincidentCentroidsError(ValueError):
-    """Two distinct clusters share a centroid; the index divides by zero."""
-
-
 @dataclass(frozen=True)
 class PartitionGeometry:
     """Shared per-cluster statistics of a crisp partition.
@@ -74,7 +83,6 @@ class PartitionGeometry:
     label_values: np.ndarray
     canon: np.ndarray
     centroids: np.ndarray
-    data_centroid: np.ndarray
     cluster_sizes: np.ndarray
     diameters: np.ndarray
     own_gaps: np.ndarray
@@ -161,7 +169,6 @@ def partition_geometry(points, labels) -> PartitionGeometry:
         label_values=label_values,
         canon=canon,
         centroids=centroids,
-        data_centroid=x.mean(axis=0) if x.shape[0] else np.full(x.shape[1], math.nan),
         cluster_sizes=sizes,
         diameters=diameters,
         own_gaps=own_gaps,
@@ -203,7 +210,7 @@ def _calinski_harabasz(geom: PartitionGeometry) -> float:
         raise ValueError("index needs at least 2 clusters")
     if k >= n:
         raise ValueError("index needs k < N")
-    spread = np.square(geom.centroids - geom.data_centroid).sum(axis=1)
+    spread = np.square(geom.centroids - geom.points.mean(axis=0)).sum(axis=1)
     between = float((geom.cluster_sizes * spread).sum())
     if geom.within == 0.0:
         return math.inf
@@ -215,7 +222,7 @@ def _davies_bouldin(geom: PartitionGeometry) -> float:
     if k < 2:
         raise ValueError("index needs at least 2 clusters")
     if geom.centroid_gaps.min() == 0.0:
-        raise CoincidentCentroidsError("two clusters share a centroid")
+        raise ValueError("two clusters share a centroid")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (geom.mean_scatter[:, None] + geom.mean_scatter[None, :]) / geom.centroid_gaps
     ratio[np.diag_indices(k)] = -math.inf
@@ -237,55 +244,12 @@ def _xie_beni_ratio(scatter: float, n: int, gaps: np.ndarray) -> float:
         raise ValueError("index needs at least 2 clusters")
     min_gap = float(gaps.min())
     if min_gap == 0.0:
-        raise CoincidentCentroidsError("two centroids coincide")
+        raise ValueError("two centroids coincide")
     return scatter / (n * min_gap**2)
 
 
 def _xie_beni(geom: PartitionGeometry) -> float:
     return _xie_beni_ratio(geom.within, geom.points.shape[0], geom.centroid_gaps)
-
-
-def silhouette(points, labels) -> float:
-    """Mean silhouette width.
-
-    Per point: a = mean distance to co-members (self excluded), b = the
-    smallest over other clusters of the mean distance to that cluster's
-    members, s = (b-a)/max(a,b). Points in singleton clusters contribute
-    s = 0, as does a 0/0 (all relevant distances zero).
-    """
-    return _silhouette(partition_geometry(points, labels))
-
-
-def calinski_harabasz(points, labels) -> float:
-    """Between/within variance ratio, degree-of-freedom adjusted.
-
-    Returns ``math.inf`` when the within-cluster scatter is exactly zero
-    (every point sits on its centroid); callers report that case as
-    degenerate rather than as a number.
-    """
-    return _calinski_harabasz(partition_geometry(points, labels))
-
-
-def davies_bouldin(points, labels) -> float:
-    """Mean over clusters of the worst (scatter_i + scatter_j) / gap_ij
-    over partners j, pairwise over distinct clusters."""
-    return _davies_bouldin(partition_geometry(points, labels))
-
-
-def dunn(points, labels) -> float:
-    """Min single-linkage inter-cluster distance over max cluster diameter.
-
-    Returns ``math.inf`` when the max diameter is zero (every cluster a
-    singleton, or all members coincident); reported as degenerate.
-    """
-    return _dunn(partition_geometry(points, labels))
-
-
-def xie_beni(points, labels) -> float:
-    """Within-cluster sum of squared distances to the centroids over N
-    times the squared minimum centroid separation. The fuzzy form, over a
-    fitted model's memberships, is scored by :func:`evaluate_all`."""
-    return _xie_beni(partition_geometry(points, labels))
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,6 @@ import numpy as np
 
 from .profiles import ProfileMatrix
 
-# Rows of reduced coordinates; plain array, one row per household.
-ReducedMatrix = np.ndarray
-
 
 class NoElbowError(ValueError):
     """CEVR curve has no bend (constant or perfectly linear)."""
@@ -87,7 +84,7 @@ def fit_pca(data) -> PcaModel:
     )
 
 
-def project(model: PcaModel, data, dprime: int) -> ReducedMatrix:
+def project(model: PcaModel, data, dprime: int) -> np.ndarray:
     """Coordinates of the centered rows on the top ``dprime`` components."""
     x = _as_array(data)
     if not 1 <= dprime <= model.components.shape[0]:

@@ -102,10 +102,6 @@ class ExperimentReport:
     baseline: CviReport
     rows: tuple[ExperimentRow, ...]
 
-    @property
-    def seed(self) -> int:
-        return self.config.seed
-
     @cached_property
     def _averaged(self) -> tuple[CviReport | None, tuple[tuple[str, int], ...]]:
         if self.kind == "outliers":
@@ -348,6 +344,13 @@ def _sign_test_tail(n: int, wins: int) -> float:
     return sum(math.comb(n, i) for i in range(wins, n + 1)) / 2**n
 
 
+def _votes(deltas: list[float], higher_better: bool, tie: float) -> tuple[int, int]:
+    """(improved, worsened): the deltas beyond ``tie`` in size, by the index's direction."""
+    moved = [d for d in deltas if abs(d) > tie]
+    improved = sum((d > 0) == higher_better for d in moved)
+    return improved, len(moved) - improved
+
+
 def _judge_outlier_values(values: list[float | None], higher_better: bool, rows) -> str:
     if any(v is None for v in values):
         return "MIXED"
@@ -359,18 +362,9 @@ def _judge_outlier_values(values: list[float | None], higher_better: bool, rows)
         return "UNAFFECTED"
     by_subset = {frozenset(row.kept): v for row, v in zip(rows, values)}
     singletons = sorted(set().union(*(row.kept for row in rows)))
-    improved = worsened = 0
-    for subset, value in by_subset.items():
-        for o in singletons:
-            if o in subset:
-                continue
-            delta = by_subset[subset | {o}] - value
-            if abs(delta) <= DELTA_TIE_TOL:
-                continue
-            if (delta > 0) == higher_better:
-                improved += 1
-            else:
-                worsened += 1
+    deltas = [by_subset[subset | {o}] - value for subset, value in by_subset.items()
+              for o in singletons if o not in subset]
+    improved, worsened = _votes(deltas, higher_better, tie=DELTA_TIE_TOL)
     if improved and not worsened:
         return "IMPROVES_ON_ADDITION"
     if worsened and not improved:
@@ -383,17 +377,8 @@ def _judge_trial_values(
 ) -> str:
     if baseline is None or not math.isfinite(baseline):
         return "INCONCLUSIVE"
-    improved = worsened = 0
-    for v in values:
-        if v is None or not math.isfinite(v):
-            continue
-        delta = v - baseline
-        if delta == 0.0:
-            continue
-        if (delta > 0) == higher_better:
-            improved += 1
-        else:
-            worsened += 1
+    deltas = [v - baseline for v in values if v is not None and math.isfinite(v)]
+    improved, worsened = _votes(deltas, higher_better, tie=0.0)
     n = improved + worsened
     if n == 0:
         return "INCONCLUSIVE"
@@ -433,7 +418,7 @@ def judge_hypothesis(report: ExperimentReport) -> dict[str, str]:
 def experiment_to_dict(report: ExperimentReport) -> dict:
     return {
         "kind": report.kind,
-        "seed": report.seed,
+        "seed": report.config.seed,
         "config": asdict(report.config),
         "baseline": report_to_dict(report.baseline),
         "rows": [
@@ -476,10 +461,10 @@ def experiment_to_csv(report: ExperimentReport) -> str:
     """Flat table: one row per variant or trial, plus AVERAGE when the
     experiment averages over trials. Non-finite values print empty."""
     lines = ["variant," + ",".join(INDEX_NAMES) + ",k_effective"]
-    for row in report.rows:
-        cells = [_csv_cell(row.report.value_map()[n]) for n in INDEX_NAMES]
-        lines.append(",".join([row.variant, *cells, str(row.report.k_effective)]))
+    scored = [(row.variant, row.report) for row in report.rows]
     if report.average is not None:
-        cells = [_csv_cell(report.average.value_map()[n]) for n in INDEX_NAMES]
-        lines.append(",".join(["AVERAGE", *cells, str(report.average.k_effective)]))
+        scored.append(("AVERAGE", report.average))
+    for variant, scores in scored:
+        cells = [_csv_cell(scores.value_map()[n]) for n in INDEX_NAMES]
+        lines.append(",".join([variant, *cells, str(scores.k_effective)]))
     return "\n".join(lines) + "\n"

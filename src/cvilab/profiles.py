@@ -40,11 +40,15 @@ _BLOCK_BYTES = 1 << 22
 
 class CsvFormatError(ValueError):
     """Malformed readings or profile CSV; carries the offending 1-based
-    line number."""
+    line number and the message without it."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
+
+    def __reduce__(self):  # the default rebuilds from args: the formatted text alone
+        return type(self), (self.line, self.message)
 
 
 class ZeroProfileError(ValueError):
@@ -67,10 +71,6 @@ class ProfileMatrix:
             raise ValueError("household count does not match row count")
         if len(set(self.households)) != len(self.households):
             raise ValueError("household ids must be unique")
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[1]
 
     def __len__(self) -> int:
         return self.values.shape[0]

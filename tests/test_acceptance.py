@@ -73,21 +73,13 @@ def test_criterion_2_brute_force_equivalence():
     checked = 0
     for _ in range(200):
         points, labels = oracles.random_instance(rng)
+        report = cvi.evaluate_labels(points, labels)
         pairs = [
-            (cvi.silhouette(points, labels), oracles.naive_silhouette(points, labels)),
-            (
-                cvi.calinski_harabasz(points, labels),
-                oracles.naive_calinski_harabasz(points, labels),
-            ),
-            (
-                cvi.davies_bouldin(points, labels),
-                oracles.naive_davies_bouldin(points, labels),
-            ),
-            (cvi.dunn(points, labels), oracles.naive_dunn(points, labels)),
-            (
-                cvi.xie_beni(points, labels),
-                oracles.naive_xie_beni_crisp(points, labels),
-            ),
+            (report.sh, oracles.naive_silhouette(points, labels)),
+            (report.ch, oracles.naive_calinski_harabasz(points, labels)),
+            (report.db, oracles.naive_davies_bouldin(points, labels)),
+            (report.di, oracles.naive_dunn(points, labels)),
+            (report.xb, oracles.naive_xie_beni_crisp(points, labels)),
         ]
         for got, want in pairs:
             if np.isinf(want):
@@ -145,13 +137,9 @@ def test_criterion_4_centroid_distance_dichotomy():
     base_labels = np.array([0] * 10 + [1] * 10)
     with_singleton = np.append(base_labels, 2)
 
-    ch_base = cvi.calinski_harabasz(base_points, base_labels)
-    ch_far = cvi.calinski_harabasz(
-        np.vstack([base_points, [[100.0, 0.0]]]), with_singleton
-    )
-    ch_near = cvi.calinski_harabasz(
-        np.vstack([base_points, [[5.0, 0.0]]]), with_singleton
-    )
+    ch_base = cvi.evaluate_labels(base_points, base_labels).ch
+    ch_far = cvi.evaluate_labels(np.vstack([base_points, [[100.0, 0.0]]]), with_singleton).ch
+    ch_near = cvi.evaluate_labels(np.vstack([base_points, [[5.0, 0.0]]]), with_singleton).ch
     assert ch_far > ch_base    # distant singleton rewards inclusion
     assert ch_near < ch_base   # central singleton punishes inclusion
     elapsed = time.perf_counter() - start

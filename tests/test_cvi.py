@@ -16,17 +16,11 @@ import oracles
 from cvilab import (
     HIGHER_IS_BETTER,
     INDEX_NAMES,
-    CoincidentCentroidsError,
     FcmConfig,
-    calinski_harabasz,
-    davies_bouldin,
-    dunn,
     evaluate_all,
     evaluate_labels,
     fit_fcm,
     partition_geometry,
-    silhouette,
-    xie_beni,
 )
 from cvilab.cvi import report_from_dict, report_to_dict
 
@@ -41,6 +35,12 @@ def random_labeled(seed, **kwargs):
     return oracles.random_instance(np.random.default_rng(seed), **kwargs)
 
 
+def failure(report, name):
+    """The message of an index that the report records as failed."""
+    assert report.value_map()[name] is None
+    return dict(report.errors)[name]
+
+
 class TestHandInstance:
     """Worked 4-point geometry: every value checked against arithmetic
     done right here from the definitions."""
@@ -49,57 +49,57 @@ class TestHandInstance:
         points, labels = two_pair_instance()
         b = (10.0 + math.sqrt(101.0)) / 2.0
         expected = (b - 1.0) / b
-        assert silhouette(points, labels) == pytest.approx(expected, abs=1e-12)
+        assert evaluate_labels(points, labels).sh == pytest.approx(expected, abs=1e-12)
 
     def test_calinski_harabasz(self):
         points, labels = two_pair_instance()
         # B = 2*25 + 2*25 = 100 over k-1 = 1; W = 4*0.25 = 1 over N-k = 2.
-        assert calinski_harabasz(points, labels) == pytest.approx(200.0, abs=1e-9)
+        assert evaluate_labels(points, labels).ch == pytest.approx(200.0, abs=1e-9)
 
     def test_davies_bouldin(self):
         points, labels = two_pair_instance()
         # S = 0.5 each, centroid gap 10 -> (0.5 + 0.5)/10.
-        assert davies_bouldin(points, labels) == pytest.approx(0.1, abs=1e-12)
+        assert evaluate_labels(points, labels).db == pytest.approx(0.1, abs=1e-12)
 
     def test_dunn(self):
         points, labels = two_pair_instance()
-        assert dunn(points, labels) == pytest.approx(10.0, abs=1e-12)
+        assert evaluate_labels(points, labels).di == pytest.approx(10.0, abs=1e-12)
 
     def test_xie_beni(self):
         points, labels = two_pair_instance()
         # scatter 1.0 over N * min gap^2 = 4 * 100.
-        assert xie_beni(points, labels) == pytest.approx(0.0025, abs=1e-12)
+        assert evaluate_labels(points, labels).xb == pytest.approx(0.0025, abs=1e-12)
 
 
 class TestSilhouette:
     def test_singleton_scores_zero(self):
         points = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0]])
         labels = np.array([0, 0, 1])
-        got = silhouette(points, labels)
+        got = evaluate_labels(points, labels).sh
         want = oracles.naive_silhouette(points, labels)
         assert got == pytest.approx(want, abs=1e-12)
         assert math.isfinite(got)
 
     def test_all_singletons_give_zero(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        assert silhouette(points, np.array([0, 1, 2])) == 0.0
+        assert evaluate_labels(points, np.array([0, 1, 2])).sh == 0.0
 
     def test_identical_coincident_clusters(self):
         # a == b == 0 for every point: 0/0 convention scores 0.
         points = np.zeros((4, 2))
         labels = np.array([0, 0, 1, 1])
-        assert silhouette(points, labels) == 0.0
+        assert evaluate_labels(points, labels).sh == 0.0
 
     def test_needs_three_points_two_clusters(self):
-        with pytest.raises(ValueError):
-            silhouette(np.zeros((2, 2)), np.array([0, 1]))
-        with pytest.raises(ValueError):
-            silhouette(np.ones((4, 2)), np.array([0, 0, 0, 0]))
+        report = evaluate_labels(np.zeros((2, 2)), np.array([0, 1]))
+        assert failure(report, "sh") == "silhouette needs at least 3 points"
+        report = evaluate_labels(np.ones((4, 2)), np.array([0, 0, 0, 0]))
+        assert failure(report, "sh") == "silhouette needs at least 2 clusters"
 
     def test_range_bounds(self):
         for seed in range(5):
             points, labels = random_labeled(seed, max_points=50)
-            value = silhouette(points, labels)
+            value = evaluate_labels(points, labels).sh
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
 
@@ -107,17 +107,17 @@ class TestCalinskiHarabasz:
     def test_zero_within_scatter_is_degenerate_inf(self):
         points = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
         labels = np.array([0, 0, 1, 1])
-        assert calinski_harabasz(points, labels) == math.inf
+        assert evaluate_labels(points, labels).ch == math.inf
 
     def test_k_equal_n_rejected(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        with pytest.raises(ValueError):
-            calinski_harabasz(points, np.array([0, 1, 2]))
+        report = evaluate_labels(points, np.array([0, 1, 2]))
+        assert failure(report, "ch") == "index needs k < N"
 
     def test_scale_invariance(self):
         points, labels = random_labeled(3, max_points=60)
-        base = calinski_harabasz(points, labels)
-        scaled = calinski_harabasz(points * 7.5, labels)
+        base = evaluate_labels(points, labels).ch
+        scaled = evaluate_labels(points * 7.5, labels).ch
         assert scaled == pytest.approx(base, rel=1e-9)
 
 
@@ -125,21 +125,21 @@ class TestDaviesBouldin:
     def test_two_singletons_score_zero(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0]])
         labels = np.array([0, 1])
-        assert davies_bouldin(points, labels) == 0.0
+        assert evaluate_labels(points, labels).db == 0.0
 
     def test_coincident_centroids_rejected(self):
         # Two clusters with identical means.
         points = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
         labels = np.array([0, 0, 1, 1])
-        with pytest.raises(CoincidentCentroidsError):
-            davies_bouldin(points, labels)
+        report = evaluate_labels(points, labels)
+        assert failure(report, "db") == "two clusters share a centroid"
 
 
 class TestDunn:
     def test_zero_diameter_everywhere_is_degenerate_inf(self):
         points = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [3.0, 0.0]])
         labels = np.array([0, 0, 1, 1])
-        assert dunn(points, labels) == math.inf
+        assert evaluate_labels(points, labels).di == math.inf
 
     def test_far_singleton_leaves_dunn_unchanged_bitwise(self):
         # The singleton has zero diameter and only enlarges the numerator
@@ -149,11 +149,11 @@ class TestDunn:
         b = rng.normal((6, 0), 0.2, size=(8, 2))
         points = np.vstack([a, b])
         labels = np.array([0] * 8 + [1] * 8)
-        base = dunn(points, labels)
-        with_far = dunn(
+        base = evaluate_labels(points, labels).di
+        with_far = evaluate_labels(
             np.vstack([points, [[1000.0, 1000.0]]]),
             np.concatenate([labels, [2]]),
-        )
+        ).di
         assert with_far == base
 
 
@@ -161,15 +161,15 @@ class TestXieBeni:
     def test_coincident_centroids_rejected(self):
         points = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
         labels = np.array([0, 0, 1, 1])
-        with pytest.raises(CoincidentCentroidsError):
-            xie_beni(points, labels)
+        report = evaluate_labels(points, labels)
+        assert failure(report, "xb") == "two centroids coincide"
 
     def test_crisp_reads_the_geometry_bitwise(self):
         for seed in range(5):
             points, labels = random_labeled(seed, max_points=40)
             geom = partition_geometry(points, labels)
             want = geom.within / (len(points) * geom.centroid_gaps.min() ** 2)
-            assert xie_beni(points, labels) == want
+            assert evaluate_labels(points, labels).xb == want
 
     def test_one_hot_memberships_agree_with_crisp(self):
         # Unit memberships weigh the squared distances to the label means
@@ -177,6 +177,7 @@ class TestXieBeni:
         # only the last bits may differ.
         points, labels = random_labeled(4, max_points=40)
         geom = partition_geometry(points, labels)
+        crisp = evaluate_labels(points, labels).xb
         for m in (2.0, 3.7):
             model = SimpleNamespace(
                 labels=labels,
@@ -185,7 +186,7 @@ class TestXieBeni:
                 fuzzifier=m,
             )
             fuzzy = evaluate_all(points, model).xb
-            assert fuzzy == pytest.approx(xie_beni(points, labels), rel=1e-12, abs=0)
+            assert fuzzy == pytest.approx(crisp, rel=1e-12, abs=0)
 
     def test_fuzzy_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(9)
@@ -206,18 +207,7 @@ class TestAgainstNaiveOracles:
     def test_random_instances(self):
         for seed in range(25):
             points, labels = random_labeled(seed, max_points=60)
-            pairs = [
-                (silhouette(points, labels), oracles.naive_silhouette(points, labels)),
-                (calinski_harabasz(points, labels),
-                 oracles.naive_calinski_harabasz(points, labels)),
-                (davies_bouldin(points, labels),
-                 oracles.naive_davies_bouldin(points, labels)),
-                (dunn(points, labels), oracles.naive_dunn(points, labels)),
-                (xie_beni(points, labels),
-                 oracles.naive_xie_beni_crisp(points, labels)),
-            ]
-            for got, want in pairs:
-                assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+            assert_matches_oracles(evaluate_labels(points, labels), points, labels)
 
 
 class TestInvariances:
@@ -344,8 +334,8 @@ class TestReports:
             evaluate_labels(np.ones((4, 2)), np.array([0, 0, 1]))
 
     @pytest.mark.parametrize(
-        "index", [silhouette, calinski_harabasz, davies_bouldin, dunn, xie_beni],
-        ids=lambda index: index.__name__,
+        "index", ["_silhouette", "_calinski_harabasz", "_davies_bouldin", "_dunn", "_xie_beni"],
+        ids=lambda index: index.removeprefix("_"),
     )
     @pytest.mark.parametrize(
         "points, labels, message",
@@ -357,9 +347,19 @@ class TestReports:
         ],
         ids=["short-labels", "nan-point"],
     )
-    def test_bad_input_raises_alike_in_every_index(self, index, points, labels, message):
+    def test_bad_input_raises_alike_in_every_index(
+        self, monkeypatch, index, points, labels, message
+    ):
+        """Bad input raises from the shared geometry before ``index`` runs,
+        never as that one index's error in the report."""
+        import cvilab.cvi as cvi_module
+
+        def unreachable(geom):
+            raise AssertionError(f"{index} ran on bad input")
+
+        monkeypatch.setattr(cvi_module, index, unreachable)
         with pytest.raises(ValueError, match=message):
-            index(points, labels)
+            evaluate_labels(points, labels)
 
     def test_single_cluster_recorded_as_errors(self):
         # Degenerate partitions produce a report with per-index errors
@@ -370,22 +370,41 @@ class TestReports:
         assert report.k_effective == 1
 
 
-def indices_one_by_one(points, labels):
-    """Each index called on its own, errors caught the way reports do."""
-    values, errors = {}, []
-    for name, index in (
-        ("sh", silhouette),
-        ("ch", calinski_harabasz),
-        ("db", davies_bouldin),
-        ("di", dunn),
-        ("xb", xie_beni),
-    ):
-        try:
-            values[name] = index(points, labels)
-        except ValueError as exc:
-            values[name] = None
-            errors.append((name, str(exc)))
-    return values, tuple(errors)
+def indices_by_oracle(points, labels):
+    """Each index from its naive oracle, or None where its stated
+    precondition fails: k < 2 for all five, N < 3 for sh, k >= N for ch,
+    coincident centroids for db and xb."""
+    n = len(labels)
+    centroids = [points[labels == v].mean(axis=0) for v in np.unique(labels)]
+    k = len(centroids)
+    coincident = any(
+        np.array_equal(a, b) for i, a in enumerate(centroids) for b in centroids[i + 1:]
+    )
+    fails = {"sh": n < 3, "ch": k >= n, "db": coincident, "di": False, "xb": coincident}
+    oracle = {
+        "sh": oracles.naive_silhouette,
+        "ch": oracles.naive_calinski_harabasz,
+        "db": oracles.naive_davies_bouldin,
+        "di": oracles.naive_dunn,
+        "xb": oracles.naive_xie_beni_crisp,
+    }
+    return {
+        name: None if k < 2 or fails[name] else oracle[name](points, labels)
+        for name in INDEX_NAMES
+    }
+
+
+def assert_matches_oracles(report, points, labels):
+    """An index is in ``errors`` exactly when its precondition fails;
+    otherwise its value is the oracle's within 1e-10 relative (inf is inf)."""
+    want = indices_by_oracle(points, labels)
+    assert set(dict(report.errors)) == {name for name, v in want.items() if v is None}
+    for name, value in want.items():
+        got = report.value_map()[name]
+        if value is None or math.isinf(value):
+            assert got == value, name
+        else:
+            assert got == pytest.approx(value, rel=1e-10, abs=0), name
 
 
 @st.composite
@@ -479,19 +498,18 @@ class TestClusterOrderedPass:
 
 
 class TestFusedEvaluation:
-    """evaluate_labels shares one geometry between sh, ch, db and di; its
-    values must still be exactly those of the single-index functions."""
+    """evaluate_labels reads all five indices from one geometry; each must
+    still match its naive oracle, and fail exactly when its stated
+    precondition fails."""
 
     @given(partition=small_partitions())
     @settings(max_examples=300, deadline=None)
-    def test_report_equals_single_index_calls(self, partition):
+    def test_report_matches_oracles(self, partition):
         points, labels = partition
         report = evaluate_labels(points, labels)
-        values, errors = indices_one_by_one(points, labels)
-        assert report.value_map() == values
-        assert report.errors == errors
+        assert_matches_oracles(report, points, labels)
         assert report.degenerate == tuple(
-            name for name, v in values.items() if v is not None and math.isinf(v)
+            name for name, v in report.value_map().items() if v is not None and math.isinf(v)
         )
         assert report.k_effective == len(set(labels.tolist()))
 
@@ -506,10 +524,7 @@ class TestFusedEvaluation:
         ids=["coincident-centroids", "k1", "n2", "singletons"],
     )
     def test_edge_cases(self, points, labels):
-        report = evaluate_labels(points, labels)
-        values, errors = indices_one_by_one(points, labels)
-        assert report.value_map() == values
-        assert report.errors == errors
+        assert_matches_oracles(evaluate_labels(points, labels), points, labels)
 
     def test_empty_partition_records_every_index_without_warnings(self):
         with warnings.catch_warnings():
@@ -520,19 +535,21 @@ class TestFusedEvaluation:
         assert report.k_effective == 0
 
     def test_coincident_centroids_error_type(self):
+        """A plain ValueError, whose message the report keeps."""
+        import cvilab.cvi as cvi_module
+
         points = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
         labels = np.array([0, 0, 1, 1])
-        with pytest.raises(CoincidentCentroidsError):
-            davies_bouldin(points, labels)
+        geom = partition_geometry(points, labels)
         report = evaluate_labels(points, labels)
-        assert dict(report.errors)["db"] == "two clusters share a centroid"
-
-    def test_random_instances_bitwise(self):
-        for seed in range(10):
-            points, labels = random_labeled(seed)
-            values, errors = indices_one_by_one(points, labels)
-            report = evaluate_labels(points, labels)
-            assert report.value_map() == values and report.errors == errors
+        for name, index, message in (
+            ("db", cvi_module._davies_bouldin, "two clusters share a centroid"),
+            ("xb", cvi_module._xie_beni, "two centroids coincide"),
+        ):
+            with pytest.raises(ValueError) as caught:
+                index(geom)
+            assert type(caught.value) is ValueError and str(caught.value) == message
+            assert failure(report, name) == message
 
     def test_one_pass_over_point_pairs(self, monkeypatch):
         import cvilab.cvi as cvi_module
@@ -572,8 +589,8 @@ class TestFusedEvaluation:
 
 
 def membership_xie_beni(points, u, centroids, m):
-    """The fuzzy Xie-Beni written out step by step, as ``xie_beni``
-    computed it when it still took a membership matrix."""
+    """The fuzzy Xie-Beni written out step by step, as the package
+    computed it when its Xie-Beni function still took a membership matrix."""
     x = np.asarray(points, dtype=float)
     u = np.asarray(u).astype(float)
     if u.shape[0] != x.shape[0]:
@@ -585,7 +602,7 @@ def membership_xie_beni(points, u, centroids, m):
     np.fill_diagonal(gaps, math.inf)
     min_gap = float(gaps.min())
     if min_gap == 0.0:
-        raise CoincidentCentroidsError("two centroids coincide")
+        raise ValueError("two centroids coincide")
     scatter = float(((u**m) * cdist(x, cent) ** 2).sum())
     return scatter / (x.shape[0] * min_gap**2)
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from cvilab import perturb
 from cvilab import (
+    CsvFormatError,
     CviReport,
     ExperimentReport,
     ExperimentRow,
@@ -825,7 +826,7 @@ class TestSerializationAndCsv:
         back = experiment_from_dict(payload)
         assert back.verdict_map() == report.verdict_map()
         assert back.average == report.average
-        assert back.seed == report.seed == 2
+        assert back.config.seed == report.config.seed == 2
         assert [row.variant for row in back.rows] == [row.variant for row in report.rows]
         assert stored_json(back) == stored_json(report)
 
@@ -931,6 +932,23 @@ class TestForkMap:
         with pytest.raises(RejectionBudgetError) as caught:
             fork_map(trial, range(6))
         assert str(caught.value) == "no acceptable sample for cluster 1 in 5 attempts"
+        assert_no_children()
+
+    def test_worker_csv_error_keeps_type_line_and_message(self, monkeypatch):
+        """A CsvFormatError is rebuilt from its line and message, not from
+        its one formatted argument, when it crosses the worker's pipe."""
+        monkeypatch.setenv("CVILAB_THREADS", "2")
+        parent = os.getpid()
+
+        def parse(t):
+            if os.getpid() != parent and t == 1:
+                raise CsvFormatError(3, "bad row")
+            return t
+
+        with pytest.raises(CsvFormatError) as caught:
+            fork_map(parse, range(4))
+        assert caught.value.line == 3
+        assert str(caught.value) == "line 3: bad row"
         assert_no_children()
 
     def test_unpicklable_result_raises_its_pickling_error(self, monkeypatch):

@@ -957,7 +957,7 @@ class TestProfileCsv:
                 )
         matrix = ingest_readings([csv_bytes(rows)])
         assert matrix.households == ("a", "b")
-        assert matrix.dimension == SLOTS_PER_DAY
+        assert matrix.values.shape[1] == SLOTS_PER_DAY
         assert np.abs(np.linalg.norm(matrix.values, axis=1) - 1.0).max() < 1e-9
 
     def test_matrix_rejects_duplicate_households(self):
