@@ -4,8 +4,8 @@ Subcommands cover each pipeline stage (synth, preprocess, cluster,
 validate, experiment, report) plus an end-to-end ``run``. Settings come
 from an optional flat key=value config file; every key has a same-named
 flag, and flags win. Failures print one machine-readable JSON object to
-stderr and exit nonzero; success requires every written artifact to
-re-verify against its manifest digest.
+stderr and exit nonzero; success requires every listed artifact to
+re-verify on disk against the digest its write recorded in the manifest.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def _overrides(args: argparse.Namespace) -> dict[str, list[str]]:
     return {key: getattr(args, key) for key in pipeline._KNOWN_KEYS if getattr(args, key)}
 
 
-def _dispatch(args: argparse.Namespace, config: pipeline.RunConfig) -> list[str]:
+def _dispatch(args: argparse.Namespace, config: pipeline.RunConfig) -> None:
     if args.command == "synth" and config.synth is None:
         raise ValueError("synth needs synth.* settings (e.g. --synth.clusters)")
     if args.command == "preprocess" and not config.inputs:
@@ -41,11 +41,11 @@ def _dispatch(args: argparse.Namespace, config: pipeline.RunConfig) -> list[str]
         "preprocess": pipeline.stage_data,
         "cluster": pipeline.stage_cluster,
         "validate": pipeline.stage_validate,
-        "experiment": lambda config: pipeline.run_experiment(args.kind, config)[1],
+        "experiment": lambda config: pipeline.run_experiment(args.kind, config),
         "report": pipeline.emit_report,
         "run": pipeline.run_full,
     }
-    return stage[args.command](config)
+    stage[args.command](config)
 
 
 def main(argv=None) -> int:
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = pipeline.load_run_config(args.config, _overrides(args))
-        pipeline.update_manifest(config, _dispatch(args, config))
+        _dispatch(args, config)
         bad = pipeline.verify_manifest(config.out_dir)
         if bad:
             raise RuntimeError(f"artifact digest mismatch: {', '.join(bad)}")

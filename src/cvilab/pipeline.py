@@ -9,7 +9,8 @@ the output directory and calls the same function. Every artifact reads
 back bit for bit, so given the same config, inputs and seed, every
 non-timestamp byte of the output is identical between the two, between
 runs on one machine, and whatever the trial worker count. Each write
-removes every artifact computed from what it replaces: no two partitions mix.
+removes every artifact computed from what it replaces (no two partitions
+mix) and records what it wrote in the manifest before it returns.
 """
 
 from __future__ import annotations
@@ -278,23 +279,21 @@ def load_manifest(out_dir) -> RunManifest:
     raise ValueError(f"malformed manifest: {path}")
 
 
-def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
-    """Write manifest.json covering previously listed plus newly written
-    artifacts, with fresh digests for the new ones; the entries the write
-    made stale go.
+def update_manifest(config: RunConfig, written: dict[str, bytes], stale: set[str]) -> None:
+    """Rewrite manifest.json for one write (:func:`_write` is the only
+    caller): the listed artifacts less the ``stale`` ones, plus the
+    digests of the bytes just ``written`` under each name.
 
     Input digests record the bytes profiles.csv was built from: they are
-    taken by the command that writes profiles.csv and carried forward by
-    every later one, which never reads the inputs.
+    taken by the write of profiles.csv and carried forward by every later
+    one, which never reads the inputs.
     """
     out = Path(config.out_dir)
     manifest_path = out / "manifest.json"
     previous = load_manifest(out) if manifest_path.exists() else None
-    stale = _stale(written)
     artifacts = {name: digest for name, digest in (previous.artifacts if previous else {}).items()
                  if name not in stale}
-    for name in written:
-        artifacts[name] = _sha256(out / name)
+    artifacts.update((name, hashlib.sha256(data).hexdigest()) for name, data in written.items())
     if "profiles.csv" in written:
         input_digests = {path: _sha256(Path(path)) for path in config.inputs}
         if config.synth is not None:
@@ -311,7 +310,6 @@ def update_manifest(config: RunConfig, written: list[str]) -> RunManifest:
     )
     manifest_path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n",
                              encoding="utf-8", newline="\n")
-    return manifest
 
 
 def verify_manifest(out_dir) -> list[str]:
@@ -324,7 +322,7 @@ def verify_manifest(out_dir) -> list[str]:
 # --- pipeline stages ---
 #
 # Each stage is one function of in-memory values that hands its artifacts'
-# texts to _write and returns the names written. run_full chains them in
+# texts to _write, which also keeps the manifest. run_full chains them in
 # memory; each staged command loads its inputs from the output directory
 # and calls the same function. Every artifact reads back exactly what was
 # written, so both paths write the same bytes. A write also removes all
@@ -342,7 +340,7 @@ def _read_experiment(data: bytes) -> perturb_mod.ExperimentReport | str:
 
 # Every artifact a run may write: its stage, the command that writes it and,
 # if a later command reads it back, its parser (lambdas resolve names at
-# call time). Every command rewrites manifest.json, and new data replace it.
+# call time). Every write rewrites manifest.json, and new data replace it.
 _ARTIFACTS: dict[str, tuple[int, str, Callable | None]] = {
     "profiles.csv": (0, "synth or preprocess", lambda data: read_profiles_csv(data)),
     "synth_labels.csv": (0, "synth or preprocess", None),
@@ -367,16 +365,18 @@ def _stale(written) -> set[str]:
             if stage > first or (command in commands and name not in written)}
 
 
-def _write(config: RunConfig, texts: dict[str, str]) -> list[str]:
+def _write(config: RunConfig, texts: dict[str, str]) -> None:
     """The one writer of stage artifacts: removes what the write makes
-    stale, then writes each text under its name; returns the names."""
+    stale, writes each text as UTF-8 and lists its digest in the manifest."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name in _stale(texts):
+    stale = _stale(texts)
+    for name in stale:
         (out / name).unlink(missing_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text, encoding="utf-8", newline="\n")
-    return list(texts)
+    written = {name: text.encode("utf-8") for name, text in texts.items()}
+    for name, data in written.items():
+        (out / name).write_bytes(data)
+    update_manifest(config, written, stale)
 
 
 def _load_stored(config: RunConfig, *names: str) -> list:
@@ -412,7 +412,7 @@ def _load_profiles(config: RunConfig) -> tuple[ProfileMatrix, np.ndarray | None]
     return ingest_readings(config.inputs), None
 
 
-def _write_data(config: RunConfig, matrix: ProfileMatrix, truth: np.ndarray | None) -> list[str]:
+def _write_data(config: RunConfig, matrix: ProfileMatrix, truth: np.ndarray | None) -> None:
     """profiles.csv (and synth_labels.csv for synthetic runs). New profiles
     start a new run: every artifact and the manifest an earlier run left
     in the output directory go, as they would describe other data."""
@@ -422,7 +422,7 @@ def _write_data(config: RunConfig, matrix: ProfileMatrix, truth: np.ndarray | No
     if truth is not None:
         rows = "".join(f"{hid},{label}\n" for hid, label in zip(matrix.households, truth))
         texts["synth_labels.csv"] = "household_id,label\n" + rows
-    return _write(config, texts)
+    _write(config, texts)
 
 
 def _fcm_config(config: RunConfig, k: int) -> fcm_mod.FcmConfig:
@@ -449,17 +449,18 @@ def _fit_models(
 
 def _fit(
     config: RunConfig, matrix: ProfileMatrix
-) -> tuple[pca_mod.PcaModel, fcm_mod.ClusterModel, list[str]]:
+) -> tuple[pca_mod.PcaModel, fcm_mod.ClusterModel]:
     """pca.json, cevr.csv, cluster.json and fpc.csv."""
     pca_model, model, curve, cevr = _fit_models(config, matrix)
     cevr_lines = ["dprime,cevr"] + [f"{i + 1},{_fmt9(value)}" for i, value in enumerate(cevr)]
     fpc_lines = ["k,fpc"] + [f"{k},{_fmt9(value)}" for k, value in curve]
-    return pca_model, model, _write(config, {
+    _write(config, {
         "pca.json": _json(pca_mod.model_to_dict(pca_model)),
         "cevr.csv": "\n".join(cevr_lines) + "\n",
         "cluster.json": _json(fcm_mod.model_to_dict(model)),
         "fpc.csv": "\n".join(fpc_lines) + "\n",
     })
+    return pca_model, model
 
 
 def _evaluation_points(
@@ -472,19 +473,20 @@ def _evaluation_points(
 
 def _score(
     config: RunConfig, points: np.ndarray, model: fcm_mod.ClusterModel
-) -> tuple[cvi_mod.CviReport, list[str]]:
+) -> cvi_mod.CviReport:
     """cvi.json: the five indices of the partition."""
     # Fitted centroids live in reduced space, so membership-based XB is
     # only meaningful there; original-space evaluation falls back to the
     # crisp mode.
     report = (cvi_mod.evaluate_all(points, model) if config.space == "reduced"
               else cvi_mod.evaluate_labels(points, model.labels))
-    return report, _write(config, {"cvi.json": _json(cvi_mod.report_to_dict(report))})
+    _write(config, {"cvi.json": _json(cvi_mod.report_to_dict(report))})
+    return report
 
 
 def _experiment(
     kind: str, config: RunConfig, points: np.ndarray, model: fcm_mod.ClusterModel
-) -> tuple[perturb_mod.ExperimentReport | str, list[str]]:
+) -> perturb_mod.ExperimentReport | str:
     """experiment_<kind>.json and .csv. An experiment the partition cannot
     support is recorded as skipped, with its reason, in the JSON alone."""
     runner = {
@@ -499,9 +501,11 @@ def _experiment(
     try:
         report = runner(points, model.labels, config.perturb, refit=refit)
     except perturb_mod.ExperimentSkipped as exc:
-        return str(exc), _write(config, {f"{name}.json": _json({"kind": kind, "skipped": str(exc)})})
-    return report, _write(config, {f"{name}.json": _json(perturb_mod.experiment_to_dict(report)),
-                                   f"{name}.csv": perturb_mod.experiment_to_csv(report)})
+        _write(config, {f"{name}.json": _json({"kind": kind, "skipped": str(exc)})})
+        return str(exc)
+    _write(config, {f"{name}.json": _json(perturb_mod.experiment_to_dict(report)),
+                    f"{name}.csv": perturb_mod.experiment_to_csv(report)})
+    return report
 
 
 def _summary_cell(value: float | None) -> str:
@@ -519,7 +523,7 @@ def _report(
     model: fcm_mod.ClusterModel,
     baseline: cvi_mod.CviReport,
     experiments: dict[str, perturb_mod.ExperimentReport | str],
-) -> list[str]:
+) -> None:
     """summary.txt (indices, experiment averages, verdicts) and
     scatter2d.csv (2-component projection with cluster labels). An
     experiment given as a string was skipped for that reason."""
@@ -567,69 +571,59 @@ def _report(
                 f"{_summary_cell(compare.value_map()[name]):>16}"
                 f"{verdicts.get(name, ''):>22}"
             )
-    return _write(config, {"summary.txt": "\n".join(lines) + "\n",
-                           "scatter2d.csv": "\n".join(scatter_lines) + "\n"})
+    _write(config, {"summary.txt": "\n".join(lines) + "\n",
+                    "scatter2d.csv": "\n".join(scatter_lines) + "\n"})
 
 
 # --- staged commands: load the inputs, run one stage ---
 
 
-def stage_data(config: RunConfig) -> list[str]:
+def stage_data(config: RunConfig) -> None:
     """profiles.csv (and synth_labels.csv for synthetic runs), in place
     of every artifact an earlier run left in the output directory."""
-    return _write_data(config, *_load_profiles(config))
+    _write_data(config, *_load_profiles(config))
 
 
-def stage_cluster(config: RunConfig) -> list[str]:
+def stage_cluster(config: RunConfig) -> None:
     """Reduce and cluster the profiles already in the output directory; the
     scores, experiments and report of the earlier partition go."""
     (matrix,) = _load_stored(config, "profiles.csv")
-    return _fit(config, matrix)[2]
+    _fit(config, matrix)
 
 
-def stage_validate(config: RunConfig) -> list[str]:
+def stage_validate(config: RunConfig) -> None:
     """Score the stored partition: cvi.json, in place of the stale report."""
     matrix, pca_model, model = _load_stored(config, *_FITTED)
-    return _score(config, _evaluation_points(config, matrix, pca_model), model)[1]
+    _score(config, _evaluation_points(config, matrix, pca_model), model)
 
 
-def run_experiment(
-    kind: str, config: RunConfig
-) -> tuple[perturb_mod.ExperimentReport | str, list[str]]:
+def run_experiment(kind: str, config: RunConfig) -> perturb_mod.ExperimentReport | str:
     """One perturbation experiment against the partition stored in the
-    output directory; returns the report (the reason, if skipped) and the
-    names written."""
+    output directory; returns the report, or the reason if it was skipped."""
     if kind not in perturb_mod.EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     matrix, pca_model, model = _load_stored(config, *_FITTED)
     return _experiment(kind, config, _evaluation_points(config, matrix, pca_model), model)
 
 
-def emit_report(config: RunConfig) -> list[str]:
+def emit_report(config: RunConfig) -> None:
     """summary.txt and scatter2d.csv from the artifacts in the output
     directory, covering every experiment recorded there. Each record is
     digest-checked before it is parsed, like every other artifact read."""
     kinds = [kind for kind in perturb_mod.EXPERIMENT_KINDS
              if (Path(config.out_dir) / f"experiment_{kind}.json").exists()]
     stored = _load_stored(config, *_FITTED, "cvi.json", *(f"experiment_{k}.json" for k in kinds))
-    return _report(config, *stored[:4], dict(zip(kinds, stored[4:])))
+    _report(config, *stored[:4], dict(zip(kinds, stored[4:])))
 
 
-def run_full(config: RunConfig) -> list[str]:
-    """Every stage and the requested experiments in one call; returns the
-    names written, and the caller records them with update_manifest as
-    after any staged command. The stages are the ones the staged commands
-    run, chained in memory, so nothing written is read back.
-    """
+def run_full(config: RunConfig) -> None:
+    """Every stage and the requested experiments in one call: the stages
+    the staged commands run, chained in memory, so nothing written is
+    read back."""
     matrix, truth = _load_profiles(config)
-    written = _write_data(config, matrix, truth)
-    pca_model, model, names = _fit(config, matrix)
-    written += names
+    _write_data(config, matrix, truth)
+    pca_model, model = _fit(config, matrix)
     points = _evaluation_points(config, matrix, pca_model)
-    baseline, names = _score(config, points, model)
-    written += names
-    experiments: dict[str, perturb_mod.ExperimentReport | str] = {}
-    for kind in config.experiments:
-        experiments[kind], names = _experiment(kind, config, points, model)
-        written += names
-    return written + _report(config, matrix, pca_model, model, baseline, experiments)
+    baseline = _score(config, points, model)
+    experiments = {kind: _experiment(kind, config, points, model) for kind in config.experiments}
+    _report(config, matrix, pca_model, model, baseline, experiments)

@@ -61,7 +61,8 @@ def fork_map(fn, items) -> list:
     workers, with no helper thread. ``fn`` reaches them through fork, not
     pickle, so closures work. The workers take item numbers from one pipe,
     last item first (a larger k costs more), and each answers once. The
-    first failing item in item order raises; a worker that dies raises
+    first failing item in item order raises, as a ``RuntimeError`` with its
+    type and message if it cannot be pickled; a worker that dies raises
     ``BrokenProcessPool``. One worker or item, no ``fork``, or a call inside
     a worker runs the plain loop. No worker outlives the call."""
     items = list(items)
@@ -124,7 +125,10 @@ def _work(fn, items, todo, feed, sender) -> None:
             try:
                 results[i] = True, pickle.dumps(fn(items[i]))
             except Exception as exc:  # an unpicklable value fails as its item does
-                results[i] = False, exc
+                try:
+                    results[i] = False, pickle.loads(pickle.dumps(exc))
+                except Exception:  # the exception itself would not reach the parent
+                    results[i] = False, RuntimeError(f"{type(exc).__name__}: {exc}")
         sender.send(results)
     finally:
         os._exit(0)  # never back into the caller's code; the parent reads no exit code

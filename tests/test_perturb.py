@@ -972,6 +972,26 @@ class TestForkMap:
         assert str(caught.value) == str(expected.value)
         assert_no_children()
 
+    def test_unpicklable_error_arrives_as_runtime_error(self, monkeypatch):
+        """An exception the worker cannot send back is replaced by a
+        RuntimeError naming its type and message, not lost with the worker."""
+        monkeypatch.setenv("CVILAB_THREADS", "2")
+
+        class Bad(ValueError):
+            def __init__(self, message):
+                super().__init__(message)
+                self.hook = lambda: None
+
+        def trial(t):
+            if t == 1:
+                raise Bad("item one")
+            return t
+
+        with pytest.raises(RuntimeError) as caught:
+            fork_map(trial, range(4))
+        assert (type(caught.value), str(caught.value)) == (RuntimeError, "Bad: item one")
+        assert_no_children()
+
     def test_worker_that_dies_raises_instead_of_hanging(self, monkeypatch):
         monkeypatch.setenv("CVILAB_THREADS", "2")
         parent = os.getpid()

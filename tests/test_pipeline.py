@@ -249,9 +249,10 @@ class TestConfigTable:
 
 def run_core_stages(config):
     """Data through indices, as the staged commands run them: every core
-    artifact written and digested."""
-    written = pl.stage_data(config) + pl.stage_cluster(config) + pl.stage_validate(config)
-    return pl.update_manifest(config, written)
+    artifact written and digested; returns the manifest they leave."""
+    for stage in (pl.stage_data, pl.stage_cluster, pl.stage_validate):
+        stage(config)
+    return pl.load_manifest(config.out_dir)
 
 
 @pytest.fixture(scope="module")
@@ -336,8 +337,8 @@ class TestRunPipeline:
 
     def test_report_artifacts(self, small_run):
         out, config, _, model, _, _ = small_run
-        written = pl.emit_report(config)
-        assert sorted(written) == ["scatter2d.csv", "summary.txt"]
+        pl.emit_report(config)
+        assert {"scatter2d.csv", "summary.txt"} <= pl.load_manifest(out).artifacts.keys()
         scatter = (out / "scatter2d.csv").read_text().strip().splitlines()
         assert scatter[0] == "x,y,cluster"
         assert len(scatter) == 31  # one row per household
@@ -366,8 +367,11 @@ class TestRunPipeline:
         config = pl.build_run_config(
             {"out": [str(out)], "trials": ["2"], "seed": ["5"]}
         )
-        report, written = pl.run_experiment("density", config)
-        assert written == ["experiment_density.json", "experiment_density.csv"]
+        report = pl.run_experiment("density", config)
+        listed = pl.load_manifest(out).artifacts
+        assert {"experiment_density.json", "experiment_density.csv"} <= listed.keys()
+        assert sorted(listed) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert pl.verify_manifest(out) == []
         assert report.kind == "density"
         assert len(report.rows) == 2
 
@@ -469,19 +473,18 @@ class TestFitModels:
 class TestManifestMerge:
     def test_later_updates_keep_earlier_entries(self, tmp_path):
         config = pl.build_run_config({"out": [str(tmp_path)]})
-        (tmp_path / "cvi.json").write_text("alpha\n")
-        pl.update_manifest(config, ["cvi.json"])
-        (tmp_path / "experiment_density.json").write_text("beta\n")
-        manifest = pl.update_manifest(config, ["experiment_density.json"])
+        pl._write(config, {"cvi.json": "alpha\n"})
+        pl._write(config, {"experiment_density.json": "beta\n"})
+        manifest = pl.load_manifest(tmp_path)
         assert sorted(manifest.artifacts) == ["cvi.json", "experiment_density.json"]
         assert pl.verify_manifest(tmp_path) == []
 
     def test_rewritten_artifact_gets_fresh_digest(self, tmp_path):
         config = pl.build_run_config({"out": [str(tmp_path)]})
-        (tmp_path / "cvi.json").write_text("alpha\n")
-        first = pl.update_manifest(config, ["cvi.json"]).artifacts["cvi.json"]
-        (tmp_path / "cvi.json").write_text("alpha prime\n")
-        second = pl.update_manifest(config, ["cvi.json"]).artifacts["cvi.json"]
+        pl._write(config, {"cvi.json": "alpha\n"})
+        first = pl.load_manifest(tmp_path).artifacts["cvi.json"]
+        pl._write(config, {"cvi.json": "alpha prime\n"})
+        second = pl.load_manifest(tmp_path).artifacts["cvi.json"]
         assert first != second
         assert pl.verify_manifest(tmp_path) == []
 
@@ -712,20 +715,43 @@ class TestRunCommand:
         assert sorted(p.name for p in out.iterdir()) == [
             "manifest.json", "profiles.csv", "synth_labels.csv"]
 
+    def test_failed_run_guards_what_it_wrote(self, tmp_path, capsys, monkeypatch):
+        """A run that fails part-way leaves a manifest of every artifact it
+        wrote, so an edit to one of them still fails the next command."""
+        def fail(*args, **kwargs):
+            raise MemoryError("cannot allocate the injected points")
+
+        monkeypatch.setattr(perturb, "density_experiment", fail)
+        out = tmp_path / "out"
+        argv = [f"--{key}={value}" for key, values in small_raw(out).items() for value in values]
+        assert cli_error(capsys, ["run", *argv, "--experiments", "density"]) == {
+            "error": "MemoryError", "message": "cannot allocate the injected points"}
+        files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert sorted(pl.load_manifest(out).artifacts) == files == sorted(CORE_ARTIFACTS)
+
+        (out / "cvi.json").write_text((out / "cvi.json").read_text().replace("0", "1"))
+        assert cli_error(capsys, ["report", "--out", str(out)]) == {
+            "error": "RuntimeError", "message": "artifact digest mismatch: cvi.json"}
+
 
 class TestRunFull:
-    def test_returns_what_it_wrote_and_leaves_the_manifest_to_the_caller(self, tmp_path):
+    def test_library_run_leaves_the_manifest_the_cli_run_leaves(self, tmp_path):
+        """Called from Python, run_full leaves a manifest that verifies,
+        lists every file beside it, and equals the CLI's but for its time."""
         out = tmp_path / "out"
         raw = small_raw(out, trials="2", experiments="outliers,density")
-        written = pl.run_full(pl.build_run_config(raw))
-        assert "experiment_outliers.csv" not in written  # skipped: no singleton
-        assert sorted(written) == sorted(p.name for p in out.iterdir())
-        assert not (out / "manifest.json").exists()
+        pl.run_full(pl.build_run_config(raw))
+        library = pl.load_manifest(out)
+        assert pl.verify_manifest(out) == []
+        files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert sorted(library.artifacts) == files
+        assert "experiment_outliers.csv" not in files  # skipped: no singleton
 
         argv = [f"--{key}={value}" for key, values in raw.items() for value in values]
         assert cli.main(["run", *argv]) == 0
-        assert sorted(pl.load_manifest(out).artifacts) == sorted(written)
-        assert pl.verify_manifest(out) == []
+        command = pl.load_manifest(out)
+        assert (dataclasses.replace(command, created_utc="")
+                == dataclasses.replace(library, created_utc=""))
 
     def test_python_config_runs_at_its_own_seed(self, tmp_path):
         """A RunConfig built in Python draws the population and every trial
