@@ -328,15 +328,10 @@ def evaluate_all(points, model) -> CviReport:
 
 
 def report_to_dict(report: CviReport) -> dict:
-    payload: dict = {}
-    for name in INDEX_NAMES:
-        value = getattr(report, name)
-        payload[name] = value if value is not None and math.isfinite(value) else None
-    payload["k_effective"] = report.k_effective
-    payload["fuzzy"] = report.fuzzy
-    payload["degenerate_flags"] = list(report.degenerate)
-    payload["errors"] = {name: message for name, message in report.errors}
-    return payload
+    finite = {name: value if value is not None and math.isfinite(value) else None
+              for name, value in report.value_map().items()}
+    return {**finite, "k_effective": report.k_effective, "fuzzy": report.fuzzy,
+            "degenerate_flags": list(report.degenerate), "errors": dict(report.errors)}
 
 
 def report_from_dict(payload: dict) -> CviReport:

@@ -77,6 +77,9 @@ class PerturbConfig:
             raise ValueError(
                 f"density_add_fraction must be finite and nonnegative, got {self.density_add_fraction!r}"
             )
+        if self.density_add_fraction > 100:  # a trial's data stay within 101x the partition's
+            raise ValueError("density_add_fraction must be at most 100 (points a trial adds per "
+                             f"cluster member), got {self.density_add_fraction!r}")
 
 
 @dataclass(frozen=True)

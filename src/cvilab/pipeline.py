@@ -253,7 +253,8 @@ def _json(payload: dict) -> str:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with open(path, "rb") as fh:  # streamed: an input is never held whole
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 @dataclass

@@ -34,8 +34,8 @@ PROFILE_CSV_HEADER = ["household_id"] + [
 _HEADER = ["household_id", "timestamp", "kw"]
 
 # Bytes of whole lines the columnar reader takes at a time. Per row, only
-# two int32 codes and the index of its kW value outlive a block.
-_BLOCK_BYTES = 1 << 22
+# three int32 codes (household, timestamp and kW value) outlive a block.
+_BLOCK_BYTES = 1 << 21
 
 
 class CsvFormatError(ValueError):
@@ -133,13 +133,16 @@ def ingest_readings(sources) -> ProfileMatrix:
     if not files:
         raise ValueError("no readings source given")
     ids = sorted((hid, n, i) for n, f in enumerate(files) for i, hid in enumerate(f.households))
-    group_of = [np.empty(len(f.households), dtype=np.intp) for f in files]
+    group_of = [np.empty(len(f.households), dtype=np.int32) for f in files]
     for group, (_, n, i) in enumerate(ids):
         group_of[n][i] = group
     house = np.concatenate([group[f.house] for group, f in zip(group_of, files)])
     slot = np.concatenate([_slots(f.times)[f.stamp] for f in files])
     loads, load = _ranked([f.loads for f in files], [f.load for f in files])
-    return _profile_matrix([hid for hid, _, _ in ids], house, slot, load, loads)
+    del files  # the medians need the codes above only
+    households = [hid for hid, _, _ in ids]
+    profiles = [l2_normalize(m) for m in _medians(households, house, slot, load, loads)]
+    return ProfileMatrix(households=tuple(households), values=np.array(profiles, dtype=float))
 
 
 def _parse_rows(lines) -> _Readings:
@@ -192,9 +195,9 @@ def _parse_rows(lines) -> _Readings:
 
     ids = sorted(offsets)
     code = {hid: i for i, hid in enumerate(ids)}
-    house = np.array([code[hid] for hid in hids], dtype=np.intp)
+    house = np.array([code[hid] for hid in hids], dtype=np.int32)
     loads, load = _ranked([np.array(kws, dtype=float)], [np.arange(len(kws))])
-    return _Readings(ids, house, np.arange(len(times)), times, load, loads)
+    return _Readings(ids, house, np.arange(len(times), dtype=np.int32), times, load, loads)
 
 
 class _RowPath(Exception):
@@ -216,9 +219,9 @@ def _line_blocks(fh):
 
 
 class _Readings(NamedTuple):
-    """Rows as codes: ``house`` indexes ``households``, ``stamp`` the parsed
-    ``times`` and ``load`` the distinct kW values in ``loads``, ordered by
-    their int64 bits (as by value, with ``-0.0`` just below ``0.0``)."""
+    """Rows as int32 codes: ``house`` indexes ``households``, ``stamp`` the
+    parsed ``times`` and ``load`` the distinct kW values in ``loads``, ordered
+    by their int64 bits (as by value, with ``-0.0`` just below ``0.0``)."""
 
     households: list[str]
     house: np.ndarray
@@ -288,7 +291,7 @@ def _each(parse, raws) -> list:
 
 
 def _distinct(column: np.ndarray) -> tuple[list[bytes], np.ndarray]:
-    """The column's distinct values, and each row's index among them."""
+    """The column's distinct values, and each row's int32 index among them."""
     # Coded 8 bytes at a time: integers sort several times faster than
     # byte strings (no value holds a NUL, so the padding keeps values apart).
     width = -(-column.itemsize // 8)
@@ -302,7 +305,7 @@ def _distinct(column: np.ndarray) -> tuple[list[bytes], np.ndarray]:
             code = inverse
     first = np.empty(code.max(initial=-1) + 1, dtype=np.intp)
     first[code] = np.arange(column.size)
-    return column[first].tolist(), code
+    return column[first].tolist(), code.astype(np.int32)
 
 
 def _coded(column: np.ndarray, table: dict[bytes, int]) -> np.ndarray:
@@ -312,11 +315,11 @@ def _coded(column: np.ndarray, table: dict[bytes, int]) -> np.ndarray:
 
 
 def _ranked(tables: list[np.ndarray], codes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """One table of the distinct values of ``tables``, ordered by their
-    int64 bits, and ``codes`` (indices into their own tables) into it."""
+    """One table of the distinct values of ``tables``, ordered by their int64
+    bits, and ``codes`` (indices into their own tables) as int32 indices into it."""
     bits = np.unique(np.concatenate(tables).view(np.int64))
-    ranks = [np.searchsorted(bits, t.view(np.int64))[c] for t, c in zip(tables, codes)]
-    return bits.view(np.float64), np.concatenate(ranks)
+    ranks = (np.searchsorted(bits, t.view(np.int64)).astype(np.int32) for t in tables)
+    return bits.view(np.float64), np.concatenate([r[c] for r, c in zip(ranks, codes)])
 
 
 def _read_columns(blocks) -> _Readings:
@@ -339,24 +342,22 @@ def _read_columns(blocks) -> _Readings:
     if not names or "" in names or not np.all(np.isfinite(loads) & (loads >= 0)):
         raise _RowPath
     ids = sorted(set(names))
-    house = np.searchsorted(ids, names)[np.concatenate(hid_code)]
-    readings = _Readings(ids, house, np.concatenate(ts_code), times, load, loads)
-    # Each household keeps one offset, so an equal wall clock is a duplicate.
-    keys = np.sort(_clock_keys(readings))
-    offsets = {offset: i for i, offset in enumerate({t.utcoffset() for t in times})}
-    pairs = house * len(offsets) + np.array([offsets[t.utcoffset()] for t in times])[readings.stamp]
-    if np.any(keys[1:] == keys[:-1]) or (len(offsets) > 1 and np.unique(pairs).size != len(ids)):
-        raise _RowPath
-    return readings
-
-
-def _clock_keys(readings: _Readings) -> np.ndarray:
-    """One int64 per row, ordering the rows by household, then wall clock."""
-    walls = [t.replace(tzinfo=None) for t in readings.times]
+    house = np.searchsorted(ids, names).astype(np.int32)[np.concatenate(hid_code)]
+    stamp = np.concatenate(ts_code)
+    del hid_code, ts_code, codes  # each block's codes, now in one array
+    # Each household keeps one offset, so an equal wall clock is a duplicate:
+    # one int64 key per row, household then wall clock, sorted in place.
+    walls = [t.replace(tzinfo=None) for t in times]
     rank_of = {w: r for r, w in enumerate(sorted(set(walls)))}
-    keys = readings.house.astype(np.int64) * len(rank_of)
-    keys += np.array([rank_of[w] for w in walls], dtype=np.int64)[readings.stamp]
-    return keys
+    keys = house * np.int64(len(rank_of))
+    keys += np.array([rank_of[w] for w in walls], dtype=np.int32)[stamp]
+    keys.sort()
+    offsets = {offset: i for i, offset in enumerate({t.utcoffset() for t in times})}
+    one_each = len(offsets) == 1 or np.unique(house * len(offsets) + np.array(
+        [offsets[t.utcoffset()] for t in times], dtype=np.int32)[stamp]).size == len(ids)
+    if np.any(keys[1:] == keys[:-1]) or not one_each:
+        raise _RowPath
+    return _Readings(ids, house, stamp, times, load, loads)
 
 
 def _slots(times) -> np.ndarray:
@@ -368,22 +369,27 @@ def _medians(households, group, slot, load, loads):
     """The 96 slot medians of each household in turn; lazy, so that the
     first household's error wins, whatever its kind.
 
-    One sort of an int64 key per row, ``(group * 96 + slot) * K + load``
-    over the ``K`` distinct values (below 2**63 up to some 3e8 rows), puts
-    every slot's loads in order. An odd count takes its middle element as
-    it is, an even count the mean (a + b) / 2 of the central two, as
-    np.median does."""
-    cell = group * SLOTS_PER_DAY + slot
-    counts = np.bincount(cell, minlength=len(households) * SLOTS_PER_DAY)
-    keys = np.sort(cell * loads.size + load)
-    # An empty slot reads a neighbour or the nan at the end; its household
-    # raises before the value is used.
-    ordered = np.append(loads[keys % max(loads.size, 1)], np.nan)
+    One sort, in place, of an int64 key per row, ``(group * 96 + slot) *
+    K + load`` over the ``K`` distinct values (past 2**31 at some 23
+    households and 1e6 values, below 2**63 up to some 3e8 rows), puts every
+    slot's loads in order. An odd count takes its middle element as it is,
+    an even count the mean (a + b) / 2 of the central two, as np.median
+    does."""
+    keys = group * np.int64(SLOTS_PER_DAY) + slot
+    counts = np.bincount(keys, minlength=len(households) * SLOTS_PER_DAY)
+    keys *= loads.size
+    keys += load
+    keys.sort()
+    keys %= loads.size
+    ordered = loads[keys]
+    del keys  # this frame stays alive while the caller takes the profiles
     starts = np.cumsum(counts) - counts
+    # An empty slot reads a neighbour (or, clipped, the last load); its
+    # household raises before the value is used.
     medians = ordered[starts + (counts - 1) // 2]
     even = counts % 2 == 0
     with np.errstate(over="ignore"):  # a mean past the float range is inf
-        medians[even] = (medians[even] + ordered[(starts + counts // 2)[even]]) / 2
+        medians[even] = (medians[even] + ordered.take((starts + counts // 2)[even], mode="clip")) / 2
     for hid, median, count in zip(
         households, medians.reshape(-1, SLOTS_PER_DAY), counts.reshape(-1, SLOTS_PER_DAY)
     ):
@@ -394,11 +400,6 @@ def _medians(households, group, slot, load, loads):
                 f"{missing.size} slot(s), first missing slot {missing[0]}"
             )
         yield median
-
-
-def _profile_matrix(households, group, slot, load, loads) -> ProfileMatrix:
-    profiles = [l2_normalize(m) for m in _medians(households, group, slot, load, loads)]
-    return ProfileMatrix(households=tuple(households), values=np.array(profiles, dtype=float))
 
 
 def l2_normalize(profile: np.ndarray) -> np.ndarray:

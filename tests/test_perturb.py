@@ -101,6 +101,18 @@ class TestConfigAndHelpers:
         with pytest.raises(ValueError, match="sigma_divisor must be finite"):
             PerturbConfig(sigma_divisor=value)
 
+    @pytest.mark.parametrize("value", [100.5, 1e9, 1e300])
+    def test_density_fraction_is_capped(self, value):
+        # A trial adds ceil(fraction * size) points per cluster: the cap
+        # refuses a fraction before any of them is allocated.
+        with pytest.raises(ValueError) as err:
+            PerturbConfig(density_add_fraction=value)
+        assert str(err.value) == (
+            "density_add_fraction must be at most 100 (points a trial adds per cluster "
+            f"member), got {value!r}"
+        )
+        assert PerturbConfig(density_add_fraction=100).density_add_fraction == 100
+
     def test_worker_count_env(self, monkeypatch):
         many_cpus(monkeypatch)
         monkeypatch.setenv("CVILAB_THREADS", "3")

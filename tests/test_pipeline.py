@@ -1436,6 +1436,18 @@ class TestCliErrors:
         }
         assert not out.exists()
 
+    def test_density_fraction_is_bounded_before_any_allocation(self, capsys, tmp_path):
+        out = tmp_path / "x"
+        err = cli_error(capsys, ["run", "--synth.clusters", "3", "--synth.cluster-size", "10",
+                                 "--density-fraction", "1e9", "--experiments", "density",
+                                 "--trials", "1", "--out", str(out)])
+        assert err == {
+            "error": "ValueError",
+            "message": "density_add_fraction must be at most 100 (points a trial adds per "
+                       "cluster member), got 1000000000.0",
+        }
+        assert not out.exists()
+
     def test_both_sources_via_config(self, capsys, tmp_path):
         cfg = tmp_path / "both.cfg"
         cfg.write_text("input = a.csv\nsynth.clusters = 2\n")

@@ -2,6 +2,7 @@
 
 import gc
 import io
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta
 
@@ -535,6 +536,49 @@ class TestColumnarReader:
             assert not other.closed
 
 
+def meter_export(path, households, days, seed=0):
+    """A household-major, time-ascending readings CSV at one offset (``Z``),
+    kW to 3 decimals, as a meter export writes it; returns the row count."""
+    rng = np.random.default_rng(seed)
+    stamps = [
+        (datetime(2024, 3, 4) + timedelta(minutes=15 * s)).isoformat() + "Z"
+        for s in range(days * SLOTS_PER_DAY)
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("household_id,timestamp,kw\n")
+        for h in range(households):
+            kw = rng.lognormal(-0.5, 0.6, size=len(stamps)).tolist()
+            fh.write("".join(f"hh-{h:04d},{ts},{v:.3f}\n" for ts, v in zip(stamps, kw)))
+    return households * len(stamps)
+
+
+class TestIngestMemory:
+    """Per row, ingestion keeps three int32 codes and builds one int64 sort
+    key at a time, so its traced peak stays a small multiple of 12 bytes."""
+
+    def test_traced_peak_per_row(self, tmp_path):
+        path = tmp_path / "readings.csv"
+        rows = meter_export(path, households=300, days=28)
+        ingest_readings([path])  # imports and first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            matrix = ingest_readings([path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(matrix) == 300
+        assert peak / rows < 48, f"{peak / rows:.1f} traced bytes per row"
+
+    def test_row_codes_are_int32(self):
+        rows = full_day_rows("b", "2024-01-01T00:00:00", [0.5] * SLOTS_PER_DAY)
+        rows += full_day_rows("a", "2024-01-01T00:00:00", [1.5] * SLOTS_PER_DAY)
+        data = csv_bytes(rows)
+        quoted = data.replace(b"\na,", b'\n"a",', 1)  # read by the row parser
+        for source in (data, quoted):
+            r = profiles._read(source)
+            assert [a.dtype for a in (r.house, r.stamp, r.load)] == [np.dtype(np.int32)] * 3
+
+
 def slot_medians(data):
     """The per-slot medians, in kW, of the one household in a readings CSV."""
     r = profiles._read(data)
@@ -644,6 +688,24 @@ class TestGroupedMedian:
         want = np.array([l2_normalize(median_reference(households[h])) for h in "abc"])
         assert matrix.households == ("a", "b", "c")
         assert matrix.values.tobytes() == want.tobytes()
+
+    def test_sort_key_past_int32(self):
+        # (group * 96 + slot) * K + load reaches ~2.2e9 here: a key built in
+        # int32 from the int32 codes would wrap and misorder the loads.
+        houses, size = 23, 10**6
+        loads = np.unique(np.random.default_rng(5).random(size * 2))[:size]
+        assert loads.size == size
+        group = np.repeat(np.arange(houses, dtype=np.int32), SLOTS_PER_DAY)
+        slot = np.tile(np.arange(SLOTS_PER_DAY, dtype=np.uint8), houses)
+        load = np.random.default_rng(6).integers(size, size=group.size).astype(np.int32)
+        assert (int(group[-1]) * SLOTS_PER_DAY + int(slot[-1])) * size + int(load[-1]) > 2**31
+        order = np.random.default_rng(7).permutation(group.size)
+        medians = profiles._medians(
+            [f"H{h}" for h in range(houses)], group[order], slot[order], load[order], loads
+        )
+        want = [[np.median(loads[load[(group == h) & (slot == s)]]) for s in range(SLOTS_PER_DAY)]
+                for h in range(houses)]
+        assert np.array(list(medians)).tobytes() == np.array(want).tobytes()
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
