@@ -3,8 +3,11 @@
 Classic alternating optimization: memberships from centroid distances
 (exponent 2/(m-1)), centroids as membership-weighted means, repeated until
 the centroids stop moving. Fitting is seeded and restarted; the restart with
-the lowest final objective wins. The fuzzy partition coefficient, maximized
-over a candidate range, picks the cluster count.
+the lowest final objective wins. Its clusters are numbered in the order of
+their first member in point order, clusters with no member last, so
+restarts that reach one optimum under different numberings, and tie up to
+rounding, still give one numbering. The fuzzy partition coefficient,
+maximized over a candidate range, picks the cluster count.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ class ClusterModel:
 
     ``memberships`` rows sum to 1; ``labels`` is their per-row argmax (ties
     to the lowest index); ``objective_trace`` holds the objective after each
-    iteration of the winning restart.
+    iteration of the winning restart. A fitted model numbers its clusters by
+    first member: the labels first appear in the order 0, 1, 2, ..., and the
+    clusters with no member come last.
     """
 
     centroids: np.ndarray        # (k, d)
@@ -69,31 +74,6 @@ class ClusterModel:
         return tuple(j for j in range(self.k) if not np.any(self.labels == j))
 
 
-def _cluster_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the cluster axis of a (..., k, N) stack, in the order numpy
-    sums a contiguous row of k values: a left fold below 8 terms, eight
-    running sums combined pairwise up to 128, and halves beyond that.
-    Each column's sum thus has the bits of the (N, k) layout's row sum."""
-    k = a.shape[-2]
-    if k < 8:
-        total = a[..., 0, :].copy()
-        for j in range(1, k):
-            total += a[..., j, :]
-        return total
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _cluster_sum(a[..., :half, :]) + _cluster_sum(a[..., half:, :])
-    lanes = a[..., :8, :].copy()
-    blocks = k - k % 8
-    for j in range(8, blocks, 8):
-        lanes += a[..., j:j + 8, :]
-    r = [lanes[..., j, :] for j in range(8)]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for j in range(blocks, k):
-        total += a[..., j, :]
-    return total
-
-
 def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
     """Memberships of a (..., k, N) stack of centroid-point distances."""
     # Scale by each point's min distance so the power stays in [0, 1] and
@@ -104,7 +84,7 @@ def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         u = dist / nearest
         u **= -2.0 / (m - 1.0)
-        u /= _cluster_sum(u)[..., None, :]
+        u /= u.sum(axis=-2, keepdims=True)
     hit = nearest == 0.0
     if hit.any():
         zero = dist == 0.0
@@ -112,34 +92,22 @@ def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
     return u
 
 
-def _centroids(x: np.ndarray, w: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Weighted means of the points, ``w`` = memberships**m; a cluster with
-    zero total weight keeps its previous centroid."""
-    weights = w.sum(axis=0)
-    new = previous.copy()
-    nonzero = weights > 0
-    new[nonzero] = (w.T[nonzero] @ x) / weights[nonzero, None]
-    return new
-
-
-def _centroid_stack(x: np.ndarray, w: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """``_centroids`` for each (k, N) block of an (R, k, N) weight stack, bit
-    for bit. The weight sums fold over the points one at a time, as the
-    (N, k) column sum does: summing the outer axis of an (N, R, k) copy does
-    that. The numerators are one gemm per contiguous (k, N) block."""
-    weights = np.ascontiguousarray(w.transpose(2, 0, 1)).sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        new = np.matmul(w, x) / weights[..., None]
-    # A lone fit leaves a zero-weight cluster out of its gemm; so does this.
-    for r in np.flatnonzero((weights == 0.0).any(axis=-1)):
-        new[r] = _centroids(x, np.ascontiguousarray(w[r].T), previous[r])
-    return new
-
-
 def _distances(centroids: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(R, k, N) distances of an (R, k, d) centroid stack, in one ``cdist``."""
     r, k, d = centroids.shape
     return cdist(centroids.reshape(-1, d), x).reshape(r, k, x.shape[0])
+
+
+def _first_member_order(u: np.ndarray) -> list[int]:
+    """The clusters of a (k, N) membership block in the order of their first
+    member, taking the points in order. A point tied between clusters counts
+    for the one placed first, or else the lowest-indexed, as ``argmax`` will
+    harden it once reordered. Clusters with no member follow, in order."""
+    top = u == u.max(axis=0)
+    order: list[int] = []
+    while (free := ~top[order].any(axis=0)).any():
+        order.append(int(np.argmax(top[:, np.argmax(free)])))
+    return order + [j for j in range(len(u)) if j not in order]
 
 
 def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
@@ -150,9 +118,10 @@ def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
     and config. Iteration stops when the largest centroid displacement
     drops below ``tol`` or ``max_iter`` is reached. The restarts advance
     together as one (restart, cluster, point) stack, and a restart leaves
-    the stack when it stops; each keeps the arithmetic of a fit on its own.
+    the stack when it stops; no restart's bits depend on the others in it.
     Each step computes the point-centroid distances of all restarts in one
-    pass: they give this step's objectives and the next memberships.
+    pass: they give this step's objectives and the next memberships. The
+    winner's clusters are then numbered by first member (see ``ClusterModel``).
     """
     x = np.ascontiguousarray(np.asarray(data, dtype=float))
     if x.ndim != 2:
@@ -175,11 +144,12 @@ def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
     u = _memberships_from_distances(_distances(centroids, x), m)
     for _ in range(config.max_iter):
         w = u**m
-        new_centroids = _centroid_stack(x, w, centroids)
+        weights = w.sum(axis=-1, keepdims=True)
+        # A cluster with zero total weight keeps its previous centroid.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new_centroids = np.where(weights > 0, np.matmul(w, x) / weights, centroids)
         dist = _distances(new_centroids, x)
-        # Each objective sums a contiguous (N, k) block, as a lone fit does.
-        objective = np.ascontiguousarray((w * dist**2).transpose(0, 2, 1))
-        for restart, value in zip(live, objective.reshape(len(live), -1).sum(axis=1)):
+        for restart, value in zip(live, (w * dist**2).sum(axis=(1, 2))):
             traces[restart].append(float(value))
         shift = np.linalg.norm(new_centroids - centroids, axis=-1).max(axis=-1)
         centroids = new_centroids
@@ -199,9 +169,10 @@ def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
 
     # The lowest final objective wins; min keeps the first of equals.
     best = min(range(config.restarts), key=lambda restart: traces[restart][-1])
-    u = np.ascontiguousarray(final_u[best].T)
+    order = _first_member_order(final_u[best])
+    u = np.ascontiguousarray(final_u[best][order].T)
     return ClusterModel(
-        centroids=final_centroids[best].copy(),
+        centroids=final_centroids[best][order],
         memberships=u,
         fuzzifier=m,
         labels=np.argmax(u, axis=1),

@@ -13,7 +13,6 @@ import csv
 import io
 import math
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import chain
@@ -525,16 +524,14 @@ def generate_synthetic(spec: SynthSpec) -> tuple[ProfileMatrix, np.ndarray]:
     return matrix, labels
 
 
-def write_profiles_csv(matrix: ProfileMatrix, target) -> None:
-    """Write the profile matrix as CSV, each value as its shortest
-    round-trip ``repr``, so :func:`read_profiles_csv` gets back the same
-    bits."""
-    own = isinstance(target, (str, os.PathLike))
-    with open(target, "w", encoding="utf-8", newline="") if own else nullcontext(target) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_CSV_HEADER)
-        for hid, row in zip(matrix.households, matrix.values):
-            writer.writerow([hid] + [repr(v) for v in row.tolist()])
+def write_profiles_csv(matrix: ProfileMatrix, stream) -> None:
+    """Write the profile matrix as CSV to a text stream (opened with
+    ``newline=""`` if it is a file), each value as its shortest round-trip
+    ``repr``, so :func:`read_profiles_csv` gets back the same bits."""
+    writer = csv.writer(stream)
+    writer.writerow(PROFILE_CSV_HEADER)
+    for hid, row in zip(matrix.households, matrix.values):
+        writer.writerow([hid] + [repr(v) for v in row.tolist()])
 
 
 def read_profiles_csv(source) -> ProfileMatrix:

@@ -18,12 +18,11 @@ from cvilab import (
     select_cluster_count,
 )
 from cvilab.fcm import (
-    _centroids,
-    _cluster_sum,
     _memberships_from_distances,
     model_from_dict,
     model_to_dict,
 )
+from cvilab.profiles import SynthSpec, generate_synthetic
 from cvilab.rng import derive_stream
 
 
@@ -140,8 +139,8 @@ class TestFitFcm:
         # Any point exactly on a centroid must have a one-hot row.
         u = _memberships_from_distances(cdist(model.centroids, probe), 2.0)
         assert u[:, -1].tolist() == [1.0, 0.0]
-        reference = reference_memberships(cdist(probe, model.centroids), 2.0)
-        assert np.ascontiguousarray(u.T).tobytes() == reference.tobytes()
+        reference = reference_memberships(cdist(model.centroids, probe), 2.0)
+        assert u.tobytes() == reference.tobytes()
         assert refit.memberships.shape == (len(probe), 2)
 
     def test_bit_determinism(self):
@@ -218,35 +217,36 @@ class TestHardenAndFpc:
 
 
 def reference_memberships(dist, m):
-    """Memberships computed apart: crisp rows for points on a centroid,
-    the power formula on the remaining rows only."""
-    u = np.zeros_like(dist)
-    coincident = dist == 0.0
-    hit = coincident.any(axis=1)
-    if hit.any():
-        first = np.argmax(coincident[hit], axis=1)
-        u[np.flatnonzero(hit), first] = 1.0
-    free = ~hit
-    if free.any():
-        d = dist[free]
-        w = (d / d.min(axis=1, keepdims=True)) ** (-2.0 / (m - 1.0))
-        u[free] = w / w.sum(axis=1, keepdims=True)
+    """Memberships of a (k, N) distance block: the power formula on every
+    column, then each point on a centroid made crisp to the first one. The
+    formula runs on the whole block, since numpy sums a (k, 1) block, or
+    the column-major one a boolean column index gives, pairwise over k,
+    not in the left fold the stack's columns get."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (dist / dist.min(axis=0)) ** (-2.0 / (m - 1.0))
+        u = w / w.sum(axis=0)
+    for i in np.flatnonzero((dist == 0.0).any(axis=0)):
+        u[:, i] = 0.0
+        u[np.argmax(dist[:, i] == 0.0), i] = 1.0
     return u
 
 
 def reference_restarts(x, config):
-    """Each restart fitted on its own, in the (point, cluster) layout:
-    its final centroids, memberships and objective trace."""
+    """Each restart fitted on its own, in the (cluster, point) layout: its
+    final centroids, (k, N) memberships and objective trace, clusters in
+    the order they were started."""
     m, n = float(config.fuzzifier), x.shape[0]
     for restart in range(config.restarts):
         rng = derive_stream(config.seed, restart)
         centroids = x[rng.choice(n, size=config.k, replace=False)].copy()
         trace = []
-        u = reference_memberships(cdist(x, centroids), m)
+        u = reference_memberships(cdist(centroids, x), m)
         for _ in range(config.max_iter):
             w = u**m
-            new_centroids = _centroids(x, w, centroids)
-            dist = cdist(x, new_centroids)
+            weights = w.sum(axis=1, keepdims=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new_centroids = np.where(weights > 0, (w @ x) / weights, centroids)
+            dist = cdist(new_centroids, x)
             trace.append(float((w * dist**2).sum()))
             shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
             centroids = new_centroids
@@ -265,13 +265,27 @@ def reference_fit(x, config):
     return best
 
 
+def first_member_order(u):
+    """Cluster order of (k, N) memberships, one point at a time: a point
+    whose largest memberships all belong to clusters not yet placed places
+    the first of them; clusters no point placed follow in their order."""
+    order = []
+    for column in u.T:
+        tied = np.flatnonzero(column == column.max()).tolist()
+        if not set(tied) & set(order):
+            order.append(tied[0])
+    return order + [j for j in range(len(u)) if j not in order]
+
+
 def assert_fit_equals_reference(x, config):
     centroids, u, trace = reference_fit(x, config)
+    order = first_member_order(u)
     model = fit_fcm(x, config)
-    assert model.centroids.tobytes() == centroids.tobytes()
-    assert model.memberships.tobytes() == u.tobytes()
+    assert model.centroids.tobytes() == centroids[order].tobytes()
+    assert model.memberships.tobytes() == np.ascontiguousarray(u[order].T).tobytes()
     assert model.objective_trace.tobytes() == np.array(trace).tobytes()
-    assert model.labels.tolist() == np.argmax(u, axis=1).tolist()
+    assert model.labels.tolist() == np.argmax(u[order], axis=0).tolist()
+    return model
 
 
 class TestOnePathMemberships:
@@ -287,12 +301,11 @@ class TestOnePathMemberships:
     def test_equals_reference_bitwise(self, n, k, zeros, scale, m, seed):
         rng = np.random.default_rng(seed)
         restarts = int(rng.integers(1, 4))
-        dist = rng.exponential(scale, size=(restarts, n, k))
-        dist[rng.random(dist.shape) < zeros] = 0.0  # rows with one, several or all zeros
-        got = _memberships_from_distances(np.ascontiguousarray(dist.transpose(0, 2, 1)), m)
+        dist = rng.exponential(scale, size=(restarts, k, n))
+        dist[rng.random(dist.shape) < zeros] = 0.0  # points with one, several or all zeros
+        got = _memberships_from_distances(dist, m)
         for r in range(restarts):
-            want = reference_memberships(dist[r], m)
-            assert np.ascontiguousarray(got[r].T).tobytes() == want.tobytes()
+            assert got[r].tobytes() == reference_memberships(dist[r], m).tobytes()
 
     def test_several_zeros_go_crisp_to_the_first(self):
         dist = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 3.0, 0.0]])
@@ -339,39 +352,74 @@ class TestBatchedRestarts:
         config = FcmConfig(k=k, fuzzifier=m, max_iter=max_iter, seed=seed % 1000, restarts=restarts)
         assert_fit_equals_reference(x, config)
 
-    def test_zero_weight_cluster_keeps_its_centroid(self, monkeypatch):
-        import cvilab.fcm as fcm_module
-
-        calls = []
-        real_centroids = fcm_module._centroids
-
-        def counting_centroids(x, w, previous):
-            calls.append(w.shape)
-            return real_centroids(x, w, previous)
-
-        monkeypatch.setattr(fcm_module, "_centroids", counting_centroids)
+    def test_zero_weight_cluster_keeps_its_centroid(self):
+        # Three starts on two distinct points: two centroids coincide, the
+        # points on them go crisp to the first, and the second one, with
+        # zero weight at every step, stays where it started.
         p, q = np.array([0.0, 0.0]), np.array([4.0, 1.0])
         x = np.array([p, p, p, p, q, q, q, q])
         config = FcmConfig(k=3, seed=0, restarts=4, max_iter=50)
-        assert_fit_equals_reference(x, config)
-        assert calls and all(shape == (8, 3) for shape in calls)
-
-    def test_cluster_sum_is_numpy_row_sum_bitwise(self):
-        rng = np.random.default_rng(0)
-        for k in range(1, 301):
-            a = rng.exponential(size=(2, 37, k)) * 10.0 ** rng.integers(-12, 12, size=(2, 37, k))
-            got = _cluster_sum(np.ascontiguousarray(a.transpose(0, 2, 1)))
-            assert got.tobytes() == a.sum(axis=2).tobytes(), k
+        model = assert_fit_equals_reference(x, config)
+        assert model.labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert model.empty_clusters == (2,)
+        assert model.centroids[:2].tolist() == [p.tolist(), q.tolist()]
+        assert model.centroids[2].tolist() in (p.tolist(), q.tolist())
+        assert not model.memberships[:, 2].any()
 
     def test_cdist_is_symmetric_bitwise(self):
-        # The stack takes centroid-point distances from cdist(c, x); a lone
-        # fit took them from cdist(x, c).
+        # The stack takes centroid-point distances from cdist(c, x); the
+        # fuzzy Xie-Beni takes them from cdist(x, c).
         rng = np.random.default_rng(1)
         for d in range(1, 97):
             x = rng.normal(size=(int(rng.integers(1, 200)), d)) * 10.0 ** rng.integers(-6, 6)
             c = rng.normal(size=(int(rng.integers(1, 40)), d)) * 10.0 ** rng.integers(-6, 6)
             c[0] = x[-1]  # a zero distance
             assert cdist(c, x).tobytes() == np.ascontiguousarray(cdist(x, c).T).tobytes(), d
+
+
+class TestFirstMemberNumbering:
+    """A fitted model numbers its clusters by first member in point order,
+    clusters with no member last, whichever restart wins."""
+
+    def assert_numbered_by_first_member(self, x, config):
+        model = fit_fcm(x, config)
+        labels = model.labels.tolist()
+        assert labels == np.argmax(model.memberships, axis=1).tolist()
+        seen = list(dict.fromkeys(labels))
+        assert seen == list(range(len(seen)))
+        assert model.empty_clusters == tuple(range(len(seen), config.k))
+        # The centroid rows and the membership columns take one permutation
+        # of the fitted clusters: the reference fit's, reordered.
+        assert_fit_equals_reference(x, config)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_synthetic_population(self, k):
+        matrix, _ = generate_synthetic(SynthSpec(clusters=4, cluster_size=30, outliers=3, seed=0))
+        self.assert_numbered_by_first_member(matrix.values, FcmConfig(k=k, seed=0))
+
+    @given(
+        k=st.integers(min_value=2, max_value=6),
+        extra=st.integers(min_value=1, max_value=20),
+        distinct=st.sampled_from([0, 2, 3]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_small_fits(self, k, extra, distinct, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(k + extra, 2)) + rng.integers(0, 3, size=(k + extra, 1)) * 4.0
+        if distinct:
+            # Few distinct points: clusters with no member.
+            x = x[rng.integers(0, distinct, size=len(x))]
+        self.assert_numbered_by_first_member(x, FcmConfig(k=k, seed=seed % 1000, restarts=3))
+
+    def test_tied_first_point_takes_the_first_number(self):
+        # The centre of a symmetric square, listed first, ties between both
+        # clusters before either has a member.
+        x = np.array([[0.0, 0.0], [-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+        model = fit_fcm(x, FcmConfig(k=2, seed=0))
+        assert model.memberships[0, 0] == model.memberships[0, 1]
+        assert model.labels.tolist() == [0, 0, 1, 0, 1]
+        self.assert_numbered_by_first_member(x, FcmConfig(k=2, seed=0))
 
 
 class TestSelectClusterCount:

@@ -523,7 +523,8 @@ class TestColumnarReader:
             SynthSpec(clusters=2, cluster_size=2, spread=0.01)
         )
         stored = tmp_path / "profiles.csv"
-        write_profiles_csv(matrix, stored)
+        with open(stored, "w", encoding="utf-8", newline="") as fh:
+            write_profiles_csv(matrix, fh)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ingest_readings([readings])
@@ -916,7 +917,8 @@ class TestProfileCsv:
         spec = SynthSpec(clusters=3, cluster_size=4, spread=0.03, seed=2)
         matrix, _ = generate_synthetic(spec)
         path = tmp_path / "profiles.csv"
-        write_profiles_csv(matrix, path)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_profiles_csv(matrix, fh)
         back = read_profiles_csv(path)
         assert back.households == matrix.households
         assert back.values.tobytes() == matrix.values.tobytes()
@@ -925,7 +927,8 @@ class TestProfileCsv:
         edges = ProfileMatrix(
             households=("edge",), values=np.array([[5e-324, 1e-300, 0.1, 1 / 3] * 24])
         )
-        write_profiles_csv(edges, path)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_profiles_csv(edges, fh)
         assert read_profiles_csv(path).values.tobytes() == edges.values.tobytes()
 
     def test_read_rejects_non_finite(self):
