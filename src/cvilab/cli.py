@@ -3,9 +3,9 @@
 Subcommands cover each pipeline stage (synth, preprocess, cluster,
 validate, experiment, report) plus an end-to-end ``run``. Settings come
 from an optional flat key=value config file; every key has a same-named
-flag, and flags win. Failures print one machine-readable JSON object to
-stderr and exit nonzero; success requires every listed artifact to
-re-verify on disk against the digest its write recorded in the manifest.
+flag, and flags win. Each command ends, failed or not, by removing what
+its manifest does not list. Failures print one JSON object to stderr and
+exit nonzero; success requires every listed artifact to re-verify on disk.
 """
 
 from __future__ import annotations
@@ -70,7 +70,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = pipeline.load_run_config(args.config, _overrides(args))
-        _dispatch(args, config)
+        try:
+            _dispatch(args, config)
+        finally:
+            pipeline.remove_unlisted(config.out_dir)
         bad = pipeline.verify_manifest(config.out_dir)
         if bad:
             raise RuntimeError(f"artifact digest mismatch: {', '.join(bad)}")

@@ -8,9 +8,9 @@ the stage functions in memory; each staged command loads its inputs from
 the output directory and calls the same function. Every artifact reads
 back bit for bit, so given the same config, inputs and seed, every
 non-timestamp byte of the output is identical between the two, between
-runs on one machine, and whatever the trial worker count. Each write
-removes every artifact computed from what it replaces (no two partitions
-mix) and records what it wrote in the manifest before it returns.
+runs on one machine, and whatever the trial worker count. The manifest is
+the directory's one index: it lists what each write wrote, less all that was
+computed from what it replaced (no two partitions mix), and nothing else is read.
 """
 
 from __future__ import annotations
@@ -290,20 +290,22 @@ def load_manifest(out_dir) -> RunManifest:
     raise ValueError(f"malformed manifest: {path}")
 
 
-def update_manifest(config: RunConfig, written: dict[str, bytes], stale: set[str]) -> None:
+def update_manifest(config: RunConfig, written: dict[str, bytes]) -> None:
     """Overwrite manifest.json, in place like every file, for one write
-    (:func:`_write` is the only caller): the listed artifacts less the
-    ``stale`` ones, plus the digests of the bytes just ``written``.
+    (:func:`_write` is the only caller): the digests of the bytes just
+    ``written``, plus the listed artifacts of no later stage than the earliest
+    written and of other commands. So new profiles start a new manifest.
 
     Input digests record the bytes profiles.csv was built from: they are
     taken by the write of profiles.csv and carried forward by every later
     one, which never reads the inputs.
     """
     out = Path(config.out_dir)
-    manifest_path = out / "manifest.json"
-    previous = load_manifest(out) if manifest_path.exists() else None
+    first = min(_ARTIFACTS[name][0] for name in written)
+    commands = {_ARTIFACTS[name][1] for name in written}
+    previous = load_manifest(out) if first > 0 and (out / "manifest.json").exists() else None
     artifacts = {name: digest for name, digest in (previous.artifacts if previous else {}).items()
-                 if name not in stale}
+                 if _ARTIFACTS[name][0] <= first and _ARTIFACTS[name][1] not in commands}
     artifacts.update((name, hashlib.sha256(data).hexdigest()) for name, data in written.items())
     if "profiles.csv" in written:
         input_digests = {path: _sha256(Path(path)) for path in config.inputs}
@@ -319,7 +321,7 @@ def update_manifest(config: RunConfig, written: dict[str, bytes], stale: set[str
         input_digests=input_digests,
         artifacts=dict(sorted(artifacts.items())),
     )
-    _overwrite(manifest_path, (json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    _overwrite(out / "manifest.json", (json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
                .encode("utf-8"))
 
 
@@ -328,6 +330,17 @@ def verify_manifest(out_dir) -> list[str]:
     out = Path(out_dir)
     return [name for name, digest in load_manifest(out).artifacts.items()
             if not (out / name).exists() or _sha256(out / name) != digest]
+
+
+def remove_unlisted(out_dir) -> None:
+    """Unlink each artifact the manifest does not list, as every command ends.
+    Without a readable manifest: nothing, so no error or stranger's file goes."""
+    try:
+        listed = load_manifest(out_dir).artifacts
+    except (OSError, ValueError):  # no manifest, or not one
+        return
+    for name in _ARTIFACTS.keys() - listed.keys():
+        (Path(out_dir) / name).unlink(missing_ok=True)
 
 
 # --- pipeline stages: each hands its artifacts' texts to _write (see the module docstring) ---
@@ -344,11 +357,10 @@ def _read_experiment(data: bytes) -> perturb_mod.ExperimentReport | str:
 
 # Every artifact a run may write: its stage, the command that writes it and,
 # if a later command reads it back, its parser (lambdas resolve names at
-# call time). Every write rewrites manifest.json, and new data replace it.
+# call time). manifest.json is not one: every write rewrites their index.
 _ARTIFACTS: dict[str, tuple[int, str, Callable | None]] = {
     "profiles.csv": (0, "synth or preprocess", lambda data: read_profiles_csv(data)),
     "synth_labels.csv": (0, "synth or preprocess", None),
-    "manifest.json": (0, "synth or preprocess", None),  # parsed by load_manifest only
     "pca.json": (1, "cluster", lambda data: pca_mod.model_from_dict(json.loads(data))),
     "cluster.json": (1, "cluster", lambda data: fcm_mod.model_from_dict(json.loads(data))),
     "cevr.csv": (1, "cluster", None), "fpc.csv": (1, "cluster", None),
@@ -359,46 +371,33 @@ _ARTIFACTS: dict[str, tuple[int, str, Callable | None]] = {
 }
 
 
-def _stale(written) -> set[str]:
-    """What a write of ``written`` replaces: every artifact of a later stage
-    than the earliest written, and the writing command's own artifacts that
-    were not written this time."""
-    first = min(_ARTIFACTS[name][0] for name in written)
-    commands = {_ARTIFACTS[name][1] for name in written}
-    return {name for name, (stage, command, _) in _ARTIFACTS.items()
-            if stage > first or (command in commands and name not in written)}
-
-
 def _write(config: RunConfig, texts: dict[str, str]) -> None:
-    """The one writer of stage artifacts: removes what the write makes
-    stale, writes each text as UTF-8 and lists its digest in the manifest.
-    Every file is overwritten in place, never truncated to zero first: ext4
-    flushes a file truncated to zero at close, so its next rewrite waits 22-74 ms."""
+    """The one writer of stage artifacts: writes each text as UTF-8, in place,
+    and lists its digest in the manifest. It unlinks and truncates nothing: on
+    ext4, unlinking a written-back file waits on the disk journal (31-64 ms),
+    and so does the rewrite of a file truncated to zero (22-74 ms)."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stale = _stale(texts)
-    for name in stale:
-        (out / name).unlink(missing_ok=True)
     written = {name: text.encode("utf-8") for name, text in texts.items()}
     for name, data in written.items():
         _overwrite(out / name, data)
-    update_manifest(config, written, stale)
+    update_manifest(config, written)
 
 
 def _load_stored(config: RunConfig, *names: str) -> list:
     """Artifacts read back from the output directory and parsed, in the
-    order named; every read-back goes through here. An artifact the
-    manifest lists must match its digest before it is parsed; one that
-    does not parse is a ValueError (a CSV error keeps its line)."""
+    order named; every read-back goes through here. An unlisted one is
+    missing; a listed one must match its digest before it is parsed, and one
+    that does not parse is a ValueError (a CSV error keeps its line)."""
     out = Path(config.out_dir)
     listed = load_manifest(out).artifacts if (out / "manifest.json").exists() else {}
     loaded = []
     for name in names:
         _, producer, read = _ARTIFACTS[name]
-        if not (out / name).exists():
+        if name not in listed or not (out / name).exists():
             raise FileNotFoundError(f"missing artifact: {name} (run {producer} first)")
         data = (out / name).read_bytes()
-        if name in listed and hashlib.sha256(data).hexdigest() != listed[name]:
+        if hashlib.sha256(data).hexdigest() != listed[name]:
             raise RuntimeError(f"artifact digest mismatch: {name}")
         try:
             loaded.append(read(data))
@@ -419,9 +418,8 @@ def _load_profiles(config: RunConfig) -> tuple[ProfileMatrix, np.ndarray | None]
 
 
 def _write_data(config: RunConfig, matrix: ProfileMatrix, truth: np.ndarray | None) -> None:
-    """profiles.csv (and synth_labels.csv for synthetic runs). New profiles
-    start a new run: every artifact and the manifest an earlier run left
-    in the output directory go, as they would describe other data."""
+    """profiles.csv (and synth_labels.csv for synthetic runs), in a new
+    manifest: what an earlier run left would describe other data."""
     profiles = io.StringIO()
     write_profiles_csv(matrix, profiles)
     texts = {"profiles.csv": profiles.getvalue()}
@@ -585,20 +583,19 @@ def _report(
 
 
 def stage_data(config: RunConfig) -> None:
-    """profiles.csv (and synth_labels.csv for synthetic runs), in place
-    of every artifact an earlier run left in the output directory."""
+    """profiles.csv (and synth_labels.csv for synthetic runs), newly listed."""
     _write_data(config, *_load_profiles(config))
 
 
 def stage_cluster(config: RunConfig) -> None:
     """Reduce and cluster the profiles already in the output directory; the
-    scores, experiments and report of the earlier partition go."""
+    scores, experiments and report of the earlier partition leave the listing."""
     (matrix,) = _load_stored(config, "profiles.csv")
     _fit(config, matrix)
 
 
 def stage_validate(config: RunConfig) -> None:
-    """Score the stored partition: cvi.json, in place of the stale report."""
+    """Score the stored partition: cvi.json, and the stale report is unlisted."""
     matrix, pca_model, model = _load_stored(config, *_FITTED)
     _score(config, _evaluation_points(config, matrix, pca_model), model)
 
@@ -613,13 +610,13 @@ def run_experiment(kind: str, config: RunConfig) -> perturb_mod.ExperimentReport
 
 
 def emit_report(config: RunConfig) -> None:
-    """summary.txt and scatter2d.csv from the artifacts in the output
-    directory, covering every experiment recorded there. Each record is
-    digest-checked before it is parsed, like every other artifact read."""
-    kinds = [kind for kind in perturb_mod.EXPERIMENT_KINDS
-             if (Path(config.out_dir) / f"experiment_{kind}.json").exists()]
-    stored = _load_stored(config, *_FITTED, "cvi.json", *(f"experiment_{k}.json" for k in kinds))
-    _report(config, *stored[:4], dict(zip(kinds, stored[4:])))
+    """summary.txt and scatter2d.csv from the stored partition, its scores and
+    every experiment record the manifest lists, each checked like every read."""
+    stored = _load_stored(config, *_FITTED, "cvi.json")  # a manifest is there
+    listed = load_manifest(config.out_dir).artifacts
+    kinds = [kind for kind in perturb_mod.EXPERIMENT_KINDS if f"experiment_{kind}.json" in listed]
+    records = _load_stored(config, *(f"experiment_{kind}.json" for kind in kinds))
+    _report(config, *stored, dict(zip(kinds, records)))
 
 
 def run_full(config: RunConfig) -> None:

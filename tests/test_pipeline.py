@@ -4,6 +4,7 @@ bookkeeping, and the command-line front end (driven in-process)."""
 import argparse
 import builtins
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -372,6 +373,10 @@ class TestRunPipeline:
         report = pl.run_experiment("density", config)
         listed = pl.load_manifest(out).artifacts
         assert {"experiment_density.json", "experiment_density.csv"} <= listed.keys()
+        # The report made stale is unlisted at once; its files (if an earlier
+        # test wrote them) stay until the step that ends every command.
+        assert not {"summary.txt", "scatter2d.csv"} & listed.keys()
+        pl.remove_unlisted(out)
         assert sorted(listed) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
         assert pl.verify_manifest(out) == []
         assert report.kind == "density"
@@ -718,22 +723,30 @@ class TestRunCommand:
             "manifest.json", "profiles.csv", "synth_labels.csv"]
 
     def test_failed_run_guards_what_it_wrote(self, tmp_path, capsys, monkeypatch):
-        """A run that fails part-way leaves a manifest of every artifact it
-        wrote, so an edit to one of them still fails the next command."""
+        """A run that fails part-way, in a fresh or a used directory, leaves
+        a manifest of every artifact it wrote and no other artifact, so an
+        edit to one of them still fails the next command."""
+        def flags(out):
+            return [f"--{key}={value}" for key, values in small_raw(out).items()
+                    for value in values]
+
+        used = tmp_path / "used"
+        assert cli.main(["run", *flags(used), "--synth.outliers", "1", "--trials", "2",
+                         "--experiments", "outliers,density,diameter"]) == 0
+
         def fail(*args, **kwargs):
             raise MemoryError("cannot allocate the injected points")
 
         monkeypatch.setattr(perturb, "density_experiment", fail)
-        out = tmp_path / "out"
-        argv = [f"--{key}={value}" for key, values in small_raw(out).items() for value in values]
-        assert cli_error(capsys, ["run", *argv, "--experiments", "density"]) == {
-            "error": "MemoryError", "message": "cannot allocate the injected points"}
-        files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
-        assert sorted(pl.load_manifest(out).artifacts) == files == sorted(CORE_ARTIFACTS)
+        for out in (tmp_path / "fresh", used):
+            assert cli_error(capsys, ["run", *flags(out), "--experiments", "density"]) == {
+                "error": "MemoryError", "message": "cannot allocate the injected points"}
+            files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+            assert sorted(pl.load_manifest(out).artifacts) == files == sorted(CORE_ARTIFACTS)
 
-        (out / "cvi.json").write_text((out / "cvi.json").read_text().replace("0", "1"))
-        assert cli_error(capsys, ["report", "--out", str(out)]) == {
-            "error": "RuntimeError", "message": "artifact digest mismatch: cvi.json"}
+            (out / "cvi.json").write_text((out / "cvi.json").read_text().replace("0", "1"))
+            assert cli_error(capsys, ["report", "--out", str(out)]) == {
+                "error": "RuntimeError", "message": "artifact digest mismatch: cvi.json"}
 
 
 class TestRunFull:
@@ -904,10 +917,16 @@ class TestSeveralInputs:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         argv = [command, "--input", str(good), "--input", str(empty), "--k", "2",
                 "--out", str(out)]
-        err = cli_error(capsys, argv)
-        assert err == {"error": "CsvFormatError",
-                       "message": "line 2: no readings after the header"}
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        # The command's own error, over the manifest written above, then over one
+        # that does not parse, which the failed command's end must leave alone.
+        for manifest in (None, b"not json\n"):
+            if manifest is not None:
+                (out / "manifest.json").write_bytes(manifest)
+                before["manifest.json"] = manifest
+            err = cli_error(capsys, argv)
+            assert err == {"error": "CsvFormatError",
+                           "message": "line 2: no readings after the header"}
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     @pytest.mark.parametrize("zero, gappy, expected", [
         ("a", "b", ("ZeroProfileError", "all-zero profile cannot be normalized")),
@@ -1119,6 +1138,90 @@ class TestStaleArtifacts:
         assert cli.main(["preprocess", "--input", str(readings_csv), "--out", str(out)]) == 0
         assert not (out / "synth_labels.csv").exists()
         assert sorted(pl.load_manifest(out).artifacts) == ["profiles.csv"]
+        assert pl.verify_manifest(out) == []
+
+
+def spy_writes_and_unlinks(monkeypatch, out):
+    """Events in ``out``, in order: ("write", name) for each file written and
+    ("unlink", name) for each existing file unlinked, by Path.unlink or
+    os.unlink (which Path.unlink calls: counted once)."""
+    events = []
+    real_overwrite, real_path_unlink, real_os_unlink = pl._overwrite, Path.unlink, os.unlink
+    inside_path_unlink = []
+
+    def overwrite(path, data):
+        events.append(("write", Path(path).name))
+        real_overwrite(path, data)
+
+    def os_unlink(path, *args, **kwargs):
+        if not inside_path_unlink and Path(path).parent == out and os.path.lexists(path):
+            events.append(("unlink", Path(path).name))
+        real_os_unlink(path, *args, **kwargs)
+
+    def path_unlink(self, missing_ok=False):
+        if self.parent == out and os.path.lexists(self):
+            events.append(("unlink", self.name))
+        inside_path_unlink.append(self)
+        try:
+            real_path_unlink(self, missing_ok=missing_ok)
+        finally:
+            inside_path_unlink.pop()
+
+    monkeypatch.setattr(pl, "_overwrite", overwrite)
+    monkeypatch.setattr(Path, "unlink", path_unlink)
+    monkeypatch.setattr(os, "unlink", os_unlink)
+    return events
+
+
+class TestManifestIsTheIndex:
+    """No command reads an artifact the manifest does not list, and each
+    command removes what its manifest no longer lists once, when it ends."""
+
+    PLAN = ["--synth.clusters", "3", "--synth.cluster-size", "20", "--synth.outliers", "2",
+            "--trials", "3"]
+
+    def test_foreign_record_is_neither_reported_nor_kept(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["run", *self.PLAN, "--experiments", "density", "--out", str(a)]) == 0
+        summary = (a / "summary.txt").read_bytes()
+        assert cli.main(["run", *self.PLAN, "--seed", "5", "--experiments", "density,diameter",
+                         "--out", str(b)]) == 0
+        shutil.copy(b / "experiment_diameter.json", a)
+        assert cli.main(["report", *self.PLAN, "--out", str(a)]) == 0
+        assert "experiment: diameter" not in (a / "summary.txt").read_text()
+        assert (a / "summary.txt").read_bytes() == summary
+        assert not (a / "experiment_diameter.json").exists()
+        assert pl.verify_manifest(a) == []
+
+    RERUN = ["run", "--synth.clusters", "3", "--synth.cluster-size", "10", "--synth.outliers",
+             "1", "--seed", "5", "--k", "4", "--trials", "2"]
+
+    def test_same_config_rerun_unlinks_nothing(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        argv = [*self.RERUN, "--experiments", "outliers,density,diameter", "--out", str(out)]
+        assert cli.main(argv) == 0
+        ran = directory_bytes(out)
+        events = spy_writes_and_unlinks(monkeypatch, out)
+        assert cli.main(argv) == 0
+        assert [name for event, name in events if event == "unlink"] == []
+        assert ("write", "manifest.json") in events  # the spy saw the run
+        assert directory_bytes(out) == ran
+
+    def test_dropped_experiments_go_once_after_the_last_write(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert cli.main([*self.RERUN, "--experiments", "outliers,density,diameter",
+                         "--out", str(out)]) == 0
+        assert (out / "experiment_outliers.csv").exists()
+        events = spy_writes_and_unlinks(monkeypatch, out)
+        assert cli.main([*self.RERUN, "--experiments", "density", "--out", str(out)]) == 0
+        unlinks = [index for index, (event, _) in enumerate(events) if event == "unlink"]
+        assert sorted(events[index][1] for index in unlinks) == [
+            "experiment_diameter.csv", "experiment_diameter.json",
+            "experiment_outliers.csv", "experiment_outliers.json"]
+        last_write = max(index for index, (event, _) in enumerate(events) if event == "write")
+        assert min(unlinks) > last_write
+        assert sorted(pl.load_manifest(out).artifacts) == sorted(
+            p.name for p in out.iterdir() if p.name != "manifest.json")
         assert pl.verify_manifest(out) == []
 
 
@@ -1625,20 +1728,42 @@ class TestCliErrors:
         assert err == {"error": "ValueError",
                        "message": f"malformed manifest: {out / 'manifest.json'}"}
         assert not (out / "pca.json").exists()
+        # New profiles start a new manifest without reading the old one.
+        assert cli.main(["synth", "--synth.clusters", "2", "--out", str(out)]) == 0
+        assert sorted(pl.load_manifest(out).artifacts) == ["profiles.csv", "synth_labels.csv"]
+        assert pl.verify_manifest(out) == []
 
     def test_unlisted_artifact_that_does_not_parse_is_a_typed_error(self, capsys, tmp_path):
+        """With no manifest every artifact is unlisted, so none is read and
+        the first one needed is missing. A listed artifact that does not
+        parse, its digest rewritten to match, is a typed error."""
         out = tmp_path / "x"
         assert cli.main(["synth", "--synth.clusters", "2", "--out", str(out)]) == 0
         assert cli.main(["cluster", "--out", str(out)]) == 0
+
+        def edit(name, text):
+            (out / name).write_text(text)
+            payload = json.loads((out / "manifest.json").read_text())
+            payload["artifacts"][name] = hashlib.sha256(text.encode()).hexdigest()
+            (out / "manifest.json").write_text(json.dumps(payload))
+
+        manifest = (out / "manifest.json").read_bytes()
         (out / "manifest.json").unlink()
+        files = sorted(p.name for p in out.iterdir())
+        err = cli_error(capsys, ["validate", "--out", str(out)])
+        assert err == {"error": "FileNotFoundError",
+                       "message": "missing artifact: profiles.csv (run synth or preprocess first)"}
+        assert sorted(p.name for p in out.iterdir()) == files  # nothing removed either
+        (out / "manifest.json").write_bytes(manifest)
+
         payload = json.loads((out / "cluster.json").read_text())
         del payload["U"]
-        (out / "cluster.json").write_text(json.dumps(payload))
+        edit("cluster.json", json.dumps(payload))
         err = cli_error(capsys, ["validate", "--out", str(out)])
         assert err == {"error": "ValueError", "message": "malformed artifact: cluster.json"}
         # A profile CSV error keeps its type and line.
         lines = (out / "profiles.csv").read_text().splitlines(keepends=True)
-        (out / "profiles.csv").write_text("".join(lines[:2] + lines[1:2]))
+        edit("profiles.csv", "".join(lines[:2] + lines[1:2]))
         err = cli_error(capsys, ["validate", "--out", str(out)])
         assert err["error"] == "CsvFormatError"
         assert err["message"].startswith("line 3: duplicate household_id")
