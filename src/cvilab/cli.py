@@ -4,13 +4,15 @@ Subcommands cover each pipeline stage (synth, preprocess, cluster,
 validate, experiment, report) plus an end-to-end ``run``. Settings come
 from an optional flat key=value config file; every key has a same-named
 flag, and flags win. Each command ends, failed or not, by removing what
-its manifest does not list. Failures print one JSON object to stderr and
-exit nonzero; success requires every listed artifact to re-verify on disk.
+its manifest does not list; a removal that fails is the error only of a
+command that did not. Failures print one JSON object to stderr and exit
+nonzero; success requires every listed artifact to re-verify on disk.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -72,8 +74,11 @@ def main(argv=None) -> int:
         config = pipeline.load_run_config(args.config, _overrides(args))
         try:
             _dispatch(args, config)
-        finally:
-            pipeline.remove_unlisted(config.out_dir)
+        except BaseException:
+            with contextlib.suppress(Exception):  # the command's own error wins
+                pipeline.remove_unlisted(config.out_dir)
+            raise
+        pipeline.remove_unlisted(config.out_dir)
         bad = pipeline.verify_manifest(config.out_dir)
         if bad:
             raise RuntimeError(f"artifact digest mismatch: {', '.join(bad)}")

@@ -43,6 +43,8 @@ SIGN_TEST_ALPHA = 0.05
 
 _MAX_SINGLETONS = 16
 
+Trial = tuple[np.ndarray, np.ndarray]  # one trial's points and labels
+
 
 class ExperimentSkipped(ValueError):
     """The partition cannot support the experiment: no singleton clusters
@@ -145,30 +147,27 @@ def _remove_clusters(points, labels, drop) -> tuple[np.ndarray, np.ndarray]:
     return kept_x, renumbered
 
 
-def _sample_in_ball(
-    rng, center, radius, sigma, centroids, own, budget, count
-) -> np.ndarray:
-    """``count`` Gaussian draws around ``center`` accepted inside the ball
-    and the center's own nearest-centroid region, in stream order.
+def _sample_in_ball(geom, own: int, radius: float, config, rng, count: int) -> np.ndarray:
+    """``count`` Gaussian draws at cluster ``own``'s centroid, sigma =
+    radius / sigma_divisor, accepted inside the ball and the cluster's own
+    nearest-centroid region of ``geom``, in stream order.
 
     Each round draws exactly as many candidates as are still missing, so
     the accepted points and the generator's final state are those of
     testing one candidate at a time. Running out of budget means
-    ``budget`` consecutive rejections, counted across rounds.
+    ``max_rejection_attempts`` consecutive rejections, counted across rounds.
     """
+    center = geom.centroids[own]
+    sigma, budget = radius / config.sigma_divisor, config.max_rejection_attempts
     out = np.empty((count, center.shape[0]))
-    filled = 0
-    run = 0  # rejections since the last accepted draw
+    filled, run = 0, 0  # run: rejections since the last accepted draw
     while filled < count:
         missing = count - filled
         samples = center + rng.normal(0.0, sigma, size=(missing, center.shape[0]))
-        # A gap that overflows to inf lies outside every ball and is
-        # rejected anyway.
+        # A gap that overflows to inf lies outside every ball: rejected anyway.
         with np.errstate(over="ignore"):
-            gaps = np.linalg.norm(centroids - samples[:, None, :], axis=2)
-        accepted = np.flatnonzero(
-            (gaps[:, own] <= radius) & (gaps[:, own] == gaps.min(axis=1))
-        )
+            gaps = np.linalg.norm(geom.centroids - samples[:, None, :], axis=2)
+        accepted = np.flatnonzero((gaps[:, own] <= radius) & (gaps[:, own] == gaps.min(axis=1)))
         runs = np.diff(accepted, prepend=-1 - run, append=missing) - 1
         if runs.max() >= budget:
             raise RejectionBudgetError(
@@ -180,45 +179,31 @@ def _sample_in_ball(
     return out
 
 
-def inject_density(
-    geom: PartitionGeometry,
-    cluster: int,
-    count: int,
-    rng,
-    *,
-    sigma_divisor: float = 4.0,
-    max_rejection_attempts: int = 1000,
-) -> np.ndarray:
-    """Sample ``count`` new members for label ``cluster`` of ``geom``.
-
-    Draws isotropic Gaussians at the cluster's mean with sigma =
-    radius / sigma_divisor and accepts a draw only when it lies within
-    the cluster's radius and nearer to this cluster's center than to any
-    other. Returns the accepted points; the caller labels them.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    own = int(np.searchsorted(geom.label_values, cluster))
-    if own == geom.k or geom.label_values[own] != cluster or geom.cluster_sizes[own] < 2:
-        raise ValueError(f"cluster {cluster} is singleton or missing")
-    radius = float(geom.radii[own])
-    if radius == 0.0:
-        raise ExperimentSkipped(f"cluster {cluster} has zero radius")
-    return _sample_in_ball(
-        rng, geom.centroids[own], radius, radius / sigma_divisor, geom.centroids, own,
-        max_rejection_attempts, count,
-    )
+def inject_density(geom: PartitionGeometry, config: PerturbConfig, rng) -> Trial:
+    """One density trial: ``geom``'s points and labels, then for each
+    cluster in turn ceil(density_add_fraction * size) new members, drawn by
+    the ball sampler at its radius. A cluster of zero radius skips the
+    experiment."""
+    points, labels = [geom.points], [geom.labels]
+    for own, value in enumerate(geom.label_values):
+        count = math.ceil(config.density_add_fraction * int(geom.cluster_sizes[own]))
+        if count and geom.radii[own] == 0.0:
+            raise ExperimentSkipped(f"cluster {value} has zero radius")
+        points.append(_sample_in_ball(geom, own, float(geom.radii[own]), config, rng, count))
+        labels.append(np.full(count, value, dtype=geom.labels.dtype))
+    return np.vstack(points), np.concatenate(labels)
 
 
-def shrink_clusters(geom: PartitionGeometry, config: PerturbConfig, rng) -> np.ndarray:
-    """Shrink every cluster's radius by ``config.shrink_factor``.
+def shrink_clusters(geom: PartitionGeometry, config: PerturbConfig, rng) -> Trial:
+    """One diameter trial: ``geom``'s partition with every cluster's radius
+    shrunk by ``config.shrink_factor``.
 
     Members inside the reduced radius stay put; each member beyond it is
     replaced, at its own row, by a fresh draw from the ball sampler at
     the reduced radius (rows in ascending order take the draws in stream
-    order), so per-cluster counts never change. Acceptance
-    tests run against the input partition's centroids throughout.
-    Singleton and zero-radius clusters are left untouched.
+    order), so the labels never change. Acceptance tests run against the
+    input partition's centroids throughout. Singleton and zero-radius
+    clusters are left untouched.
     """
     out = geom.points.copy()
     for own in range(geom.k):
@@ -226,17 +211,8 @@ def shrink_clusters(geom: PartitionGeometry, config: PerturbConfig, rng) -> np.n
             continue
         reduced = config.shrink_factor * float(geom.radii[own])
         fringe = np.flatnonzero((geom.canon == own) & (geom.own_gaps > reduced))
-        out[fringe] = _sample_in_ball(
-            rng,
-            geom.centroids[own],
-            reduced,
-            reduced / config.sigma_divisor,
-            geom.centroids,
-            own,
-            config.max_rejection_attempts,
-            fringe.shape[0],
-        )
-    return out
+        out[fringe] = _sample_in_ball(geom, own, reduced, config, rng, fringe.shape[0])
+    return out, geom.labels
 
 
 def _average_rows(
@@ -251,10 +227,6 @@ def _average_rows(
         values[name] = math.fsum(finite) / len(finite) if finite else None
     average = CviReport(k_effective=k_effective, fuzzy=False, **values)
     return average, tuple(counts)
-
-
-def _run_trials(trial_fn, trials: int) -> list[ExperimentRow]:
-    return fork_map(trial_fn, range(trials))
 
 
 def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> ExperimentReport:
@@ -290,11 +262,10 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
     return ExperimentReport("outliers", config, rows[-1].report, tuple(rows))
 
 
-def _trial_experiment(
-    kind: str, points, labels, config: PerturbConfig, perturb_fn, refit
-) -> ExperimentReport:
+def _trial_experiment(kind, points, labels, config, perturb, refit) -> ExperimentReport:
     """Shared trial loop: the singleton-free baseline's geometry, measured
-    once, is scored and handed to every seeded trial."""
+    once, is scored and handed with its own derived stream to
+    ``perturb(geom, config, rng)`` for each trial's points and labels."""
     labels = np.asarray(labels)
     base_x, base_labels = _remove_clusters(points, labels, find_singleton_clusters(labels))
     if np.unique(base_labels).shape[0] < 2:
@@ -303,43 +274,25 @@ def _trial_experiment(
     baseline = evaluate_geometry(geom)
 
     def one_trial(t: int) -> ExperimentRow:
-        trial_x, trial_labels = perturb_fn(geom, derive_stream(config.seed, t))
+        trial_x, trial_labels = perturb(geom, config, derive_stream(config.seed, t))
         if refit is not None:
             trial_labels = refit(trial_x, geom.k)
         return ExperimentRow(report=evaluate_labels(trial_x, trial_labels), trial=t)
 
-    return ExperimentReport(kind, config, baseline, tuple(_run_trials(one_trial, config.trials)))
+    rows = fork_map(one_trial, range(config.trials))
+    return ExperimentReport(kind, config, baseline, tuple(rows))
 
 
 def density_experiment(points, labels, config: PerturbConfig, refit=None) -> ExperimentReport:
     """Inject ceil(fraction * size) new points into every cluster per
     trial and compare the indices against the singleton-free baseline."""
-
-    def perturb(geom, rng):
-        pieces = [geom.points]
-        new_labels = [geom.labels]
-        for value, size in zip(geom.label_values, geom.cluster_sizes):
-            count = math.ceil(config.density_add_fraction * int(size))
-            if count < 1:
-                continue
-            pieces.append(inject_density(
-                geom, int(value), count, rng, sigma_divisor=config.sigma_divisor,
-                max_rejection_attempts=config.max_rejection_attempts,
-            ))
-            new_labels.append(np.full(count, value, dtype=geom.labels.dtype))
-        return np.vstack(pieces), np.concatenate(new_labels)
-
-    return _trial_experiment("density", points, labels, config, perturb, refit)
+    return _trial_experiment("density", points, labels, config, inject_density, refit)
 
 
 def diameter_experiment(points, labels, config: PerturbConfig, refit=None) -> ExperimentReport:
     """Shrink every cluster's radius per trial and compare the indices
     against the singleton-free baseline."""
-
-    def perturb(geom, rng):
-        return shrink_clusters(geom, config, rng), geom.labels
-
-    return _trial_experiment("diameter", points, labels, config, perturb, refit)
+    return _trial_experiment("diameter", points, labels, config, shrink_clusters, refit)
 
 
 def _sign_test_tail(n: int, wins: int) -> float:

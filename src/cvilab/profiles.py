@@ -205,16 +205,9 @@ class _RowPath(Exception):
 
 
 def _line_blocks(fh):
-    """The stream in blocks of whole lines, about ``_BLOCK_BYTES`` each."""
-    tail = b""
-    while chunk := fh.read(_BLOCK_BYTES):
-        chunk = tail + chunk
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            yield chunk[:cut]
-        tail = chunk[cut:]
-    if tail:
-        yield tail
+    """The stream in blocks of whole lines, about ``_BLOCK_BYTES`` each; no
+    block is held once its successor is read."""
+    return iter(lambda: fh.read(_BLOCK_BYTES) + fh.readline(), b"")
 
 
 class _Readings(NamedTuple):
@@ -329,12 +322,18 @@ def _read_columns(blocks) -> _Readings:
         raise _RowPath
     households: dict[bytes, int] = {}
     stamps: dict[bytes, int] = {}
-    hid_code, ts_code, tables, codes = zip(*(
+
+    def code(fields):
         # kW strings are parsed per block: a table of them could grow
         # with the row count.
-        (_coded(hid, households), _coded(ts, stamps), *_distinct(kw))
-        for hid, ts, kw in chain([[f[1:] for f in fields]], blocks)
-    ))
+        hid, ts, kw = fields
+        return _coded(hid, households), _coded(ts, stamps), *_distinct(kw)
+
+    # No block's fields outlive its codes: map holds none, and the chain
+    # drops the first block's as it moves on to the second.
+    blocks = chain([[f[1:] for f in fields]], blocks)
+    del fields
+    hid_code, ts_code, tables, codes = zip(*map(code, blocks))
     loads, load = _ranked([np.array(_each(float, t), dtype=float) for t in tables], codes)
     names = _each(str.strip, households)
     times = _each(lambda text: _parse_timestamp(text, 0), stamps)

@@ -10,6 +10,7 @@ import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -262,46 +263,67 @@ class TestOutlierExperiment:
         assert back.verdicts == report.verdicts
 
 
+def added(trial, geom, value):
+    """The members a density trial appended to label ``value``."""
+    points, labels = trial
+    n = geom.points.shape[0]
+    assert np.array_equal(points[:n], geom.points) and np.array_equal(labels[:n], geom.labels)
+    return points[n:][labels[n:] == value]
+
+
 class TestInjectDensity:
     def test_acceptance_predicate(self):
         rng = np.random.default_rng(5)
         x = np.vstack([blob(rng, (0, 0), 30), blob(rng, (10, 0), 30)])
         labels = np.repeat([0, 1], 30)
-        centroid = x[:30].mean(axis=0)
-        radius = np.linalg.norm(x[:30] - centroid, axis=1).max()
-        other = x[30:].mean(axis=0)
-        drawn = inject_density(partition_geometry(x, labels), 0, 200, np.random.default_rng(1))
-        gaps_own = np.linalg.norm(drawn - centroid, axis=1)
-        gaps_other = np.linalg.norm(drawn - other, axis=1)
-        assert drawn.shape == (200, 2)
-        assert np.all(gaps_own <= radius)
-        assert np.all(gaps_own <= gaps_other)
+        geom = partition_geometry(x, labels)
+        config = PerturbConfig(density_add_fraction=5.0)
+        trial = inject_density(geom, config, np.random.default_rng(1))
+        assert trial[0].shape == (60 + 2 * 150, 2)
+        assert trial[1].tolist() == labels.tolist() + [0] * 150 + [1] * 150
+        for own, other in ((0, 1), (1, 0)):
+            members = x[labels == own]
+            centroid = members.mean(axis=0)
+            radius = np.linalg.norm(members - centroid, axis=1).max()
+            drawn = added(trial, geom, own)
+            gaps_own = np.linalg.norm(drawn - centroid, axis=1)
+            gaps_other = np.linalg.norm(drawn - x[labels == other].mean(axis=0), axis=1)
+            assert drawn.shape == (150, 2)
+            assert np.all(gaps_own <= radius)
+            assert np.all(gaps_own <= gaps_other)
 
     def test_sigma_moment(self):
         # Radius exactly 4 (symmetric cross, centroid at the origin) and
         # divisor 4: per-axis std of accepted draws is 1 within 0.05.
         # The ball truncation's shrink (~5e-4) sits below the sampling
         # noise at this count, so only the band is asserted.
-        cross = np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0], [0.0, -4.0]])
+        cross = np.tile([[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0], [0.0, -4.0]], (25, 1))
         x = np.vstack([cross, cross + (1000.0, 0.0)])
-        labels = np.repeat([0, 1], 4)
-        drawn = inject_density(partition_geometry(x, labels), 0, 10000, np.random.default_rng(3))
+        labels = np.repeat([0, 1], 100)
+        geom = partition_geometry(x, labels)
+        trial = inject_density(geom, PerturbConfig(density_add_fraction=100.0),
+                               np.random.default_rng(3))
+        drawn = added(trial, geom, 0)
+        assert drawn.shape == (10000, 2)
         for axis in range(2):
             assert abs(drawn[:, axis].std() - 1.0) < 0.05
         assert np.linalg.norm(drawn, axis=1).max() <= 4.0
 
     def test_validation(self):
+        """A cluster of zero radius skips the trial, unless nothing is added."""
         rng = np.random.default_rng(0)
         x = np.vstack([blob(rng, (0, 0), 5), blob(rng, (9, 0), 5), [[50.0, 50.0]]])
         labels = np.array([0] * 5 + [1] * 5 + [2])
-        with pytest.raises(ValueError, match="count"):
-            inject_density(partition_geometry(x, labels), 0, 0, rng)
-        with pytest.raises(ValueError, match="singleton"):
-            inject_density(partition_geometry(x, labels), 2, 1, rng)
         dup = np.array([[1.0, 1.0]] * 4 + [[5.0, 5.0]] * 4)
         dup_labels = np.repeat([0, 1], 4)
-        with pytest.raises(perturb.ExperimentSkipped, match="zero radius"):
-            inject_density(partition_geometry(dup, dup_labels), 0, 1, rng)
+        # A singleton has radius 0, as have coincident members.
+        for points, values, zero in ((x, labels, 2), (dup, dup_labels, 0)):
+            geom = partition_geometry(points, values)
+            with pytest.raises(perturb.ExperimentSkipped, match=f"cluster {zero} has zero radius"):
+                inject_density(geom, PerturbConfig(), rng)
+            unchanged = inject_density(geom, PerturbConfig(density_add_fraction=0.0), rng)
+            assert np.array_equal(unchanged[0], points)
+            assert np.array_equal(unchanged[1], values)
 
     def test_rejection_budget_exhausted(self):
         rng = np.random.default_rng(2)
@@ -309,11 +331,11 @@ class TestInjectDensity:
         labels = np.repeat([0, 1], 10)
         # sigma = radius/divisor with a tiny divisor: nearly every draw
         # lands outside the ball.
+        config = PerturbConfig(
+            density_add_fraction=0.1, sigma_divisor=1e-4, max_rejection_attempts=5
+        )
         with pytest.raises(RejectionBudgetError, match="cluster 0"):
-            inject_density(
-                partition_geometry(x, labels), 0, 1, np.random.default_rng(0),
-                sigma_divisor=1e-4, max_rejection_attempts=5,
-            )
+            inject_density(partition_geometry(x, labels), config, np.random.default_rng(0))
 
     def test_overflowing_gaps_are_rejected_without_a_warning(self):
         # sigma near 1e300: the squared gaps overflow to inf, which lies
@@ -321,13 +343,13 @@ class TestInjectDensity:
         rng = np.random.default_rng(2)
         x = np.vstack([blob(rng, (0, 0), 10), blob(rng, (9, 0), 10)])
         labels = np.repeat([0, 1], 10)
+        config = PerturbConfig(
+            density_add_fraction=0.1, sigma_divisor=1e-300, max_rejection_attempts=5
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RejectionBudgetError, match="cluster 0 in 5 attempts"):
-                inject_density(
-                    partition_geometry(x, labels), 0, 1, np.random.default_rng(0),
-                    sigma_divisor=1e-300, max_rejection_attempts=5,
-                )
+                inject_density(partition_geometry(x, labels), config, np.random.default_rng(0))
 
 
 class TestShrinkClusters:
@@ -336,8 +358,10 @@ class TestShrinkClusters:
         x = np.vstack([blob(rng, (0, 0), 40, 1.0), blob(rng, (12, 0), 40, 1.0)])
         labels = np.repeat([0, 1], 40)
         config = PerturbConfig(shrink_factor=0.8)
-        out = shrink_clusters(partition_geometry(x, labels), config, np.random.default_rng(4))
+        geom = partition_geometry(x, labels)
+        out, out_labels = shrink_clusters(geom, config, np.random.default_rng(4))
         assert out.shape == x.shape
+        assert out_labels is geom.labels
         for value in (0, 1):
             members_before = x[labels == value]
             members_after = out[labels == value]
@@ -356,8 +380,11 @@ class TestShrinkClusters:
         x = np.array([[1.0, 1.0]] * 5 + [[8.0, 2.0]] * 5 + [[50.0, 50.0]])
         labels = np.array([0] * 5 + [1] * 5 + [2])
         geom = partition_geometry(x, labels)
-        out = shrink_clusters(geom, PerturbConfig(shrink_factor=0.5), np.random.default_rng(0))
+        out, out_labels = shrink_clusters(
+            geom, PerturbConfig(shrink_factor=0.5), np.random.default_rng(0)
+        )
         assert np.array_equal(out, x)
+        assert np.array_equal(out_labels, labels)
 
     def test_deterministic_given_stream(self):
         rng = np.random.default_rng(9)
@@ -366,7 +393,8 @@ class TestShrinkClusters:
         config = PerturbConfig(shrink_factor=0.7)
         a = shrink_clusters(partition_geometry(x, labels), config, derive_stream(5, 0))
         b = shrink_clusters(partition_geometry(x, labels), config, derive_stream(5, 0))
-        assert a.tobytes() == b.tobytes()
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
 
 
 class TestDensityExperiment:
@@ -488,17 +516,26 @@ def label_centroids(x, labels):
     return np.array([x[labels == v].mean(axis=0) for v in values]), values
 
 
-def reference_inject_density(x, labels, cluster, count, rng, sigma_divisor, budget):
+def reference_inject_density(x, labels, config, rng):
     centroids, values = label_centroids(x, labels)
-    own = int(np.searchsorted(values, cluster))
-    radius = float(np.linalg.norm(x[labels == cluster] - centroids[own], axis=1).max())
-    sigma = radius / sigma_divisor
-    out = np.empty((count, x.shape[1]))
-    for i in range(count):
-        out[i] = scalar_sample_in_ball(
-            rng, centroids[own], radius, sigma, centroids, own, budget
-        )
-    return out
+    points, out_labels = [x], [labels]
+    for own, value in enumerate(values):
+        members = x[labels == value]
+        count = math.ceil(config.density_add_fraction * members.shape[0])
+        if count == 0:
+            continue
+        radius = float(np.linalg.norm(members - centroids[own], axis=1).max())
+        if radius == 0.0:
+            raise perturb.ExperimentSkipped(f"cluster {value} has zero radius")
+        sigma = radius / config.sigma_divisor
+        points += [
+            scalar_sample_in_ball(
+                rng, centroids[own], radius, sigma, centroids, own, config.max_rejection_attempts
+            )[None, :]
+            for _ in range(count)
+        ]
+        out_labels.append(np.full(count, value, dtype=labels.dtype))
+    return np.vstack(points), np.concatenate(out_labels)
 
 
 def reference_shrink_clusters(x, labels, config, rng):
@@ -519,18 +556,28 @@ def reference_shrink_clusters(x, labels, config, rng):
                 rng, centroids[own], reduced, sigma, centroids, own,
                 config.max_rejection_attempts,
             )
-    return out
+    return out, labels
 
 
 def outcome(fn, seed):
-    """Output bytes and generator state after ``fn(rng)``, or the error
-    type and message it raised."""
+    """Output arrays' bytes and generator state after ``fn(rng)``, or the
+    error type and message it raised."""
     rng = np.random.default_rng(seed)
     try:
         out = fn(rng)
-    except RejectionBudgetError as exc:
+    except perturb.ExperimentSkipped as exc:  # RejectionBudgetError included
         return ("raised", type(exc), str(exc))
-    return ("drawn", out.shape, out.tobytes(), rng.bit_generator.state)
+    arrays = out if isinstance(out, tuple) else (out,)
+    return ("drawn", [(a.shape, a.dtype.str, a.tobytes()) for a in arrays],
+            rng.bit_generator.state)
+
+
+def ball_of(centroids, divisor, budget):
+    """The sampler's inputs around ``centroids``: a geometry reduced to
+    the centroid table it reads, and a config holding sigma's divisor
+    and the rejection budget."""
+    return (SimpleNamespace(centroids=centroids),
+            PerturbConfig(sigma_divisor=divisor, max_rejection_attempts=budget))
 
 
 # Budgets of 1-5 make rejection runs end the draw; small divisors make
@@ -569,43 +616,35 @@ class TestBatchedSampler:
     ):
         centroids = np.random.default_rng(seed ^ 0x5EED).normal(0.0, 3.0, size=(k, d))
         own = data.draw(st.integers(min_value=0, max_value=k - 1))
+        geom, config = ball_of(centroids, divisor, budget)
         args = (centroids[own], radius, radius / divisor, centroids, own, budget)
 
         def scalar(rng):
             rows = [scalar_sample_in_ball(rng, *args) for _ in range(count)]
             return np.array(rows).reshape(count, d)
 
-        assert outcome(lambda rng: _sample_in_ball(rng, *args, count), seed) == outcome(
-            scalar, seed
-        )
+        assert outcome(
+            lambda rng: _sample_in_ball(geom, own, radius, config, rng, count), seed
+        ) == outcome(scalar, seed)
 
     @given(
         partition=partitions(),
-        data=st.data(),
+        fraction=st.sampled_from([0.0, 0.2, 1.0, 2.5, 4.4]),
         divisor=divisors,
         budget=budgets,
-        count=st.integers(min_value=1, max_value=40),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
     def test_inject_density_matches_reference(
-        self, partition, data, divisor, budget, count, seed
+        self, partition, fraction, divisor, budget, seed
     ):
         x, labels = partition
-        cluster = data.draw(st.sampled_from(sorted(set(labels.tolist()))))
-        got = outcome(
-            lambda rng: inject_density(
-                partition_geometry(x, labels), cluster, count, rng,
-                sigma_divisor=divisor, max_rejection_attempts=budget,
-            ),
-            seed,
+        config = PerturbConfig(
+            density_add_fraction=fraction, sigma_divisor=divisor, max_rejection_attempts=budget
         )
-        want = outcome(
-            lambda rng: reference_inject_density(
-                x, labels, cluster, count, rng, divisor, budget
-            ),
-            seed,
-        )
+        geom = partition_geometry(x, labels)
+        got = outcome(lambda rng: inject_density(geom, config, rng), seed)
+        want = outcome(lambda rng: reference_inject_density(x, labels, config, rng), seed)
         assert got == want
 
     @given(
@@ -632,12 +671,12 @@ class TestBatchedSampler:
         # Two of three draws accepted in the first round leave one point
         # missing; the run of rejections it then sees starts after the
         # last accepted draw, not at the round boundary.
-        center = np.zeros(1)
         centroids = np.array([[0.0], [10.0]])
         for seed in range(200):
             for budget in (1, 2, 3):
-                args = (center, 1.0, 1.0, centroids, 0, budget)
-                got = outcome(lambda rng: _sample_in_ball(rng, *args, 3), seed)
+                geom, config = ball_of(centroids, 1.0, budget)
+                args = (centroids[0], 1.0, 1.0, centroids, 0, budget)
+                got = outcome(lambda rng: _sample_in_ball(geom, 0, 1.0, config, rng, 3), seed)
                 want = outcome(
                     lambda rng: np.array(
                         [scalar_sample_in_ball(rng, *args) for _ in range(3)]
@@ -651,21 +690,21 @@ class TestOneGeometryPerExperiment:
     @pytest.mark.parametrize("run", [density_experiment, diameter_experiment])
     def test_every_draw_reads_the_baseline_centroids(self, run, monkeypatch):
         """The baseline's geometry is measured once: every sampler call
-        of the experiment gets the same centroid array."""
+        of the experiment gets the same geometry and centroid array."""
         # The calls are recorded in this process, so the trials run here.
         monkeypatch.setenv("CVILAB_THREADS", "1")
         seen = []
         real = perturb._sample_in_ball
 
-        def recording(rng, center, radius, sigma, centroids, *rest):
-            seen.append(centroids)
-            return real(rng, center, radius, sigma, centroids, *rest)
+        def recording(geom, *rest):
+            seen.append((geom, geom.centroids))
+            return real(geom, *rest)
 
         monkeypatch.setattr(perturb, "_sample_in_ball", recording)
         x, labels = blobs_with_singletons()
         run(x, labels, PerturbConfig(seed=3, trials=4, shrink_factor=0.5))
         assert len(seen) == 3 * 4
-        assert all(centroids is seen[0] for centroids in seen)
+        assert all(geom is seen[0][0] and centroids is seen[0][1] for geom, centroids in seen)
 
 
 def make_trial_report(kind, baseline_values, trial_values_list):

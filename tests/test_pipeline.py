@@ -1224,6 +1224,16 @@ class TestManifestIsTheIndex:
             p.name for p in out.iterdir() if p.name != "manifest.json")
         assert pl.verify_manifest(out) == []
 
+    def test_command_error_wins_over_a_failed_removal(self, capsys, tmp_path):
+        out = tmp_path / "sq"
+        assert cli.main(["synth", "--synth.clusters", "2", "--out", str(out)]) == 0
+        (out / "summary.txt").mkdir()  # unlisted, and no unlink removes it
+        err = cli_error(capsys, ["cluster", "--k", "99", "--out", str(out)])
+        assert err["error"] == "ValueError" and "k range" in err["message"]
+        # After a command that succeeded, the failed removal is the error.
+        err = cli_error(capsys, ["synth", "--synth.clusters", "2", "--out", str(out)])
+        assert err["error"] == "IsADirectoryError"
+
 
 def directory_bytes(out):
     return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
