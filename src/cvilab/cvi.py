@@ -27,15 +27,16 @@ One pass over the points sorted by cluster yields the silhouette's
 per-cluster distance sums, the diameters and the minimum separation: a
 row chunk of cluster i is measured against cluster i and every later
 cluster, so each inter-cluster pair is computed once. Rows are chunked
-so memory stays bounded, and every distance is computed pair by pair
-(no matrix product shortcuts), so a min or max over a subset of the
-points equals the same min or max over the full set bit for bit
-whenever the attaining pair survives the subsetting. Besides that pass,
-a geometry measures only its k×k centroid gaps.
+so memory stays bounded, and scipy's compiled kernel (:func:`cdist`)
+computes every distance pair by pair, with no matrix product shortcut,
+so a min or max over a subset of the points equals the same min or max
+over the full set bit for bit whenever the attaining pair survives the
+subsetting. Besides that pass, a geometry measures only its k×k centroid gaps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,10 +53,25 @@ _CHUNK = 512
 
 
 def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """scipy's Euclidean ``cdist``, imported at the first distance: a
-    command that measures none never loads ``scipy.spatial``."""
-    from scipy.spatial import distance
-    return distance.cdist(xa, xb)
+    """The Euclidean distance of each row of ``xa`` to each row of ``xb``."""
+    return euclidean_kernel()(xa, xb)
+
+
+@functools.cache
+def euclidean_kernel():
+    """scipy's compiled kernel behind ``cdist(xa, xb, "euclidean")``, loaded alone at
+    the first distance: importing ``scipy.spatial`` maps linalg, sparse and qhull too."""
+    import importlib.machinery
+    import importlib.util
+    import os
+    import scipy
+    where = os.path.join(scipy.__path__[0], "spatial")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.spatial._distance_pybind", [where])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no _distance_pybind in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.cdist_euclidean
 
 
 @dataclass(frozen=True)

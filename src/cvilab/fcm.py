@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cvi import cdist
+from .cvi import cdist, euclidean_kernel
 from .rng import derive_stream, fork_map
 
 K_MAX_DEFAULT = 10
@@ -207,7 +207,7 @@ def select_cluster_count(
         raise ValueError(f"bad k range [{lo}, {hi}]")
     if hi > x.shape[0] - 1:
         raise ValueError(f"k range upper bound {hi} exceeds N-1 = {x.shape[0] - 1}")
-    from scipy.spatial import distance  # noqa: F401 (loaded once, before the fork)
+    euclidean_kernel()  # loaded before the fork: every worker inherits it
     ks = range(lo, hi + 1)
     # One k per worker task; fork_map hands out the costliest, largest k first.
     models = fork_map(lambda k: fit_fcm(x, replace(config, k=k)), ks)

@@ -139,12 +139,10 @@ def find_singleton_clusters(labels) -> list[int]:
 
 def _remove_clusters(points, labels, drop) -> tuple[np.ndarray, np.ndarray]:
     """Drop whole clusters and renumber the survivors to 0..k'-1."""
-    x = np.asarray(points, dtype=float)
     y = np.asarray(labels)
     keep = ~np.isin(y, list(drop))
-    kept_x = x[keep]
     _, renumbered = np.unique(y[keep], return_inverse=True)
-    return kept_x, renumbered
+    return np.asarray(points, dtype=float)[keep], renumbered
 
 
 def _sample_in_ball(geom, own: int, radius: float, config, rng, count: int) -> np.ndarray:
@@ -240,8 +238,6 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
     ``refit``, a subset that excludes a singleton is refit at the count of
     clusters it keeps, if that is at least 2; the all-kept subset never is.
     """
-    x = np.asarray(points, dtype=float)
-    labels = np.asarray(labels)
     singletons = find_singleton_clusters(labels)
     s = len(singletons)
     if s == 0:
@@ -254,7 +250,7 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
             singletons[i] for i in range(s) if code & (1 << (s - 1 - i))
         )
         excluded = [v for v in singletons if v not in kept]
-        sub_x, sub_labels = _remove_clusters(x, labels, excluded)
+        sub_x, sub_labels = _remove_clusters(points, labels, excluded)
         k = int(sub_labels.max(initial=-1)) + 1
         if refit is not None and excluded and k >= 2:
             sub_labels = refit(sub_x, k)
@@ -266,7 +262,6 @@ def _trial_experiment(kind, points, labels, config, perturb, refit) -> Experimen
     """Shared trial loop: the singleton-free baseline's geometry, measured
     once, is scored and handed with its own derived stream to
     ``perturb(geom, config, rng)`` for each trial's points and labels."""
-    labels = np.asarray(labels)
     base_x, base_labels = _remove_clusters(points, labels, find_singleton_clusters(labels))
     if np.unique(base_labels).shape[0] < 2:
         raise ExperimentSkipped("need at least 2 non-singleton clusters")

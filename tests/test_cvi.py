@@ -22,6 +22,7 @@ from cvilab import (
     fit_fcm,
     partition_geometry,
 )
+from cvilab import cvi as cvi_module
 from cvilab.cvi import report_from_dict, report_to_dict
 
 
@@ -678,3 +679,65 @@ class TestFuzzyReport:
         # use the crisp centroids; no point is measured against them.
         assert [call[:2] for call in calls if call[2]] == [((4, 2), (4, 2))]
         assert ((400, 2), (4, 2), False) in calls  # the fuzzy Xie-Beni
+
+
+class TestEuclideanKernel:
+    """``cvi.cdist`` runs scipy's compiled Euclidean kernel without importing
+    ``scipy.spatial``. It must stay the public ``cdist`` bit for bit, or the
+    artifacts change their bytes: a scipy release that moves or changes the
+    kernel fails here."""
+
+    @staticmethod
+    def assert_same(xa, xb):
+        ours, public = cvi_module.cdist(xa, xb), cdist(xa, xb)
+        assert (ours.shape, ours.dtype) == (public.shape, public.dtype)
+        assert ours.tobytes() == public.tobytes()
+
+    def test_equals_public_cdist_bitwise(self):
+        rng = np.random.default_rng(34)
+        for d in range(1, 97):
+            # Scales far apart, so that a different rounding would show.
+            pool = rng.normal(size=(500, d)) * 10.0 ** rng.integers(-6, 7, size=(500, 1))
+            for na in (0, 1, 500):
+                for nb in (0, 1, 500):
+                    self.assert_same(pool[:na], pool[::-1][:nb])
+
+    def test_strided_input(self):
+        x = np.random.default_rng(1).normal(size=(60, 30))
+        self.assert_same(x[::3, ::2], x[1::2, 1::2])
+        self.assert_same(np.asfortranarray(x), x[::-1])
+
+    def test_fcm_centroid_stack(self):
+        from cvilab.fcm import _distances
+
+        rng = np.random.default_rng(2)
+        x, centroids = rng.normal(size=(40, 5)), rng.normal(size=(3, 4, 5))
+        public = cdist(centroids.reshape(-1, 5), x).reshape(3, 4, 40)
+        assert _distances(centroids, x).tobytes() == public.tobytes()
+
+    def test_column_mismatch_raises_value_error(self):
+        a, b = np.zeros((2, 3)), np.zeros((2, 4))
+        with pytest.raises(ValueError):
+            cdist(a, b)
+        with pytest.raises(ValueError):
+            cvi_module.cdist(a, b)
+
+    def test_missing_kernel_is_an_import_error(self, monkeypatch):
+        from importlib.machinery import PathFinder
+
+        import scipy
+
+        real = PathFinder.find_spec
+
+        def find_spec(name, path=None, target=None):
+            return None if name == "scipy.spatial._distance_pybind" else real(name, path, target)
+
+        cvi_module.euclidean_kernel.cache_clear()
+        monkeypatch.setattr(PathFinder, "find_spec", find_spec)
+        try:
+            with pytest.raises(ImportError, match=f"scipy {scipy.__version__} .* in .*spatial"):
+                cvi_module.cdist(np.zeros((1, 2)), np.zeros((1, 2)))
+        finally:
+            monkeypatch.undo()
+            cvi_module.euclidean_kernel.cache_clear()
+        assert cvi_module.cdist(np.zeros((1, 2)), np.ones((1, 2))).tolist() == [[math.sqrt(2)]]

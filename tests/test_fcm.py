@@ -17,13 +17,14 @@ from cvilab import (
     fuzzy_partition_coefficient,
     select_cluster_count,
 )
+from cvilab import cvi as cvi_module
 from cvilab.fcm import (
     _memberships_from_distances,
     model_from_dict,
     model_to_dict,
 )
 from cvilab.profiles import SynthSpec, generate_synthetic
-from cvilab.rng import derive_stream
+from cvilab.rng import derive_stream, worker_count
 
 
 def two_pairs():
@@ -480,6 +481,18 @@ class TestSelectClusterCount:
             select_cluster_count(x, FcmConfig(k=2), k_range=(3, 2))
         with pytest.raises(ValueError, match="N-1"):
             select_cluster_count(x, FcmConfig(k=2), k_range=(2, 8))
+
+    def test_kernel_loaded_before_the_fork(self, monkeypatch):
+        """Every fit runs in a forked worker, so the parent holds the distance
+        kernel only if it loaded it before forking: otherwise each worker
+        would load it again, every time."""
+        monkeypatch.setenv("CVILAB_THREADS", "2")
+        if worker_count() < 2:
+            pytest.skip("needs 2 CPUs to fork the fits")
+        cvi_module.euclidean_kernel.cache_clear()
+        select_cluster_count(blob_data(3, [(0, 0), (5, 5)], size=6), FcmConfig(k=2),
+                             k_range=(2, 4))
+        assert cvi_module.euclidean_kernel.cache_info().currsize == 1
 
 
 class TestSerialization:

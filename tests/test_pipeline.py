@@ -1470,7 +1470,8 @@ class TestStagedMatchesRun:
         self.assert_same_outputs(staged, run)
 
     def test_each_stage_in_a_fresh_process(self, tmp_path):
-        # Each child loads scipy (or not) on its own, unlike this process.
+        # Each child loads the distance kernel (or not) on its own; this
+        # process holds it, and scipy.spatial too.
         argv = ["--synth.clusters", "4", "--synth.cluster-size", "30",
                 "--synth.outliers", "3", "--seed", "3", "--trials", "4",
                 "--experiments", "density"]
@@ -1493,14 +1494,17 @@ def run_child(cwd, *args):
                           env=env, cwd=cwd, timeout=300)
 
 
-# Runs the CLI on its arguments, then prints whether scipy.spatial is loaded.
+# Runs the CLI on its arguments, then prints whether any module of
+# scipy.spatial, scipy.linalg or scipy.sparse is loaded, and whether cvi
+# holds its distance kernel.
 SCIPY_PROBE = """
 import sys
-from cvilab import cli
+from cvilab import cli, cvi
 try:
     code = cli.main(sys.argv[1:])
 finally:
-    print(any(name.startswith("scipy.spatial") for name in sys.modules))
+    print(any(name.startswith(("scipy.spatial", "scipy.linalg", "scipy.sparse"))
+              for name in sys.modules), cvi.euclidean_kernel.cache_info().currsize == 1)
 raise SystemExit(code)
 """
 
@@ -1516,8 +1520,9 @@ raise SystemExit(code)
 
 
 class TestStartUp:
-    """scipy is loaded at the first distance, so a command that measures
-    none never imports it. Children, since this process holds scipy."""
+    """scipy's distance kernel is loaded at the first distance, alone: a
+    command that measures none never loads it, and no command maps
+    scipy.spatial, linalg or sparse. Children, since this process holds scipy."""
 
     def test_import_loads_no_scipy(self, tmp_path):
         proc = run_child(tmp_path, "-c", "import sys, cvilab, cvilab.cli; "
@@ -1529,14 +1534,16 @@ class TestStartUp:
         synth = ["--synth.clusters", "3", "--synth.cluster-size", "10", "--seed", "5",
                  "--k", "3", "--out", str(out)]
         runs = [
-            (["--help"], 0, "False"),
-            (["run", *synth[:-2], "--seed", "-1", "--out", str(tmp_path / "x")], 1, "False"),
+            (["--help"], 0, "False False"),
+            (["run", *synth[:-2], "--seed", "-1", "--out", str(tmp_path / "x")], 1,
+             "False False"),
             (["preprocess", "--input", str(readings_csv), "--out", str(tmp_path / "r")],
-             0, "False"),
-            (["synth", *synth], 0, "False"),
-            (["cluster", *synth], 0, "True"),
-            (["validate", *synth], 0, "True"),
-            (["report", *synth], 0, "False"),
+             0, "False False"),
+            (["synth", *synth], 0, "False False"),
+            (["cluster", *synth], 0, "False True"),
+            (["validate", *synth], 0, "False True"),
+            (["experiment", "density", *synth, "--trials", "4"], 0, "False True"),
+            (["report", *synth], 0, "False False"),
         ]
         for argv, code, loaded in runs:
             proc = run_child(tmp_path, "-c", SCIPY_PROBE, *argv)
