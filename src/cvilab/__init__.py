@@ -70,5 +70,5 @@ from .profiles import (
     synthetic_templates,
     write_profiles_csv,
 )
-from .rng import derive_stream, master_stream
+from .rng import derive_stream
 from .version import __version__

@@ -19,9 +19,10 @@ Five scores over a crisp partition, each read from one
 
 Distances are Euclidean throughout. Zero within-cluster scatter (ch) or
 zero max diameter (di) sends a score to ``math.inf``, flagged "degenerate"
-in reports instead of being serialized as a float; coincident centroids
+in reports instead of being serialized as a float. Coincident centroids
 (db, xb) are a genuine division by zero and raise a ``ValueError``, which
-the report records in its ``errors``.
+the report records in its ``errors``. With fewer than 2 clusters, every
+index is such an error.
 
 One pass over the points sorted by cluster yields the silhouette's
 per-cluster distance sums, the diameters and the minimum separation: a
@@ -198,9 +199,6 @@ def partition_geometry(points, labels) -> PartitionGeometry:
 
 
 def _silhouette(geom: PartitionGeometry) -> float:
-    k = geom.k
-    if k < 2:
-        raise ValueError("silhouette needs at least 2 clusters")
     n = geom.points.shape[0]
     if n < 3:
         raise ValueError("silhouette needs at least 3 points")
@@ -222,8 +220,6 @@ def _silhouette(geom: PartitionGeometry) -> float:
 def _calinski_harabasz(geom: PartitionGeometry) -> float:
     n = geom.points.shape[0]
     k = geom.k
-    if k < 2:
-        raise ValueError("index needs at least 2 clusters")
     if k >= n:
         raise ValueError("index needs k < N")
     spread = np.square(geom.centroids - geom.points.mean(axis=0)).sum(axis=1)
@@ -234,20 +230,15 @@ def _calinski_harabasz(geom: PartitionGeometry) -> float:
 
 
 def _davies_bouldin(geom: PartitionGeometry) -> float:
-    k = geom.k
-    if k < 2:
-        raise ValueError("index needs at least 2 clusters")
     if geom.centroid_gaps.min() == 0.0:
         raise ValueError("two clusters share a centroid")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (geom.mean_scatter[:, None] + geom.mean_scatter[None, :]) / geom.centroid_gaps
-    ratio[np.diag_indices(k)] = -math.inf
+    ratio[np.diag_indices(geom.k)] = -math.inf
     return float(ratio.max(axis=1).mean())
 
 
 def _dunn(geom: PartitionGeometry) -> float:
-    if geom.k < 2:
-        raise ValueError("index needs at least 2 clusters")
     max_diameter = float(geom.diameters.max())
     if max_diameter == 0.0:
         return math.inf
@@ -297,12 +288,15 @@ class CviReport:
 
 
 def _report(geom: PartitionGeometry, xie_beni_index, fuzzy: bool) -> CviReport:
-    """A failing index is recorded in the report; the others still run."""
+    """A failing index is recorded in the report; the others still run.
+    With fewer than 2 clusters in ``geom``, every index fails alike."""
     values: dict = {}
     errors = []
     indices = (_silhouette, _calinski_harabasz, _davies_bouldin, _dunn, xie_beni_index)
     for name, index in zip(INDEX_NAMES, indices):
         try:
+            if geom.k < 2:
+                raise ValueError("index needs at least 2 clusters")
             values[name] = index(geom)
         except ValueError as exc:
             values[name] = None
@@ -316,8 +310,7 @@ def evaluate_geometry(geom: PartitionGeometry) -> CviReport:
 
 
 def evaluate_labels(points, labels) -> CviReport:
-    """All five indices on a hard partition, from one shared geometry.
-    With no points, every index is recorded in ``errors``."""
+    """All five indices on a hard partition, from one shared geometry."""
     return evaluate_geometry(partition_geometry(points, labels))
 
 

@@ -138,11 +138,10 @@ def find_singleton_clusters(labels) -> list[int]:
 
 
 def _remove_clusters(points, labels, drop) -> tuple[np.ndarray, np.ndarray]:
-    """Drop whole clusters and renumber the survivors to 0..k'-1."""
+    """Drop whole clusters; the survivors keep their labels, and so their order."""
     y = np.asarray(labels)
     keep = ~np.isin(y, list(drop))
-    _, renumbered = np.unique(y[keep], return_inverse=True)
-    return np.asarray(points, dtype=float)[keep], renumbered
+    return np.asarray(points, dtype=float)[keep], y[keep]
 
 
 def _sample_in_ball(geom, own: int, radius: float, config, rng, count: int) -> np.ndarray:
@@ -200,12 +199,12 @@ def shrink_clusters(geom: PartitionGeometry, config: PerturbConfig, rng) -> Tria
     replaced, at its own row, by a fresh draw from the ball sampler at
     the reduced radius (rows in ascending order take the draws in stream
     order), so the labels never change. Acceptance tests run against the
-    input partition's centroids throughout. Singleton and zero-radius
-    clusters are left untouched.
+    input partition's centroids throughout. A cluster of zero radius, as
+    every singleton is, is left untouched.
     """
     out = geom.points.copy()
     for own in range(geom.k):
-        if geom.cluster_sizes[own] < 2 or geom.radii[own] == 0.0:
+        if geom.radii[own] == 0.0:
             continue
         reduced = config.shrink_factor * float(geom.radii[own])
         fringe = np.flatnonzero((geom.canon == own) & (geom.own_gaps > reduced))
@@ -234,7 +233,7 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
     Emits one row per subset in binary-counting order with the first
     singleton as the most significant bit, so the all-excluded subset
     comes first and the all-kept subset, the baseline, last. Excluded
-    singletons' points are removed and the survivors renumbered. Given
+    singletons' points are removed; the survivors keep their labels. Given
     ``refit``, a subset that excludes a singleton is refit at the count of
     clusters it keeps, if that is at least 2; the all-kept subset never is.
     """
@@ -251,7 +250,7 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
         )
         excluded = [v for v in singletons if v not in kept]
         sub_x, sub_labels = _remove_clusters(points, labels, excluded)
-        k = int(sub_labels.max(initial=-1)) + 1
+        k = np.unique(sub_labels).shape[0]
         if refit is not None and excluded and k >= 2:
             sub_labels = refit(sub_x, k)
         rows.append(ExperimentRow(report=evaluate_labels(sub_x, sub_labels), kept=kept))
@@ -260,12 +259,12 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
 
 def _trial_experiment(kind, points, labels, config, perturb, refit) -> ExperimentReport:
     """Shared trial loop: the singleton-free baseline's geometry, measured
-    once, is scored and handed with its own derived stream to
-    ``perturb(geom, config, rng)`` for each trial's points and labels."""
+    once, must hold 2 clusters or more; it is scored and handed with its own
+    derived stream to ``perturb(geom, config, rng)`` for each trial's data."""
     base_x, base_labels = _remove_clusters(points, labels, find_singleton_clusters(labels))
-    if np.unique(base_labels).shape[0] < 2:
-        raise ExperimentSkipped("need at least 2 non-singleton clusters")
     geom = partition_geometry(base_x, base_labels)
+    if geom.k < 2:
+        raise ExperimentSkipped("need at least 2 non-singleton clusters")
     baseline = evaluate_geometry(geom)
 
     def one_trial(t: int) -> ExperimentRow:

@@ -219,7 +219,7 @@ def load_run_config(config_path=None, overrides: dict[str, list[str]] | None = N
         try:
             raw.update(parse_config_text(data.decode("utf-8")))
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            line = len((data[: exc.start].decode("utf-8") + "?").splitlines())  # "?": the bad byte
             raise ValueError(f"config {config_path} line {line}: not UTF-8") from None
     for key, values in (overrides or {}).items():
         if values:
@@ -352,7 +352,11 @@ _FITTED = ("profiles.csv", "pca.json", "cluster.json")
 def _read_experiment(data: bytes) -> perturb_mod.ExperimentReport | str:
     """An experiment record, or the reason of a skipped one."""
     payload = json.loads(data)
-    return payload["skipped"] if "skipped" in payload else perturb_mod.experiment_from_dict(payload)
+    if "skipped" in payload:
+        return payload["skipped"]
+    report = perturb_mod.experiment_from_dict(payload)
+    report.verdicts  # cached; a record that cannot be judged is malformed
+    return report
 
 
 # Every artifact a run may write: its stage, the command that writes it and,

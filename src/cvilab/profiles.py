@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import master_stream
+from .rng import derive_stream
 
 SLOTS_PER_DAY = 96
 SLOT_MINUTES = 15
@@ -497,7 +497,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[ProfileMatrix, np.ndarray]:
     Cluster members get labels 0..k-1; each outlier gets its own label
     k, k+1, ... since it is meant to surface as a singleton cluster.
     """
-    rng = master_stream(spec.seed)
+    rng = derive_stream(spec.seed, 0)
     templates = synthetic_templates(spec.clusters)
     rows = []
     for j, template in enumerate(templates):

@@ -17,11 +17,6 @@ import numpy as np
 U64_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
 
-def master_stream(seed: int) -> np.random.Generator:
-    """PCG64 generator for a 64-bit unsigned seed."""
-    return np.random.default_rng(int(seed) & U64_MASK)
-
-
 def derive_stream(seed: int, index: int) -> np.random.Generator:
     """Child PCG64 generator for repetition ``index``.
 

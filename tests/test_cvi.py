@@ -95,7 +95,7 @@ class TestSilhouette:
         report = evaluate_labels(np.zeros((2, 2)), np.array([0, 1]))
         assert failure(report, "sh") == "silhouette needs at least 3 points"
         report = evaluate_labels(np.ones((4, 2)), np.array([0, 0, 0, 0]))
-        assert failure(report, "sh") == "silhouette needs at least 2 clusters"
+        assert failure(report, "sh") == "index needs at least 2 clusters"
 
     def test_range_bounds(self):
         for seed in range(5):
@@ -364,11 +364,21 @@ class TestReports:
 
     def test_single_cluster_recorded_as_errors(self):
         # Degenerate partitions produce a report with per-index errors
-        # rather than raising, so experiment rows never explode.
-        report = evaluate_labels(np.ones((4, 2)), np.array([0, 0, 0, 0]))
-        assert all(v is None for v in report.value_map().values())
-        assert set(dict(report.errors)) == set(INDEX_NAMES)
-        assert report.k_effective == 1
+        # rather than raising, so experiment rows never explode. All five
+        # fail with one text through every entry point; evaluate_all's
+        # model has two coincident centroids, so its points harden into one
+        # cluster.
+        points = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 2.0], [2.0, 0.0]])
+        labels = np.array([3, 3, 3, 3])
+        model = SimpleNamespace(labels=labels, memberships=np.full((4, 2), 0.5),
+                                centroids=np.ones((2, 2)), fuzzifier=2.0)
+        for report in (evaluate_labels(points, labels),
+                       cvi_module.evaluate_geometry(partition_geometry(points, labels)),
+                       evaluate_all(points, model)):
+            assert report.value_map() == dict.fromkeys(INDEX_NAMES)
+            assert report.errors == tuple((name, "index needs at least 2 clusters")
+                                          for name in INDEX_NAMES)
+            assert report.k_effective == 1
 
 
 def indices_by_oracle(points, labels):
@@ -526,6 +536,21 @@ class TestFusedEvaluation:
     )
     def test_edge_cases(self, points, labels):
         assert_matches_oracles(evaluate_labels(points, labels), points, labels)
+
+    @given(partition=small_partitions(), jitter=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_order_preserving_relabel_is_bitwise(self, partition, jitter, data):
+        """Labels mapped by any strictly increasing function give the same
+        report bit for bit (the repr of a float round-trips its bits): the
+        clusters keep their order, and so every sum its order of additions."""
+        points, labels = partition
+        if jitter:  # off the grid, so the sums are inexact
+            points = points + np.random.default_rng(len(points)).normal(size=points.shape)
+        values, canon = np.unique(labels, return_inverse=True)
+        image = data.draw(st.lists(st.integers(-10**9, 10**9), min_size=len(values),
+                                   max_size=len(values), unique=True))
+        relabeled = np.sort(np.array(image, dtype=np.int64))[canon]
+        assert repr(evaluate_labels(points, relabeled)) == repr(evaluate_labels(points, labels))
 
     def test_empty_partition_records_every_index_without_warnings(self):
         with warnings.catch_warnings():

@@ -445,10 +445,13 @@ class TestDensityExperiment:
             assert texts[1] == texts[0] and texts[2] == texts[0], run.__name__
 
     def test_needs_two_nonsingleton_clusters(self):
+        """One cluster besides a singleton, or singletons alone (an empty
+        baseline), skips either trial experiment."""
         x = np.vstack([np.random.default_rng(0).normal(size=(6, 2)), [[9.0, 9.0]]])
-        labels = np.array([0] * 6 + [1])
-        with pytest.raises(perturb.ExperimentSkipped, match="non-singleton"):
-            density_experiment(x, labels, PerturbConfig(trials=1))
+        for labels in (np.array([0] * 6 + [1]), np.arange(7)):
+            for experiment in (density_experiment, diameter_experiment):
+                with pytest.raises(perturb.ExperimentSkipped, match="non-singleton"):
+                    experiment(x, labels, PerturbConfig(trials=1))
 
     @pytest.mark.parametrize("experiment", [density_experiment, diameter_experiment])
     def test_refit_at_the_baseline_cluster_count(self, experiment):

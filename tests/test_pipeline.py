@@ -632,6 +632,28 @@ class TestStagedCli:
         assert lines[0] == "x,y,cluster"
         assert len(lines) == 94  # 90 members + 3 outliers + header
 
+    @pytest.mark.parametrize("kind, edit", [
+        ("outliers", lambda payload: payload["rows"].pop()),
+        ("density", lambda payload: payload.update(rows=[])),
+    ], ids=["outliers-last-row-dropped", "density-no-rows"])
+    def test_record_that_cannot_be_judged_is_malformed(
+        self, capsys, staged, tmp_path, kind, edit
+    ):
+        """A listed record whose digest matches but whose verdicts cannot be
+        derived again is a malformed artifact, not the judge's own error."""
+        out = tmp_path / "out"
+        shutil.copytree(staged[0], out)
+        name = f"experiment_{kind}.json"
+        payload = json.loads((out / name).read_text())
+        edit(payload)
+        text = json.dumps(payload)
+        (out / name).write_text(text)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["artifacts"][name] = hashlib.sha256(text.encode()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        err = cli_error(capsys, ["report", "--out", str(out)])
+        assert err == {"error": "ValueError", "message": f"malformed artifact: {name}"}
+
 
 @pytest.fixture(scope="module")
 def full_runs(tmp_path_factory):
@@ -1797,6 +1819,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("data, line", [
         (b"\xff\xfes\x00e\x00e\x00d\x00 \x00=\x00 \x001\x00\n\x00", 1),
         (b"seed = 1\n# caf\xe9\nk = 3\n", 2),
+        (b"seed = 1\rk = \xff\n", 2),  # a lone CR ends a line, as for the parser
     ])
     def test_config_must_be_utf8(self, capsys, tmp_path, data, line):
         cfg = tmp_path / "lab.cfg"
@@ -1813,3 +1836,6 @@ class TestCliErrors:
         cfg.write_text("seed 7\n")
         err = cli_error(capsys, ["run", "--config", str(cfg)])
         assert err["message"] == "config line 1: expected key = value"
+        cfg.write_bytes(b"seed = 1\rk")  # a lone CR ends a line, as for the UTF-8 check
+        err = cli_error(capsys, ["run", "--config", str(cfg)])
+        assert err["message"] == "config line 2: expected key = value"
