@@ -13,7 +13,6 @@ from .cvi import (
     HIGHER_IS_BETTER,
     INDEX_NAMES,
     PartitionGeometry,
-    evaluate_all,
     evaluate_geometry,
     evaluate_labels,
     partition_geometry,

@@ -14,14 +14,14 @@ Five scores over a crisp partition, each read from one
 - ``di``, Dunn: min single-linkage inter-cluster distance over max cluster
   diameter.
 - ``xb``, Xie-Beni: within-cluster sum of squared distances to the
-  centroids over N times the squared minimum centroid separation; only
-  :func:`evaluate_all` scores it fuzzily, from a model's memberships.
+  centroids over N times the squared minimum centroid separation. It is
+  the crisp form, from the labels alone, wherever a partition is scored.
 
 Distances are Euclidean throughout. Zero within-cluster scatter (ch) or
 zero max diameter (di) sends a score to ``math.inf``, flagged "degenerate"
 in reports instead of being serialized as a float. Coincident centroids
-(db, xb) are a genuine division by zero and raise a ``ValueError``, which
-the report records in its ``errors``. With fewer than 2 clusters, every
+(db, xb) are a genuine division by zero: both raise one ``ValueError``, whose
+text the report records in its ``errors``. With fewer than 2 clusters, every
 index is such an error.
 
 One pass over the points sorted by cluster yields the silhouette's
@@ -141,12 +141,6 @@ def _distance_pass(
     return sums, diameters, float(min_sep)
 
 
-def _centroid_gaps(centroids: np.ndarray) -> np.ndarray:
-    gaps = cdist(centroids, centroids)
-    np.fill_diagonal(gaps, math.inf)
-    return gaps
-
-
 def partition_geometry(points, labels) -> PartitionGeometry:
     """Compute the shared statistics every index draws on."""
     x = np.asarray(points, dtype=float)
@@ -180,6 +174,8 @@ def partition_geometry(points, labels) -> PartitionGeometry:
     sorted_sums, diameters, min_sep_points = _distance_pass(xs, bounds)
     sums = np.empty_like(sorted_sums)
     sums[order] = sorted_sums
+    gaps = cdist(centroids, centroids)
+    np.fill_diagonal(gaps, math.inf)
     return PartitionGeometry(
         points=x,
         labels=y,
@@ -193,7 +189,7 @@ def partition_geometry(points, labels) -> PartitionGeometry:
         radii=radii,
         within=float(cluster_within.sum()),
         min_separation_points=min_sep_points,
-        centroid_gaps=_centroid_gaps(centroids),
+        centroid_gaps=gaps,
         distance_sums=sums,
     )
 
@@ -229,9 +225,15 @@ def _calinski_harabasz(geom: PartitionGeometry) -> float:
     return (between / (k - 1)) / (geom.within / (n - k))
 
 
-def _davies_bouldin(geom: PartitionGeometry) -> float:
-    if geom.centroid_gaps.min() == 0.0:
+def _min_centroid_gap(geom: PartitionGeometry) -> float:
+    min_gap = float(geom.centroid_gaps.min())
+    if min_gap == 0.0:
         raise ValueError("two clusters share a centroid")
+    return min_gap
+
+
+def _davies_bouldin(geom: PartitionGeometry) -> float:
+    _min_centroid_gap(geom)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (geom.mean_scatter[:, None] + geom.mean_scatter[None, :]) / geom.centroid_gaps
     ratio[np.diag_indices(geom.k)] = -math.inf
@@ -245,18 +247,8 @@ def _dunn(geom: PartitionGeometry) -> float:
     return geom.min_separation_points / max_diameter
 
 
-def _xie_beni_ratio(scatter: float, n: int, gaps: np.ndarray) -> float:
-    """Xie-Beni from its scatter and the centroid gaps (infinite diagonal)."""
-    if gaps.shape[0] < 2:
-        raise ValueError("index needs at least 2 clusters")
-    min_gap = float(gaps.min())
-    if min_gap == 0.0:
-        raise ValueError("two centroids coincide")
-    return scatter / (n * min_gap**2)
-
-
 def _xie_beni(geom: PartitionGeometry) -> float:
-    return _xie_beni_ratio(geom.within, geom.points.shape[0], geom.centroid_gaps)
+    return geom.within / (geom.points.shape[0] * _min_centroid_gap(geom) ** 2)
 
 
 @dataclass(frozen=True)
@@ -265,8 +257,7 @@ class CviReport:
 
     A value is a finite float normally, ``math.inf`` when the index is
     degenerate, and ``None`` when the index raised (message kept in
-    ``errors``). ``fuzzy`` records whether the Xie-Beni value used a
-    membership matrix rather than hard labels.
+    ``errors``). All five are read from the hard labels, Xie-Beni too.
     """
 
     sh: float | None
@@ -275,7 +266,6 @@ class CviReport:
     di: float | None
     xb: float | None
     k_effective: int
-    fuzzy: bool
     errors: tuple[tuple[str, str], ...] = ()
 
     def value_map(self) -> dict[str, float | None]:
@@ -287,12 +277,13 @@ class CviReport:
         return tuple(n for n, v in self.value_map().items() if v is not None and math.isinf(v))
 
 
-def _report(geom: PartitionGeometry, xie_beni_index, fuzzy: bool) -> CviReport:
-    """A failing index is recorded in the report; the others still run.
-    With fewer than 2 clusters in ``geom``, every index fails alike."""
+def evaluate_geometry(geom: PartitionGeometry) -> CviReport:
+    """All five indices on a hard partition's geometry. A failing index is
+    recorded in the report; the others still run. With fewer than 2
+    clusters in ``geom``, every index fails alike."""
     values: dict = {}
     errors = []
-    indices = (_silhouette, _calinski_harabasz, _davies_bouldin, _dunn, xie_beni_index)
+    indices = (_silhouette, _calinski_harabasz, _davies_bouldin, _dunn, _xie_beni)
     for name, index in zip(INDEX_NAMES, indices):
         try:
             if geom.k < 2:
@@ -301,12 +292,7 @@ def _report(geom: PartitionGeometry, xie_beni_index, fuzzy: bool) -> CviReport:
         except ValueError as exc:
             values[name] = None
             errors.append((name, str(exc)))
-    return CviReport(k_effective=geom.k, fuzzy=fuzzy, errors=tuple(errors), **values)
-
-
-def evaluate_geometry(geom: PartitionGeometry) -> CviReport:
-    """All five indices on a hard partition's geometry, Xie-Beni crisp."""
-    return _report(geom, _xie_beni, fuzzy=False)
+    return CviReport(k_effective=geom.k, errors=tuple(errors), **values)
 
 
 def evaluate_labels(points, labels) -> CviReport:
@@ -314,32 +300,10 @@ def evaluate_labels(points, labels) -> CviReport:
     return evaluate_geometry(partition_geometry(points, labels))
 
 
-def evaluate_all(points, model) -> CviReport:
-    """All five indices for a fitted model's partition.
-
-    The four label-based indices use the hardened labels. Xie-Beni is
-    fuzzy: the memberships raised to the model's fuzzifier weigh the
-    squared distances to the fitted centroids, and the separation is that
-    of the fitted centroids, so the crisp Xie-Beni is never computed.
-    Singleton clusters count as clusters.
-    """
-
-    def fuzzy_xie_beni(geom: PartitionGeometry) -> float:
-        u = np.asarray(model.memberships, dtype=float)
-        if u.shape[0] != geom.points.shape[0]:
-            raise ValueError("membership rows must match the number of points")
-        centroids = np.asarray(model.centroids, dtype=float)
-        gaps = _centroid_gaps(centroids)
-        scatter = float(((u**model.fuzzifier) * cdist(geom.points, centroids) ** 2).sum())
-        return _xie_beni_ratio(scatter, geom.points.shape[0], gaps)
-
-    return _report(partition_geometry(points, model.labels), fuzzy_xie_beni, fuzzy=True)
-
-
 def report_to_dict(report: CviReport) -> dict:
     finite = {name: value if value is not None and math.isfinite(value) else None
               for name, value in report.value_map().items()}
-    return {**finite, "k_effective": report.k_effective, "fuzzy": report.fuzzy,
+    return {**finite, "k_effective": report.k_effective,
             "degenerate_flags": list(report.degenerate), "errors": dict(report.errors)}
 
 
@@ -356,9 +320,4 @@ def report_from_dict(payload: dict) -> CviReport:
             values[name] = math.inf
         else:
             values[name] = None
-    return CviReport(
-        k_effective=int(payload["k_effective"]),
-        fuzzy=bool(payload["fuzzy"]),
-        errors=errors,
-        **values,
-    )
+    return CviReport(k_effective=int(payload["k_effective"]), errors=errors, **values)

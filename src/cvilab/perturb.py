@@ -222,7 +222,7 @@ def _average_rows(
         finite = [v for v in column if v is not None and math.isfinite(v)]
         counts.append((name, len(rows) - len(finite)))
         values[name] = math.fsum(finite) / len(finite) if finite else None
-    average = CviReport(k_effective=k_effective, fuzzy=False, **values)
+    average = CviReport(k_effective=k_effective, **values)
     return average, tuple(counts)
 
 

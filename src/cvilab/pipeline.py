@@ -483,11 +483,7 @@ def _score(
     config: RunConfig, points: np.ndarray, model: fcm_mod.ClusterModel
 ) -> cvi_mod.CviReport:
     """cvi.json: the five indices of the partition."""
-    # Fitted centroids live in reduced space, so membership-based XB is
-    # only meaningful there; original-space evaluation falls back to the
-    # crisp mode.
-    report = (cvi_mod.evaluate_all(points, model) if config.space == "reduced"
-              else cvi_mod.evaluate_labels(points, model.labels))
+    report = cvi_mod.evaluate_labels(points, model.labels)
     _write(config, {"cvi.json": _json(cvi_mod.report_to_dict(report))})
     return report
 

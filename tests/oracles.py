@@ -120,27 +120,6 @@ def naive_xie_beni_crisp(points: np.ndarray, labels: np.ndarray) -> float:
     return scatter / (len(labels) * min_gap_sq)
 
 
-def naive_xie_beni_fuzzy(
-    points: np.ndarray,
-    memberships: np.ndarray,
-    centroids: np.ndarray,
-    fuzzifier: float,
-) -> float:
-    n, k = memberships.shape
-    scatter = 0.0
-    for i in range(n):
-        for j in range(k):
-            d_sq = float(((points[i] - centroids[j]) ** 2).sum())
-            scatter += memberships[i, j] ** fuzzifier * d_sq
-    min_gap_sq = math.inf
-    for a in range(k):
-        for b in range(a + 1, k):
-            min_gap_sq = min(
-                min_gap_sq, float(((centroids[a] - centroids[b]) ** 2).sum())
-            )
-    return scatter / (n * min_gap_sq)
-
-
 def naive_fpc(memberships: np.ndarray) -> float:
     n, k = memberships.shape
     total = 0.0

@@ -18,7 +18,6 @@ import cvilab
 import oracles
 from cvilab import cvi, perturb
 from cvilab.fcm import (
-    ClusterModel,
     FcmConfig,
     fit_fcm,
     fuzzy_partition_coefficient,
@@ -48,14 +47,7 @@ def test_criterion_1_hand_instance_exactness():
     start = time.perf_counter()
     points = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
     labels = np.array([0, 0, 1, 1])
-    model = ClusterModel(
-        centroids=np.array([[0.0, 0.5], [10.0, 0.5]]),
-        memberships=np.eye(2)[labels],
-        fuzzifier=2.0,
-        labels=labels,
-        objective_trace=np.array([1.0]),
-    )
-    values = cvi.evaluate_all(points, model).value_map()
+    values = cvi.evaluate_labels(points, labels).value_map()
     assert abs(values["sh"] - 0.900249) <= 1e-6
     assert abs(values["ch"] - 200.0) <= 1e-9
     assert abs(values["db"] - 0.1) <= 1e-9

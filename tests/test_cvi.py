@@ -3,8 +3,6 @@
 import json
 import math
 import warnings
-from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,10 +14,7 @@ import oracles
 from cvilab import (
     HIGHER_IS_BETTER,
     INDEX_NAMES,
-    FcmConfig,
-    evaluate_all,
     evaluate_labels,
-    fit_fcm,
     partition_geometry,
 )
 from cvilab import cvi as cvi_module
@@ -163,7 +158,7 @@ class TestXieBeni:
         points = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
         labels = np.array([0, 0, 1, 1])
         report = evaluate_labels(points, labels)
-        assert failure(report, "xb") == "two centroids coincide"
+        assert failure(report, "xb") == "two clusters share a centroid"
 
     def test_crisp_reads_the_geometry_bitwise(self):
         for seed in range(5):
@@ -171,37 +166,6 @@ class TestXieBeni:
             geom = partition_geometry(points, labels)
             want = geom.within / (len(points) * geom.centroid_gaps.min() ** 2)
             assert evaluate_labels(points, labels).xb == want
-
-    def test_one_hot_memberships_agree_with_crisp(self):
-        # Unit memberships weigh the squared distances to the label means
-        # whatever the fuzzifier; the fuzzy form squares cdist's roots, so
-        # only the last bits may differ.
-        points, labels = random_labeled(4, max_points=40)
-        geom = partition_geometry(points, labels)
-        crisp = evaluate_labels(points, labels).xb
-        for m in (2.0, 3.7):
-            model = SimpleNamespace(
-                labels=labels,
-                memberships=np.eye(geom.k)[geom.canon],
-                centroids=geom.centroids,
-                fuzzifier=m,
-            )
-            fuzzy = evaluate_all(points, model).xb
-            assert fuzzy == pytest.approx(crisp, rel=1e-12, abs=0)
-
-    def test_fuzzy_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(9)
-        for m in (1.5, 2.0, 3.0):
-            points = rng.normal(size=(25, 3))
-            u = rng.random((25, 4))
-            u /= u.sum(axis=1, keepdims=True)
-            centroids = rng.normal(size=(4, 3))
-            model = SimpleNamespace(
-                labels=u.argmax(axis=1), memberships=u, centroids=centroids, fuzzifier=m
-            )
-            got = evaluate_all(points, model).xb
-            want = oracles.naive_xie_beni_fuzzy(points, u, centroids, m)
-            assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestAgainstNaiveOracles:
@@ -270,7 +234,6 @@ class TestReports:
         points, labels = two_pair_instance()
         report = evaluate_labels(points, labels)
         assert report.k_effective == 2
-        assert report.fuzzy is False
         assert report.degenerate == ()
         assert report.errors == ()
         assert set(report.value_map()) == set(INDEX_NAMES)
@@ -291,23 +254,6 @@ class TestReports:
         failed = dict(report.errors)
         assert set(failed) == {"db", "xb"}
         assert report.sh is not None and report.ch is not None
-
-    def test_evaluate_all_uses_memberships_for_xb(self):
-        rng = np.random.default_rng(3)
-        x = np.vstack(
-            [rng.normal((0, 0), 0.3, size=(12, 2)),
-             rng.normal((6, 0), 0.3, size=(12, 2))]
-        )
-        model = fit_fcm(x, FcmConfig(k=2, seed=1))
-        fuzzy = evaluate_all(x, model)
-        crisp = evaluate_labels(x, model.labels)
-        assert fuzzy.fuzzy is True and crisp.fuzzy is False
-        assert fuzzy.xb != crisp.xb
-        assert fuzzy.sh == crisp.sh  # only XB consumes the memberships
-        want = oracles.naive_xie_beni_fuzzy(
-            x, model.memberships, model.centroids, model.fuzzifier
-        )
-        assert fuzzy.xb == pytest.approx(want, rel=1e-10)
 
     def test_json_round_trip_with_degenerate_and_errors(self):
         points = np.array(
@@ -365,16 +311,11 @@ class TestReports:
     def test_single_cluster_recorded_as_errors(self):
         # Degenerate partitions produce a report with per-index errors
         # rather than raising, so experiment rows never explode. All five
-        # fail with one text through every entry point; evaluate_all's
-        # model has two coincident centroids, so its points harden into one
-        # cluster.
+        # fail with one text through both entry points.
         points = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 2.0], [2.0, 0.0]])
         labels = np.array([3, 3, 3, 3])
-        model = SimpleNamespace(labels=labels, memberships=np.full((4, 2), 0.5),
-                                centroids=np.ones((2, 2)), fuzzifier=2.0)
         for report in (evaluate_labels(points, labels),
-                       cvi_module.evaluate_geometry(partition_geometry(points, labels)),
-                       evaluate_all(points, model)):
+                       cvi_module.evaluate_geometry(partition_geometry(points, labels))):
             assert report.value_map() == dict.fromkeys(INDEX_NAMES)
             assert report.errors == tuple((name, "index needs at least 2 clusters")
                                           for name in INDEX_NAMES)
@@ -561,17 +502,15 @@ class TestFusedEvaluation:
         assert report.k_effective == 0
 
     def test_coincident_centroids_error_type(self):
-        """A plain ValueError, whose message the report keeps."""
+        """A plain ValueError with one text for db and xb, which the report keeps."""
         import cvilab.cvi as cvi_module
 
         points = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
         labels = np.array([0, 0, 1, 1])
         geom = partition_geometry(points, labels)
         report = evaluate_labels(points, labels)
-        for name, index, message in (
-            ("db", cvi_module._davies_bouldin, "two clusters share a centroid"),
-            ("xb", cvi_module._xie_beni, "two centroids coincide"),
-        ):
+        message = "two clusters share a centroid"
+        for name, index in (("db", cvi_module._davies_bouldin), ("xb", cvi_module._xie_beni)):
             with pytest.raises(ValueError) as caught:
                 index(geom)
             assert type(caught.value) is ValueError and str(caught.value) == message
@@ -612,98 +551,6 @@ class TestFusedEvaluation:
         evaluate_labels(x, labels)
         chunks = [((50, 2), (150, 2)), ((50, 2), (100, 2)), ((50, 2), (50, 2))]
         assert shapes == chunks + [((3, 2), (3, 2))]
-
-
-def membership_xie_beni(points, u, centroids, m):
-    """The fuzzy Xie-Beni written out step by step, as the package
-    computed it when its Xie-Beni function still took a membership matrix."""
-    x = np.asarray(points, dtype=float)
-    u = np.asarray(u).astype(float)
-    if u.shape[0] != x.shape[0]:
-        raise ValueError("membership rows must match the number of points")
-    cent = np.asarray(centroids, dtype=float)
-    if cent.shape[0] < 2:
-        raise ValueError("index needs at least 2 clusters")
-    gaps = cdist(cent, cent)
-    np.fill_diagonal(gaps, math.inf)
-    min_gap = float(gaps.min())
-    if min_gap == 0.0:
-        raise ValueError("two centroids coincide")
-    scatter = float(((u**m) * cdist(x, cent) ** 2).sum())
-    return scatter / (x.shape[0] * min_gap**2)
-
-
-def fuzzy_report_reference(points, model):
-    """The crisp report with its Xie-Beni swapped for the fuzzy one, as
-    evaluate_all first built it."""
-    crisp = evaluate_labels(points, model.labels)
-    try:
-        xb = membership_xie_beni(points, model.memberships, model.centroids, model.fuzzifier)
-        errors = ()
-    except ValueError as exc:
-        xb, errors = None, (("xb", str(exc)),)
-    return replace(
-        crisp,
-        xb=xb,
-        fuzzy=True,
-        errors=tuple(e for e in crisp.errors if e[0] != "xb") + errors,
-    )
-
-
-class TestFuzzyReport:
-    """evaluate_all with memberships builds its report from the geometry
-    directly and never computes the crisp Xie-Beni it would discard."""
-
-    @given(partition=small_partitions(), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_equals_crisp_report_with_fuzzy_xie_beni(self, partition, data):
-        points, labels = partition
-        n, d = points.shape
-        k = len(set(labels.tolist()))
-        weights = np.array(
-            data.draw(st.lists(st.lists(st.integers(1, 4), min_size=k, max_size=k),
-                               min_size=n, max_size=n)),
-            dtype=float,
-        )
-        coords = st.integers(min_value=-2, max_value=2).map(float)
-        centroids = np.array(
-            data.draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=k, max_size=k))
-        )
-        model = SimpleNamespace(
-            labels=labels,
-            memberships=weights / weights.sum(axis=1, keepdims=True),
-            centroids=centroids,
-            fuzzifier=2.0,
-        )
-        assert evaluate_all(points, model) == fuzzy_report_reference(points, model)
-
-    def test_fitted_model_equals_reference(self):
-        rng = np.random.default_rng(3)
-        x = np.vstack([rng.normal(c, 0.3, size=(12, 2)) for c in ((0, 0), (6, 0), (0, 6))])
-        model = fit_fcm(x, FcmConfig(k=3, seed=1))
-        assert evaluate_all(x, model) == fuzzy_report_reference(x, model)
-
-    def test_no_crisp_centroid_distances(self, monkeypatch):
-        import cvilab.cvi as cvi_module
-
-        rng = np.random.default_rng(5)
-        centres = ((0, 0), (6, 0), (0, 6), (6, 6))
-        x = np.vstack([rng.normal(c, 0.5, size=(100, 2)) for c in centres])
-        model = fit_fcm(x, FcmConfig(k=4, seed=1))
-        crisp = partition_geometry(x, model.labels).centroids
-        calls = []
-        real_cdist = cvi_module.cdist
-
-        def counting_cdist(a, b, *args, **kwargs):
-            calls.append((np.shape(a), np.shape(b), np.array_equal(b, crisp)))
-            return real_cdist(a, b, *args, **kwargs)
-
-        monkeypatch.setattr(cvi_module, "cdist", counting_cdist)
-        evaluate_all(x, model)
-        # Only the geometry's centroid gaps, which Davies-Bouldin reads,
-        # use the crisp centroids; no point is measured against them.
-        assert [call[:2] for call in calls if call[2]] == [((4, 2), (4, 2))]
-        assert ((400, 2), (4, 2), False) in calls  # the fuzzy Xie-Beni
 
 
 class TestEuclideanKernel:

@@ -712,7 +712,7 @@ class TestOneGeometryPerExperiment:
 
 def make_trial_report(kind, baseline_values, trial_values_list):
     def report_of(values):
-        return CviReport(k_effective=2, fuzzy=False, **values)
+        return CviReport(k_effective=2, **values)
 
     rows = tuple(
         ExperimentRow(report=report_of(v), trial=t)
@@ -791,7 +791,7 @@ def make_outlier_report(values_by_subset):
     """values_by_subset: {frozenset: value_map} over subsets of {3, 4}."""
 
     def report_of(values):
-        return CviReport(k_effective=3, fuzzy=False, **values)
+        return CviReport(k_effective=3, **values)
 
     order = [(), (4,), (3,), (3, 4)]
     rows = tuple(

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 import cvilab
-from cvilab import cli, perturb
+import oracles
+from cvilab import cli, cvi, perturb
 from cvilab import fcm as fcm_mod
 from cvilab import pipeline as pl
 from cvilab.pca import project
@@ -353,16 +354,20 @@ class TestRunPipeline:
         for name in ("sh", "ch", "db", "di", "xb"):
             assert name in summary
 
-    def test_reduced_space_uses_memberships(self, small_run):
-        out = small_run[0]
-        payload = json.loads((out / "cvi.json").read_text())
-        assert payload["fuzzy"] is True
-
-    def test_original_space_falls_back_to_crisp(self, tmp_path):
-        config = pl.build_run_config(small_raw(tmp_path / "orig", space="original"))
+    @pytest.mark.parametrize("space", ["reduced", "original"])
+    def test_cvi_json_is_the_crisp_report(self, tmp_path, space):
+        """In either space, cvi.json scores the stored labels on that space's
+        points as the experiments do: Xie-Beni is the crisp form."""
+        config = pl.build_run_config(small_raw(tmp_path, space=space))
         run_core_stages(config)
-        payload = json.loads((tmp_path / "orig" / "cvi.json").read_text())
-        assert payload["fuzzy"] is False
+        matrix, pca_model, model = pl._load_stored(config, *pl._FITTED)
+        points = (matrix.values if space == "original"
+                  else project(pca_model, matrix, pca_model.chosen_dprime))
+        payload = json.loads((tmp_path / "cvi.json").read_text())
+        assert set(payload) == {*cvilab.INDEX_NAMES, "k_effective", "degenerate_flags", "errors"}
+        want = oracles.naive_xie_beni_crisp(points, model.labels)
+        assert payload["xb"] == pytest.approx(want, rel=1e-10, abs=0)
+        assert payload == cvi.report_to_dict(cvi.evaluate_labels(points, model.labels))
 
     def test_experiment_reuses_stored_artifacts(self, small_run):
         out = small_run[0]
@@ -706,6 +711,19 @@ class TestRunCommand:
             bytes1 = (d1 / name).read_bytes()
             assert bytes1 == (d2 / name).read_bytes(), name
             assert bytes1 == (d3 / name).read_bytes(), name
+
+    def test_summary_prints_one_baseline_per_index(self, full_runs):
+        """summary.txt's baseline indices are the outliers table's baseline
+        cells: one partition has one score per index."""
+        lines = (full_runs[1][0][1] / "summary.txt").read_text().splitlines()
+
+        def column(title):
+            start = lines.index(title) + 2  # past the title and the header row
+            return {row.split()[0]: row.split()[1] for row in lines[start:start + 5]}
+
+        outliers = next(line for line in lines if line.startswith("experiment: outliers ("))
+        assert list(column("baseline indices")) == list(cvilab.INDEX_NAMES)
+        assert column("baseline indices") == column(outliers)
 
     def test_manifests_agree_modulo_timestamp_and_out(self, full_runs):
         _, runs = full_runs
