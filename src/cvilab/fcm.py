@@ -49,20 +49,20 @@ class FcmConfig:
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """Result of one fuzzy c-means fit.
+    """What one fuzzy c-means fit decided; its memberships are not kept.
 
-    ``memberships`` rows sum to 1; ``labels`` is their per-row argmax (ties
-    to the lowest index); ``objective_trace`` holds the objective after each
-    iteration of the winning restart. A fitted model numbers its clusters by
-    first member: the labels first appear in the order 0, 1, 2, ..., and the
-    clusters with no member come last.
+    ``labels`` is the per-point argmax of the winning restart's memberships
+    (ties to the lowest index), ``fpc`` their partition coefficient, and
+    ``objective_trace`` its objective after each iteration. A fitted model
+    numbers its clusters by first member: the labels first appear in the
+    order 0, 1, 2, ..., and the clusters with no member come last.
     """
 
     centroids: np.ndarray        # (k, d)
-    memberships: np.ndarray      # (N, k)
     fuzzifier: float
     labels: np.ndarray           # (N,)
     objective_trace: np.ndarray  # (iterations,)
+    fpc: float
 
     @property
     def k(self) -> int:
@@ -173,10 +173,10 @@ def fit_fcm(data: np.ndarray, config: FcmConfig) -> ClusterModel:
     u = np.ascontiguousarray(final_u[best][order].T)
     return ClusterModel(
         centroids=final_centroids[best][order],
-        memberships=u,
         fuzzifier=m,
         labels=np.argmax(u, axis=1),
         objective_trace=np.array(traces[best], dtype=float),
+        fpc=fuzzy_partition_coefficient(u),
     )
 
 
@@ -193,13 +193,13 @@ def select_cluster_count(
     data: np.ndarray,
     config: FcmConfig,
     k_range: tuple[int, int] = (2, K_MAX_DEFAULT),
-) -> tuple[int, list[tuple[int, float]], ClusterModel]:
+) -> tuple[list[tuple[int, float]], ClusterModel]:
     """Fit every k in ``k_range`` and pick the FPC argmax (ties: smaller k).
 
-    Returns the chosen k, the (k, FPC) curve for export and the winning
-    model, which the pipeline uses rather than fitting k* again. Refitting
-    with ``k=k*`` reproduces the winning model bit for bit, so the curve
-    alone is enough to resume from.
+    Returns the (k, FPC) curve for export and the winning model, whose ``k``
+    is the chosen one; the pipeline uses it rather than fitting k* again.
+    Refitting with ``k=k*`` reproduces the winning model bit for bit, so the
+    curve alone is enough to resume from.
     """
     x = np.asarray(data, dtype=float)
     lo, hi = k_range
@@ -208,31 +208,31 @@ def select_cluster_count(
     if hi > x.shape[0] - 1:
         raise ValueError(f"k range upper bound {hi} exceeds N-1 = {x.shape[0] - 1}")
     euclidean_kernel()  # loaded before the fork: every worker inherits it
-    ks = range(lo, hi + 1)
     # One k per worker task; fork_map hands out the costliest, largest k first.
-    models = fork_map(lambda k: fit_fcm(x, replace(config, k=k)), ks)
-    curve = [(k, fuzzy_partition_coefficient(model.memberships)) for k, model in zip(ks, models)]
+    models = fork_map(lambda k: fit_fcm(x, replace(config, k=k)), range(lo, hi + 1))
     # max keeps the first of equal FPCs, so a tie goes to the smaller k.
-    best = max(range(len(ks)), key=lambda i: curve[i][1])
-    return ks[best], curve, models[best]
+    return [(model.k, model.fpc) for model in models], max(models, key=lambda model: model.fpc)
 
 
 def model_to_dict(model: ClusterModel) -> dict:
     return {
         "centroids": model.centroids.tolist(),
-        "U": model.memberships.tolist(),
         "m": model.fuzzifier,
         "labels": model.labels.tolist(),
         "objective_trace": model.objective_trace.tolist(),
         "empty_clusters": list(model.empty_clusters),
+        "fpc": model.fpc,
     }
 
 
 def model_from_dict(payload: dict) -> ClusterModel:
+    centroids, labels = np.array(payload["centroids"], dtype=float), np.array(payload["labels"])
+    if labels.dtype.kind not in "iu" or not np.all((labels >= 0) & (labels < len(centroids))):
+        raise ValueError("labels must be cluster numbers 0..k-1")
     return ClusterModel(
-        centroids=np.array(payload["centroids"], dtype=float),
-        memberships=np.array(payload["U"], dtype=float),
+        centroids=centroids,
         fuzzifier=float(payload["m"]),
-        labels=np.array(payload["labels"], dtype=int),
+        labels=labels,
         objective_trace=np.array(payload["objective_trace"], dtype=float),
+        fpc=float(payload["fpc"]),
     )

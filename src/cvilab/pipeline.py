@@ -451,7 +451,7 @@ def _fit_models(
     reduced = pca_mod.project(pca_model, matrix, dprime)
     k_range = ((2, min(fcm_mod.K_MAX_DEFAULT, reduced.shape[0] - 1)) if config.k == "fpc"
                else (config.k, config.k))
-    _, curve, model = fcm_mod.select_cluster_count(reduced, _fcm_config(config, k_range[0]), k_range)
+    curve, model = fcm_mod.select_cluster_count(reduced, _fcm_config(config, k_range[0]), k_range)
     return pca_model, model, curve, cevr
 
 

@@ -19,6 +19,7 @@ import oracles
 from cvilab import cvi, perturb
 from cvilab.fcm import (
     FcmConfig,
+    _memberships_from_distances,
     fit_fcm,
     fuzzy_partition_coefficient,
     select_cluster_count,
@@ -170,14 +171,17 @@ def test_criterion_6_diameter_shrink_directions():
 
 
 def test_criterion_7_pipeline_invariants():
-    # objective nonincreasing and memberships row-stochastic, 100 fits
+    # objective nonincreasing, memberships at the final centroids
+    # row-stochastic and FPC within [1/k, 1], 100 fits
     centers = [(0.0, 0.0), (6.0, 0.0), (3.0, 5.0)]
     for seed in range(100):
         rng = np.random.default_rng(seed)
         points = np.vstack([rng.normal(c, 0.5, (20, 2)) for c in centers])
         model = fit_fcm(points, FcmConfig(k=3, seed=seed, restarts=1))
         assert np.all(np.diff(model.objective_trace) <= 1e-12)
-        assert np.max(np.abs(model.memberships.sum(axis=1) - 1.0)) <= 1e-9
+        u = _memberships_from_distances(cvi.cdist(model.centroids, points), model.fuzzifier)
+        assert np.max(np.abs(u.sum(axis=0) - 1.0)) <= 1e-9
+        assert 1.0 / 3 <= model.fpc <= 1.0
 
     # FPC bounds and exact endpoints
     crisp = np.eye(3)[np.arange(60) % 3]
@@ -253,10 +257,10 @@ def test_criterion_9_selection_procedures():
     rng = np.random.default_rng(11)
     centers = [(0.0, 0.0), (6.0, 0.0), (3.0, 5.0)]
     blobs = np.vstack([rng.normal(c, 0.05, (25, 2)) for c in centers])
-    k_star, curve, _ = select_cluster_count(
+    curve, model = select_cluster_count(
         blobs, FcmConfig(k=2, seed=1, restarts=4), (2, 6)
     )
-    assert k_star == 3
+    assert model.k == 3
     assert [k for k, _ in curve] == [2, 3, 4, 5, 6]
 
     assert select_dimensions_elbow(np.array([0.50, 0.90, 0.95, 0.98, 1.00])) == 2

@@ -64,7 +64,9 @@ class TestFitFcm:
         np.testing.assert_allclose(
             model.centroids[order], [[0.0, 0.5], [100.0, 0.5]], atol=1e-6
         )
-        assert model.memberships.max(axis=1).min() > 0.99
+        u = _memberships_from_distances(cdist(model.centroids, two_pairs()), 2.0)
+        assert u.max(axis=0).min() > 0.99
+        assert model.fpc > 0.99**2
         labels = model.labels
         assert labels[0] == labels[1] and labels[2] == labels[3]
         assert labels[0] != labels[2]
@@ -101,9 +103,10 @@ class TestFitFcm:
     def test_membership_rows_sum_to_one(self):
         x = blob_data(2, [(0, 0), (5, 5), (9, 0)])
         model = fit_fcm(x, FcmConfig(k=3, seed=2))
-        sums = model.memberships.sum(axis=1)
-        assert np.abs(sums - 1.0).max() < 1e-9
-        assert model.memberships.min() >= 0.0
+        u = _memberships_from_distances(cdist(model.centroids, x), 2.0)
+        assert np.abs(u.sum(axis=0) - 1.0).max() < 1e-9
+        assert u.min() >= 0.0
+        assert 1.0 / 3 <= model.fpc <= 1.0
 
     def test_one_distance_matrix_per_iteration(self, monkeypatch):
         import cvilab.fcm as fcm_module
@@ -142,16 +145,17 @@ class TestFitFcm:
         assert u[:, -1].tolist() == [1.0, 0.0]
         reference = reference_memberships(cdist(model.centroids, probe), 2.0)
         assert u.tobytes() == reference.tobytes()
-        assert refit.memberships.shape == (len(probe), 2)
+        assert refit.labels.shape == (len(probe),)
+        assert 0.5 <= refit.fpc <= 1.0
 
     def test_bit_determinism(self):
         x = blob_data(5, [(0, 0), (4, 4)])
         a = fit_fcm(x, FcmConfig(k=2, seed=9))
         b = fit_fcm(x, FcmConfig(k=2, seed=9))
         assert a.centroids.tobytes() == b.centroids.tobytes()
-        assert a.memberships.tobytes() == b.memberships.tobytes()
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.objective_trace, b.objective_trace)
+        assert a.fpc == b.fpc
 
     def test_empty_cluster_flagged_on_duplicate_values(self):
         p, q = np.array([0.0, 0.0]), np.array([4.0, 1.0])
@@ -177,10 +181,10 @@ class TestHardenAndFpc:
         # The centre of a symmetric square ends equidistant from both
         # centroids, so its memberships tie exactly.
         x = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [0.0, 0.0]])
-        model = fit_fcm(x, FcmConfig(k=2, seed=3))
-        assert model.memberships[4, 0] == model.memberships[4, 1]
+        model, u = assert_fit_equals_reference(x, FcmConfig(k=2, seed=3))
+        assert u[4, 0] == u[4, 1]
         assert model.labels[4] == 0
-        first_max = [row.tolist().index(row.max()) for row in model.memberships]
+        first_max = [row.tolist().index(row.max()) for row in u]
         assert model.labels.tolist() == first_max
 
     def test_crisp_partition_gives_exactly_one(self):
@@ -279,14 +283,18 @@ def first_member_order(u):
 
 
 def assert_fit_equals_reference(x, config):
+    """The fit against the reference, bit for bit; also the reference's
+    (N, k) memberships, clusters in the fit's order, which the model does
+    not keep."""
     centroids, u, trace = reference_fit(x, config)
     order = first_member_order(u)
+    u = np.ascontiguousarray(u[order].T)
     model = fit_fcm(x, config)
     assert model.centroids.tobytes() == centroids[order].tobytes()
-    assert model.memberships.tobytes() == np.ascontiguousarray(u[order].T).tobytes()
     assert model.objective_trace.tobytes() == np.array(trace).tobytes()
-    assert model.labels.tolist() == np.argmax(u[order], axis=0).tolist()
-    return model
+    assert model.labels.tolist() == np.argmax(u, axis=1).tolist()
+    assert np.float64(model.fpc).tobytes() == np.float64(fuzzy_partition_coefficient(u)).tobytes()
+    return model, u
 
 
 class TestOnePathMemberships:
@@ -360,12 +368,12 @@ class TestBatchedRestarts:
         p, q = np.array([0.0, 0.0]), np.array([4.0, 1.0])
         x = np.array([p, p, p, p, q, q, q, q])
         config = FcmConfig(k=3, seed=0, restarts=4, max_iter=50)
-        model = assert_fit_equals_reference(x, config)
+        model, u = assert_fit_equals_reference(x, config)
         assert model.labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
         assert model.empty_clusters == (2,)
         assert model.centroids[:2].tolist() == [p.tolist(), q.tolist()]
         assert model.centroids[2].tolist() in (p.tolist(), q.tolist())
-        assert not model.memberships[:, 2].any()
+        assert not u[:, 2].any()
 
     def test_cdist_is_symmetric_bitwise(self):
         # The stack takes centroid-point distances from cdist(c, x); the
@@ -383,15 +391,15 @@ class TestFirstMemberNumbering:
     clusters with no member last, whichever restart wins."""
 
     def assert_numbered_by_first_member(self, x, config):
-        model = fit_fcm(x, config)
+        # The centroid rows and the membership columns take one permutation
+        # of the fitted clusters: the reference fit's, reordered.
+        model, u = assert_fit_equals_reference(x, config)
         labels = model.labels.tolist()
-        assert labels == np.argmax(model.memberships, axis=1).tolist()
+        assert labels == np.argmax(u, axis=1).tolist()
         seen = list(dict.fromkeys(labels))
         assert seen == list(range(len(seen)))
         assert model.empty_clusters == tuple(range(len(seen), config.k))
-        # The centroid rows and the membership columns take one permutation
-        # of the fitted clusters: the reference fit's, reordered.
-        assert_fit_equals_reference(x, config)
+        return model, u
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_synthetic_population(self, k):
@@ -417,38 +425,38 @@ class TestFirstMemberNumbering:
         # The centre of a symmetric square, listed first, ties between both
         # clusters before either has a member.
         x = np.array([[0.0, 0.0], [-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-        model = fit_fcm(x, FcmConfig(k=2, seed=0))
-        assert model.memberships[0, 0] == model.memberships[0, 1]
+        model, u = self.assert_numbered_by_first_member(x, FcmConfig(k=2, seed=0))
+        assert u[0, 0] == u[0, 1]
         assert model.labels.tolist() == [0, 0, 1, 0, 1]
-        self.assert_numbered_by_first_member(x, FcmConfig(k=2, seed=0))
 
 
 class TestSelectClusterCount:
     def test_three_blobs_pick_three(self):
         x = blob_data(11, [(0, 0), (6, 0), (3, 5)])
-        k_star, curve, _ = select_cluster_count(x, FcmConfig(k=2, seed=1, restarts=4))
-        assert k_star == 3
+        curve, model = select_cluster_count(x, FcmConfig(k=2, seed=1, restarts=4))
+        assert model.k == 3
         assert [k for k, _ in curve] == list(range(2, 11))
         assert all(0.0 < v <= 1.0 + 1e-12 for _, v in curve)
 
     def test_curve_entry_reproducible_by_refit(self):
         x = blob_data(12, [(0, 0), (7, 1)], size=15)
         config = FcmConfig(k=2, seed=5, restarts=3)
-        k_star, curve, _ = select_cluster_count(x, config, k_range=(2, 4))
+        curve, model = select_cluster_count(x, config, k_range=(2, 4))
         refit = fit_fcm(
             x,
-            FcmConfig(k=k_star, seed=5, restarts=3),
+            FcmConfig(k=model.k, seed=5, restarts=3),
         )
-        assert dict(curve)[k_star] == fuzzy_partition_coefficient(refit.memberships)
+        assert dict(curve)[model.k] == refit.fpc
 
     def test_returned_model_is_the_winning_fit_bitwise(self):
         x = blob_data(13, [(0, 0), (6, 0), (3, 5)], size=12)
         config = FcmConfig(k=2, seed=4, restarts=3)
-        k_star, _, model = select_cluster_count(x, config, k_range=(2, 5))
-        refit = fit_fcm(x, FcmConfig(k=k_star, seed=4, restarts=3))
+        _, model = select_cluster_count(x, config, k_range=(2, 5))
+        refit = fit_fcm(x, FcmConfig(k=model.k, seed=4, restarts=3))
         assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(refit))
-        for name in ("centroids", "memberships", "labels", "objective_trace"):
+        for name in ("centroids", "labels", "objective_trace"):
             assert getattr(model, name).tobytes() == getattr(refit, name).tobytes()
+        assert np.float64(model.fpc).tobytes() == np.float64(refit.fpc).tobytes()
 
     def test_tie_breaks_to_smaller_k(self, monkeypatch):
         import cvilab.fcm as fcm_module
@@ -456,21 +464,19 @@ class TestSelectClusterCount:
         fakes = {2: 0.9, 3: 0.9, 4: 0.5}
 
         def fake_fit(x, cfg):
-            u = np.full((8, cfg.k), 1.0 / cfg.k)
             return ClusterModel(
                 centroids=np.zeros((cfg.k, 2)),
-                memberships=u * np.sqrt(fakes[cfg.k] * cfg.k),
                 fuzzifier=2.0,
                 labels=np.zeros(8, dtype=int),
                 objective_trace=np.array([1.0]),
+                fpc=fakes[cfg.k],
             )
 
         monkeypatch.setattr(fcm_module, "fit_fcm", fake_fit)
-        k_star, curve, model = fcm_module.select_cluster_count(
+        curve, model = fcm_module.select_cluster_count(
             np.zeros((8, 2)), FcmConfig(k=2), k_range=(2, 4)
         )
-        assert k_star == 2
-        assert dict(curve)[2] == pytest.approx(0.9, abs=1e-12)
+        assert curve == [(2, 0.9), (3, 0.9), (4, 0.5)]
         assert model.k == 2
 
     def test_range_validation(self):
@@ -501,7 +507,7 @@ class TestSerialization:
         model = fit_fcm(x, FcmConfig(k=2, seed=4))
         back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         assert np.array_equal(back.centroids, model.centroids)
-        assert np.array_equal(back.memberships, model.memberships)
+        assert back.fpc == model.fpc
         assert back.fuzzifier == model.fuzzifier
         assert np.array_equal(back.labels, model.labels)
         assert np.array_equal(back.objective_trace, model.objective_trace)
@@ -511,7 +517,7 @@ class TestSerialization:
         x = blob_data(6, [(0, 0), (5, 5)], size=6)
         payload = model_to_dict(fit_fcm(x, FcmConfig(k=2, seed=4)))
         assert set(payload) == {
-            "centroids", "U", "m", "labels", "objective_trace", "empty_clusters",
+            "centroids", "m", "labels", "objective_trace", "empty_clusters", "fpc",
         }
 
     def test_record_without_empty_clusters_reads_back_equal(self):

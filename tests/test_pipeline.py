@@ -329,6 +329,17 @@ class TestRunPipeline:
         best_k = max(curve, key=lambda kv: (kv[1], -kv[0]))[0]
         assert best_k == 3
 
+    def test_cluster_json_holds_the_fpc_not_the_memberships(self, curve_run):
+        """Nothing reads the memberships and the FPC is taken at fit time, so
+        cluster.json keeps the chosen fit's FPC: its row of fpc.csv."""
+        model = json.loads((curve_run / "cluster.json").read_text())
+        assert set(model) == {
+            "centroids", "m", "labels", "objective_trace", "empty_clusters", "fpc",
+        }
+        lines = (curve_run / "fpc.csv").read_text().strip().splitlines()
+        rows = dict(row.split(",") for row in lines[1:])
+        assert "%.9g" % model["fpc"] == rows[str(len(model["centroids"]))]
+
     def test_synth_labels_align_with_profiles(self, small_run):
         out = small_run[0]
         prof = (out / "profiles.csv").read_text().strip().splitlines()
@@ -460,9 +471,9 @@ class TestFitModels:
         for workers in ("1", "2", "3"):
             monkeypatch.setenv("CVILAB_THREADS", workers)
             runs.append(fcm_mod.select_cluster_count(data, template, (2, 6)))
-        for k, curve, model in runs[1:]:
-            assert (k, curve) == runs[0][:2]
-            assert_models_bitwise_equal(model, runs[0][2])
+        for curve, model in runs[1:]:
+            assert curve == runs[0][0]
+            assert_models_bitwise_equal(model, runs[0][1])
 
     def test_fixed_k_fits_once(self, tmp_path, fitted_k):
         config = pl.build_run_config(small_raw(tmp_path))
@@ -479,7 +490,7 @@ class TestFitModels:
         reduced = project(pca_model, matrix, pca_model.chosen_dprime)
         alone = fcm_mod.fit_fcm(reduced, fcm_mod.FcmConfig(k=3, fuzzifier=1.7, seed=5))
         assert_models_bitwise_equal(model, alone)
-        assert curve == [(3, fcm_mod.fuzzy_partition_coefficient(alone.memberships))]
+        assert curve == [(3, alone.fpc)]
 
 
 class TestManifestMerge:
@@ -1813,11 +1824,16 @@ class TestCliErrors:
         assert sorted(p.name for p in out.iterdir()) == files  # nothing removed either
         (out / "manifest.json").write_bytes(manifest)
 
+        # Labels that are not cluster numbers 0..k-1, and a record with no FPC.
         payload = json.loads((out / "cluster.json").read_text())
-        del payload["U"]
-        edit("cluster.json", json.dumps(payload))
-        err = cli_error(capsys, ["validate", "--out", str(out)])
-        assert err == {"error": "ValueError", "message": "malformed artifact: cluster.json"}
+        assert len(payload["centroids"]) < 9
+        labels = payload["labels"]
+        for edited in ({**payload, "labels": [1.5] + labels[1:]},
+                       {**payload, "labels": labels[:-1] + [9]},
+                       {key: value for key, value in payload.items() if key != "fpc"}):
+            edit("cluster.json", json.dumps(edited))
+            err = cli_error(capsys, ["validate", "--out", str(out)])
+            assert err == {"error": "ValueError", "message": "malformed artifact: cluster.json"}
         # A profile CSV error keeps its type and line.
         lines = (out / "profiles.csv").read_text().splitlines(keepends=True)
         edit("profiles.csv", "".join(lines[:2] + lines[1:2]))
