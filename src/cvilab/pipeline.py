@@ -345,10 +345,6 @@ def remove_unlisted(out_dir) -> None:
 
 # --- pipeline stages: each hands its artifacts' texts to _write (see the module docstring) ---
 
-# The fitted partition, as the later staged commands load it.
-_FITTED = ("profiles.csv", "pca.json", "cluster.json")
-
-
 def _read_experiment(data: bytes) -> perturb_mod.ExperimentReport | str:
     """An experiment record, or the reason of a skipped one."""
     payload = json.loads(data)
@@ -410,6 +406,14 @@ def _load_stored(config: RunConfig, *names: str) -> list:
         except (AttributeError, LookupError, TypeError, ValueError):  # not the shape written
             raise ValueError(f"malformed artifact: {name}") from None
     return loaded
+
+
+def _load_fitted(config: RunConfig, *names: str) -> list:
+    """The stored profiles, PCA and FCM models, then ``names``."""
+    stored = _load_stored(config, "profiles.csv", "pca.json", "cluster.json", *names)
+    if stored[2].labels.shape != (len(stored[0]),):  # not one label per profile
+        raise ValueError("malformed artifact: cluster.json")
+    return stored
 
 
 def _load_profiles(config: RunConfig) -> tuple[ProfileMatrix, np.ndarray | None]:
@@ -554,17 +558,11 @@ def _report(
         if isinstance(report, str):
             lines += ["", f"experiment: {kind} skipped ({report})"]
             continue
-        if report.average is not None:
-            compare = report.average
-            label = "average"
-            detail = f"{len(report.rows)} trials"
-        else:
-            compare = report.rows[0].report
-            label = "none_kept"
-            detail = f"{len(report.rows)} variants"
+        compare, label, noun = ((report.average, "average", "trials") if report.average is not None
+                                else (report.rows[0].report, "none_kept", "variants"))
         lines += [
             "",
-            f"experiment: {kind} ({detail})",
+            f"experiment: {kind} ({len(report.rows)} {noun})",
             f"{'index':<8}{'baseline':>16}{label:>16}{'verdict':>22}",
         ]
         verdicts = report.verdict_map()
@@ -596,7 +594,7 @@ def stage_cluster(config: RunConfig) -> None:
 
 def stage_validate(config: RunConfig) -> None:
     """Score the stored partition: cvi.json, and the stale report is unlisted."""
-    matrix, pca_model, model = _load_stored(config, *_FITTED)
+    matrix, pca_model, model = _load_fitted(config)
     _score(config, _evaluation_points(config, matrix, pca_model), model)
 
 
@@ -605,14 +603,14 @@ def run_experiment(kind: str, config: RunConfig) -> perturb_mod.ExperimentReport
     output directory; returns the report, or the reason if it was skipped."""
     if kind not in perturb_mod.EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    matrix, pca_model, model = _load_stored(config, *_FITTED)
+    matrix, pca_model, model = _load_fitted(config)
     return _experiment(kind, config, _evaluation_points(config, matrix, pca_model), model)
 
 
 def emit_report(config: RunConfig) -> None:
     """summary.txt and scatter2d.csv from the stored partition, its scores and
     every experiment record the manifest lists, each checked like every read."""
-    stored = _load_stored(config, *_FITTED, "cvi.json")  # a manifest is there
+    stored = _load_fitted(config, "cvi.json")  # a manifest is there
     listed = load_manifest(config.out_dir).artifacts
     kinds = [kind for kind in perturb_mod.EXPERIMENT_KINDS if f"experiment_{kind}.json" in listed]
     records = _load_stored(config, *(f"experiment_{kind}.json" for kind in kinds))

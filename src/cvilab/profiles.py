@@ -15,8 +15,8 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import chain
-from typing import NamedTuple
+from itertools import starmap
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,9 +32,11 @@ PROFILE_CSV_HEADER = ["household_id"] + [
 
 _HEADER = ["household_id", "timestamp", "kw"]
 
-# Bytes of whole lines the columnar reader takes at a time. Per row, only
-# three int32 codes (household, timestamp and kW value) outlive a block.
-_BLOCK_BYTES = 1 << 21
+# Bytes of whole lines the columnar reader takes at a time; only three int32 codes
+# per row outlive a block, which holds ~3.5 bytes per byte while it is cut. Twice this
+# peaked 2.6 MiB higher on an 806,400-row file; half this ran slower, and no lower.
+_BLOCK_BYTES = 1 << 20
+_CHUNK = 1 << 14  # rows per gather: numpy copies int32 indices to intp whole
 
 
 class CsvFormatError(ValueError):
@@ -135,12 +137,14 @@ def ingest_readings(sources) -> ProfileMatrix:
     group_of = [np.empty(len(f.households), dtype=np.int32) for f in files]
     for group, (_, n, i) in enumerate(ids):
         group_of[n][i] = group
-    house = np.concatenate([group[f.house] for group, f in zip(group_of, files)])
-    slot = np.concatenate([_slots(f.times)[f.stamp] for f in files])
-    loads, load = _ranked([f.loads for f in files], [f.load for f in files])
-    del files  # the medians need the codes above only
+    loads, ranks = _ranked([f.loads for f in files])
+    sizes = (len(ids), SLOTS_PER_DAY, loads.size)
+    keys = [_sort_keys([(group, f.house), (_slots(f.times), f.stamp), (rank, f.load)], sizes)
+            for group, f, rank in zip(group_of, files, ranks)]
+    del files  # the medians need the keys only
+    keys = np.concatenate(keys)
     households = [hid for hid, _, _ in ids]
-    profiles = [l2_normalize(m) for m in _medians(households, house, slot, load, loads)]
+    profiles = [l2_normalize(m) for m in _medians(households, keys, loads)]
     return ProfileMatrix(households=tuple(households), values=np.array(profiles, dtype=float))
 
 
@@ -195,19 +199,13 @@ def _parse_rows(lines) -> _Readings:
     ids = sorted(offsets)
     code = {hid: i for i, hid in enumerate(ids)}
     house = np.array([code[hid] for hid in hids], dtype=np.int32)
-    loads, load = _ranked([np.array(kws, dtype=float)], [np.arange(len(kws))])
+    loads, (load,) = _ranked([np.array(kws, dtype=float)])
     return _Readings(ids, house, np.arange(len(times), dtype=np.int32), times, load, loads)
 
 
 class _RowPath(Exception):
     """The input is outside the columnar reader's plain grammar or breaks a
     rule; the row parser takes the whole source."""
-
-
-def _line_blocks(fh):
-    """The stream in blocks of whole lines, about ``_BLOCK_BYTES`` each; no
-    block is held once its successor is read."""
-    return iter(lambda: fh.read(_BLOCK_BYTES) + fh.readline(), b"")
 
 
 class _Readings(NamedTuple):
@@ -230,37 +228,36 @@ def _read(source) -> _Readings:
         raise TypeError(f"readings source must be a path or bytes, not {type(source).__name__}")
     try:
         with open(source, "rb") if path else io.BytesIO(source) as fh:
-            return _read_columns(_line_blocks(fh))
+            return _read_columns(fh)
     except _RowPath:
         pass
     return _parse_rows(_text_lines(source))
 
 
-def _block_fields(block: bytes) -> list[np.ndarray]:
+def _block_fields(block: bytearray) -> list[np.ndarray]:
     """The household, timestamp and kW fields of a block's lines, as byte
     strings; each line must hold exactly two commas and no quote, NUL or
     bare carriage return."""
-    if b'"' in block or b"\0" in block:
-        raise _RowPath
     if b"\r" in block:
-        if block.count(b"\r") != block.count(b"\r\n"):
-            raise _RowPath
         block = block.replace(b"\r\n", b"\n")
+    if b'"' in block or b"\0" in block or b"\r" in block:  # the last one a bare CR
+        raise _RowPath
     if not block.endswith(b"\n"):
         block += b"\n"
-    buf = np.frombuffer(block, np.uint8)
-    marks = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    if marks.size % 3 or np.any(buf[marks].reshape(-1, 3) != np.frombuffer(b",,\n", np.uint8)):
+    # One scan per byte value: each makes a mask as long as the block.
+    ends, commas = (np.flatnonzero(np.frombuffer(block, np.uint8) == ord(c)) for c in "\n,")
+    first, second = commas[0::2], commas[1::2]
+    if commas.size != 2 * ends.size or np.any(second > ends) or np.any(first[1:] < ends[:-1]):
         raise _RowPath
-    first, second, ends = marks.reshape(-1, 3).T
     starts = np.concatenate(([0], ends[:-1] + 1))
     # Each field array is as wide as its longest field: refuse lines so
     # uneven that the arrays would dwarf the block.
     longest = int((ends - starts).max())
     if ends.size * longest > 4 * len(block):
         raise _RowPath
-    # Padded so that a window as wide as any line fits after every start.
-    buf = np.frombuffer(block + bytes(longest), np.uint8)
+    # Padded in place, so that a window as wide as any line fits after every start.
+    block += bytes(longest)
+    buf = np.frombuffer(block, np.uint8)
     fields = []
     for start, stop in ((starts, first), (first + 1, second), (second + 1, ends)):
         # A window as wide as the widest field from each start; the bytes
@@ -306,54 +303,67 @@ def _coded(column: np.ndarray, table: dict[bytes, int]) -> np.ndarray:
     return np.array([table.setdefault(v, len(table)) for v in distinct], dtype=np.int32)[inverse]
 
 
-def _ranked(tables: list[np.ndarray], codes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _ranked(tables: list[np.ndarray]) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """One table of the distinct values of ``tables``, ordered by their int64
-    bits, and ``codes`` (indices into their own tables) as int32 indices into it."""
+    bits, and each table's values as int32 indices into it, made lazily."""
     bits = np.unique(np.concatenate(tables).view(np.int64))
-    ranks = (np.searchsorted(bits, t.view(np.int64)).astype(np.int32) for t in tables)
-    return bits.view(np.float64), np.concatenate([r[c] for r, c in zip(ranks, codes)])
+    return bits.view(np.float64), (np.searchsorted(bits, t.view(np.int64)).astype(np.int32)
+                                   for t in tables)
 
 
-def _read_columns(blocks) -> _Readings:
-    """The rows of a plain, valid source; :class:`_RowPath` otherwise."""
-    blocks = map(_block_fields, blocks)
-    fields = next(blocks, None)
-    if fields is None or _each(str.strip, [f[0] for f in fields]) != _HEADER:
+def _sort_keys(digits, sizes) -> np.ndarray:
+    """One key per row: its digits ``table[codes]`` (``codes`` for a None table)
+    in base ``sizes``, the first most significant; int32 if all fit, else int64."""
+    keys = np.zeros(len(digits[0][1]), np.int32 if math.prod(sizes) < 2**31 else np.int64)
+    for i in range(0, keys.size, _CHUNK):
+        key = keys[i : i + _CHUNK]
+        for (table, codes), size in zip(digits, sizes):
+            key *= size
+            key += codes[i : i + _CHUNK] if table is None else table[codes[i : i + _CHUNK]]
+    return keys
+
+
+def _read_columns(fh) -> _Readings:
+    """The rows of a plain, valid binary stream, read in bytearrays of whole
+    lines, none held once its successor is read; :class:`_RowPath` otherwise."""
+    if _each(str.strip, [f[0] for f in _block_fields(bytearray(fh.readline()))]) != _HEADER:
         raise _RowPath
-    households: dict[bytes, int] = {}
-    stamps: dict[bytes, int] = {}
+    households, stamps = {}, {}  # raw bytes -> code, in order of appearance
 
-    def code(fields):
-        # kW strings are parsed per block: a table of them could grow
-        # with the row count.
-        hid, ts, kw = fields
-        return _coded(hid, households), _coded(ts, stamps), *_distinct(kw)
+    def code(hid, ts, kw):
+        # kW strings are parsed per block: a table of them could grow with the row count.
+        kws, load = _distinct(kw)
+        return _coded(hid, households), _coded(ts, stamps), load, np.array(_each(float, kws))
 
-    # No block's fields outlive its codes: map holds none, and the chain
-    # drops the first block's as it moves on to the second.
-    blocks = chain([[f[1:] for f in fields]], blocks)
-    del fields
-    hid_code, ts_code, tables, codes = zip(*map(code, blocks))
-    loads, load = _ranked([np.array(_each(float, t), dtype=float) for t in tables], codes)
+    # No block's fields outlive its codes: starmap holds none.
+    blocks = map(_block_fields, iter(lambda: bytearray(fh.read(_BLOCK_BYTES)) + fh.readline(), b""))
+    columns = list(map(list, zip(*starmap(code, blocks))))
+    if not columns:  # no rows
+        raise _RowPath
+    loads, ranks = _ranked(columns.pop())  # the kW tables go once each is ranked
     names = _each(str.strip, households)
     times = _each(lambda text: _parse_timestamp(text, 0), stamps)
-    if not names or "" in names or not np.all(np.isfinite(loads) & (loads >= 0)):
+    del households, stamps
+    if "" in names or not np.all(np.isfinite(loads) & (loads >= 0)):
         raise _RowPath
     ids = sorted(set(names))
-    house = np.searchsorted(ids, names).astype(np.int32)[np.concatenate(hid_code)]
-    stamp = np.concatenate(ts_code)
-    del hid_code, ts_code, codes  # each block's codes, now in one array
-    # Each household keeps one offset, so an equal wall clock is a duplicate:
-    # one int64 key per row, household then wall clock, sorted in place.
-    walls = [t.replace(tzinfo=None) for t in times]
-    rank_of = {w: r for r, w in enumerate(sorted(set(walls)))}
-    keys = house * np.int64(len(rank_of))
-    keys += np.array([rank_of[w] for w in walls], dtype=np.int32)[stamp]
-    keys.sort()
-    offsets = {offset: i for i, offset in enumerate({t.utcoffset() for t in times})}
-    one_each = len(offsets) == 1 or np.unique(house * len(offsets) + np.array(
-        [offsets[t.utcoffset()] for t in times], dtype=np.int32)[stamp]).size == len(ids)
-    if np.any(keys[1:] == keys[:-1]) or not one_each:
+    house_of = np.searchsorted(ids, names).astype(np.int32)
+    for hid, kw, rank in zip(columns[0], columns[2], ranks):  # a block at a time
+        hid[:], kw[:] = house_of[hid], rank[kw]
+    # Each column leaves the list as it is joined, so no code is held twice.
+    house, stamp, load = (np.concatenate(columns.pop(0)) for _ in range(3))
+
+    def pairs(of):  # distinct (household, ``of`` of the timestamp) pairs of the rows
+        table = {v: r for r, v in enumerate(dict.fromkeys(map(of, times)))}
+        column = np.array([table[of(t)] for t in times], dtype=np.int32)
+        keys = _sort_keys([(None, house), (column, stamp)], (len(ids), len(table)))
+        keys.sort()
+        steps = (np.diff(keys[i : i + _CHUNK + 1]) for i in range(0, keys.size, _CHUNK))
+        return 1 + sum(map(np.count_nonzero, steps))
+
+    # Each household keeps one offset, so an equal wall clock is a duplicate.
+    if pairs(lambda t: t.replace(tzinfo=None)) < house.size or len(
+            {t.utcoffset() for t in times}) > 1 and pairs(datetime.utcoffset) > len(ids):
         raise _RowPath
     return _Readings(ids, house, stamp, times, load, loads)
 
@@ -363,31 +373,23 @@ def _slots(times) -> np.ndarray:
     return np.array([t.hour * 4 + t.minute // SLOT_MINUTES for t in times], dtype=np.uint8)
 
 
-def _medians(households, group, slot, load, loads):
+def _medians(households, keys, loads):
     """The 96 slot medians of each household in turn; lazy, so that the
     first household's error wins, whatever its kind.
 
-    One sort, in place, of an int64 key per row, ``(group * 96 + slot) *
-    K + load`` over the ``K`` distinct values (past 2**31 at some 23
-    households and 1e6 values, below 2**63 up to some 3e8 rows), puts every
-    slot's loads in order. An odd count takes its middle element as it is,
-    an even count the mean (a + b) / 2 of the central two, as np.median
-    does."""
-    keys = group * np.int64(SLOTS_PER_DAY) + slot
-    counts = np.bincount(keys, minlength=len(households) * SLOTS_PER_DAY)
-    keys *= loads.size
-    keys += load
+    ``keys`` holds a key per row, ``(group * 96 + slot) * K + load`` over the
+    ``K`` distinct ``loads`` (int32 up to some 22 households with 1e6 values),
+    sorted here in place; only each slot's central one or two keys are read
+    back, for its middle load or the mean (a + b) / 2 of two, as np.median."""
     keys.sort()
-    keys %= loads.size
-    ordered = loads[keys]
-    del keys  # this frame stays alive while the caller takes the profiles
-    starts = np.cumsum(counts) - counts
-    # An empty slot reads a neighbour (or, clipped, the last load); its
-    # household raises before the value is used.
-    medians = ordered[starts + (counts - 1) // 2]
-    even = counts % 2 == 0
+    bounds = np.arange(len(households) * SLOTS_PER_DAY + 1, dtype=keys.dtype) * loads.size
+    starts = np.searchsorted(keys, bounds)  # bounds of the keys' type: no copy of the keys
+    counts = np.diff(starts)
+    # An empty slot reads a neighbour; its household raises before the value is used.
+    low, high = (loads[keys.take(starts[:-1] + i, mode="clip") % loads.size]
+                 for i in ((counts - 1) // 2, counts // 2))
     with np.errstate(over="ignore"):  # a mean past the float range is inf
-        medians[even] = (medians[even] + ordered.take((starts + counts // 2)[even], mode="clip")) / 2
+        medians = np.where(counts % 2, low, (low + high) / 2)
     for hid, median, count in zip(
         households, medians.reshape(-1, SLOTS_PER_DAY), counts.reshape(-1, SLOTS_PER_DAY)
     ):

@@ -371,7 +371,7 @@ class TestRunPipeline:
         points as the experiments do: Xie-Beni is the crisp form."""
         config = pl.build_run_config(small_raw(tmp_path, space=space))
         run_core_stages(config)
-        matrix, pca_model, model = pl._load_stored(config, *pl._FITTED)
+        matrix, pca_model, model = pl._load_fitted(config)
         points = (matrix.values if space == "original"
                   else project(pca_model, matrix, pca_model.chosen_dprime))
         payload = json.loads((tmp_path / "cvi.json").read_text())
@@ -1840,6 +1840,23 @@ class TestCliErrors:
         err = cli_error(capsys, ["validate", "--out", str(out)])
         assert err["error"] == "CsvFormatError"
         assert err["message"].startswith("line 3: duplicate household_id")
+
+    @pytest.mark.parametrize("command", [["validate"], ["experiment", "outliers"],
+                                         ["experiment", "density"]], ids="-".join)
+    def test_labels_that_miss_a_profile_are_malformed(self, capsys, tmp_path, command):
+        """A listed cluster.json one label short of profiles.csv, its digest
+        re-listed, is refused by every command that loads the partition."""
+        out = tmp_path / "x"
+        assert cli.main(["synth", "--synth.clusters", "2", "--out", str(out)]) == 0
+        assert cli.main(["cluster", "--out", str(out)]) == 0
+        payload = json.loads((out / "cluster.json").read_text())
+        text = json.dumps({**payload, "labels": payload["labels"][:-1]})
+        (out / "cluster.json").write_text(text)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["artifacts"]["cluster.json"] = hashlib.sha256(text.encode()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        err = cli_error(capsys, [*command, "--out", str(out)])
+        assert err == {"error": "ValueError", "message": "malformed artifact: cluster.json"}
 
     @pytest.mark.parametrize("flags, message", [
         (["--synth.cluster-size", "2", "--k", "4"], "k range upper bound 4 exceeds N-1 = 3"),

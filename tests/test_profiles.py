@@ -553,23 +553,38 @@ def meter_export(path, households, days, seed=0):
     return households * len(stamps)
 
 
+def traced_ingest(path):
+    """The profiles of one readings file, and the traced peak of reading them."""
+    ingest_readings([path])  # imports and first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        matrix = ingest_readings([path])
+        return matrix, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestIngestMemory:
-    """Per row, ingestion keeps three int32 codes and builds one int64 sort
-    key at a time, and holds no block it has finished with, so its traced
-    peak stays a small multiple of 12 bytes."""
+    """Per row, ingestion keeps three int32 codes and builds one sort key
+    at a time, int32 where it fits, gathers through the codes a chunk at a
+    time, and holds no block it has finished with, so its traced peak stays
+    a small multiple of 12 bytes."""
 
     def test_traced_peak_per_row(self, tmp_path):
         path = tmp_path / "readings.csv"
         rows = meter_export(path, households=300, days=28)
-        ingest_readings([path])  # imports and first-call caches stay out of the peak
-        tracemalloc.start()
-        try:
-            matrix = ingest_readings([path])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        matrix, peak = traced_ingest(path)
         assert len(matrix) == 300
         assert peak / rows <= 32, f"{peak / rows:.1f} traced bytes per row"
+
+    def test_traced_peak_of_a_small_export(self, tmp_path):
+        # 268,800 rows: a block being cut into fields weighs here as much as
+        # the codes of every row, so this bounds the block's transients too.
+        path = tmp_path / "readings.csv"
+        assert meter_export(path, households=100, days=28) == 268_800
+        matrix, peak = traced_ingest(path)
+        assert len(matrix) == 100
+        assert peak <= 8 << 20, f"{peak / 2**20:.2f} MiB traced"
 
     def test_row_codes_are_int32(self):
         rows = full_day_rows("b", "2024-01-01T00:00:00", [0.5] * SLOTS_PER_DAY)
@@ -584,9 +599,11 @@ class TestIngestMemory:
 def slot_medians(data):
     """The per-slot medians, in kW, of the one household in a readings CSV."""
     r = profiles._read(data)
-    (median,) = profiles._medians(
-        r.households, r.house, profiles._slots(r.times)[r.stamp], r.load, r.loads
+    keys = profiles._sort_keys(
+        [(None, r.house), (profiles._slots(r.times), r.stamp), (None, r.load)],
+        (len(r.households), SLOTS_PER_DAY, r.loads.size),
     )
+    (median,) = profiles._medians(r.households, keys, r.loads)
     return median
 
 
@@ -691,23 +708,38 @@ class TestGroupedMedian:
         assert matrix.households == ("a", "b", "c")
         assert matrix.values.tobytes() == want.tobytes()
 
-    def test_sort_key_past_int32(self):
-        # (group * 96 + slot) * K + load reaches ~2.2e9 here: a key built in
-        # int32 from the int32 codes would wrap and misorder the loads.
-        houses, size = 23, 10**6
+    @staticmethod
+    def check_wide_keys(houses, dtype):
+        """Medians over 10**6 distinct loads, one row per slot of ``houses``
+        households, the last row holding the largest load, so the largest
+        key (group * 96 + slot) * K + load is the largest possible."""
+        size = 10**6
         loads = np.unique(np.random.default_rng(5).random(size * 2))[:size]
         assert loads.size == size
         group = np.repeat(np.arange(houses, dtype=np.int32), SLOTS_PER_DAY)
         slot = np.tile(np.arange(SLOTS_PER_DAY, dtype=np.uint8), houses)
         load = np.random.default_rng(6).integers(size, size=group.size).astype(np.int32)
-        assert (int(group[-1]) * SLOTS_PER_DAY + int(slot[-1])) * size + int(load[-1]) > 2**31
+        load[-1] = size - 1
         order = np.random.default_rng(7).permutation(group.size)
-        medians = profiles._medians(
-            [f"H{h}" for h in range(houses)], group[order], slot[order], load[order], loads
+        keys = profiles._sort_keys(
+            [(None, group[order]), (None, slot[order]), (None, load[order])],
+            (houses, SLOTS_PER_DAY, size),
         )
+        assert keys.dtype == dtype
+        assert keys.max() == houses * SLOTS_PER_DAY * size - 1
+        medians = profiles._medians([f"H{h}" for h in range(houses)], keys, loads)
         want = [[np.median(loads[load[(group == h) & (slot == s)]]) for s in range(SLOTS_PER_DAY)]
                 for h in range(houses)]
         assert np.array(list(medians)).tobytes() == np.array(want).tobytes()
+
+    def test_sort_key_past_int32(self):
+        # The largest key reaches ~2.2e9 here: a key built in int32 from
+        # the int32 codes would wrap and misorder the loads.
+        self.check_wide_keys(23, np.int64)
+
+    def test_sort_key_within_int32(self):
+        # ~2.1e9: the largest key still fits, and the narrow keys are used.
+        self.check_wide_keys(22, np.int32)
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
