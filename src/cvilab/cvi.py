@@ -309,15 +309,8 @@ def report_to_dict(report: CviReport) -> dict:
 
 def report_from_dict(payload: dict) -> CviReport:
     """JSON holds an infinite value as null, its index in ``degenerate_flags``."""
-    values: dict = {}
     degenerate = tuple(payload.get("degenerate_flags", ()))
     errors = tuple((k, v) for k, v in payload.get("errors", {}).items())
-    for name in INDEX_NAMES:
-        raw = payload.get(name)
-        if raw is not None:
-            values[name] = float(raw)
-        elif name in degenerate:
-            values[name] = math.inf
-        else:
-            values[name] = None
+    values = {name: float(payload[name]) if payload.get(name) is not None
+              else math.inf if name in degenerate else None for name in INDEX_NAMES}
     return CviReport(k_effective=int(payload["k_effective"]), errors=errors, **values)

@@ -27,9 +27,9 @@ class DegenerateDataError(ValueError):
 class PcaModel:
     """Fitted principal-component basis.
 
-    ``components`` holds the complete orthonormal basis (one eigenvector
-    per row, eigenvalues descending); ``chosen_dprime`` marks how many of
-    them the pipeline decided to keep.
+    ``components`` holds the orthonormal basis (one eigenvector per row,
+    eigenvalues descending), whole when fitted, max(d', 2) rows when read
+    back; ``chosen_dprime`` marks how many the pipeline decided to keep.
     """
 
     mean: np.ndarray                      # (d,)
@@ -76,12 +76,8 @@ def fit_pca(data) -> PcaModel:
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
-    return PcaModel(
-        mean=mean,
-        components=components,
-        explained_variance_ratio=eigvals / total,
-        chosen_dprime=d,
-    )
+    return PcaModel(mean=mean, components=components,
+                    explained_variance_ratio=eigvals / total, chosen_dprime=d)
 
 
 def project(model: PcaModel, data, dprime: int) -> np.ndarray:
@@ -121,18 +117,24 @@ def select_dimensions_elbow(cevr: np.ndarray) -> int:
 
 
 def model_to_dict(model: PcaModel) -> dict:
+    """The record of a fit: its leading max(d', 2) components, all that the
+    scores, the experiments (d') and the scatter (2) project on."""
     return {
         "mean": model.mean.tolist(),
-        "components": model.components.tolist(),
+        "components": model.components[: max(model.chosen_dprime, 2)].tolist(),
         "explained_variance_ratio": model.explained_variance_ratio.tolist(),
         "chosen_dprime": model.chosen_dprime,
     }
 
 
 def model_from_dict(payload: dict) -> PcaModel:
-    return PcaModel(
+    """A fit from its record; one with fewer than max(d', 2) components is a ValueError."""
+    model = PcaModel(
         mean=np.array(payload["mean"], dtype=float),
         components=np.array(payload["components"], dtype=float),
         explained_variance_ratio=np.array(payload["explained_variance_ratio"], dtype=float),
         chosen_dprime=int(payload["chosen_dprime"]),
     )
+    if len(model.components) < max(model.chosen_dprime, 2):
+        raise ValueError(f"{len(model.components)} components for dprime {model.chosen_dprime}")
+    return model

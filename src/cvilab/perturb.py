@@ -76,9 +76,8 @@ class PerturbConfig:
         if self.max_rejection_attempts < 1:
             raise ValueError("max_rejection_attempts must be positive")
         if not 0 <= self.density_add_fraction < math.inf:
-            raise ValueError(
-                f"density_add_fraction must be finite and nonnegative, got {self.density_add_fraction!r}"
-            )
+            raise ValueError("density_add_fraction must be finite and nonnegative, "
+                             f"got {self.density_add_fraction!r}")
         if self.density_add_fraction > 100:  # a trial's data stay within 101x the partition's
             raise ValueError("density_add_fraction must be at most 100 (points a trial adds per "
                              f"cluster member), got {self.density_add_fraction!r}")
@@ -245,9 +244,7 @@ def outlier_experiment(points, labels, config: PerturbConfig, refit=None) -> Exp
         raise ExperimentSkipped(f"{s} singleton clusters would enumerate 2^{s} subsets")
     rows: list[ExperimentRow] = []
     for code in range(2**s):
-        kept = tuple(
-            singletons[i] for i in range(s) if code & (1 << (s - 1 - i))
-        )
+        kept = tuple(singletons[i] for i in range(s) if code & (1 << (s - 1 - i)))
         excluded = [v for v in singletons if v not in kept]
         sub_x, sub_labels = _remove_clusters(points, labels, excluded)
         k = np.unique(sub_labels).shape[0]
@@ -402,9 +399,7 @@ def experiment_from_dict(payload: dict) -> ExperimentReport:
 
 
 def _csv_cell(value: float | None) -> str:
-    if value is None or not math.isfinite(value):
-        return ""
-    return "%.9g" % value
+    return "" if value is None or not math.isfinite(value) else "%.9g" % value
 
 
 def experiment_to_csv(report: ExperimentReport) -> str:

@@ -497,11 +497,8 @@ def _experiment(
 ) -> perturb_mod.ExperimentReport | str:
     """experiment_<kind>.json and .csv. An experiment the partition cannot
     support is recorded as skipped, with its reason, in the JSON alone."""
-    runner = {
-        "outliers": perturb_mod.outlier_experiment,
-        "density": perturb_mod.density_experiment,
-        "diameter": perturb_mod.diameter_experiment,
-    }[kind]
+    runner = {"outliers": perturb_mod.outlier_experiment, "density": perturb_mod.density_experiment,
+              "diameter": perturb_mod.diameter_experiment}[kind]
     # Each variant is refit at its own cluster count, with the baseline's settings.
     refit = None if not config.recluster else (
         lambda variant, k: fcm_mod.fit_fcm(variant, _fcm_config(config, k)).labels)
@@ -517,11 +514,7 @@ def _experiment(
 
 
 def _summary_cell(value: float | None) -> str:
-    if value is None:
-        return "error"
-    if math.isinf(value):
-        return "degenerate"
-    return _fmt9(value)
+    return "error" if value is None else "degenerate" if math.isinf(value) else _fmt9(value)
 
 
 def _report(
@@ -540,15 +533,9 @@ def _report(
         f"{_fmt9(row[0])},{_fmt9(row[1])},{label}"
         for row, label in zip(flat, model.labels)
     ]
-    lines = [
-        "cluster validation summary",
-        f"households: {len(matrix.households)}",
-        f"k: {model.k}",
-        f"dprime: {pca_model.chosen_dprime}",
-        "",
-        "baseline indices",
-        f"{'index':<8}{'value':>16}",
-    ]
+    lines = ["cluster validation summary", f"households: {len(matrix.households)}",
+             f"k: {model.k}", f"dprime: {pca_model.chosen_dprime}",
+             "", "baseline indices", f"{'index':<8}{'value':>16}"]
     for name in cvi_mod.INDEX_NAMES:
         lines.append(f"{name:<8}{_summary_cell(baseline.value_map()[name]):>16}")
     for kind in perturb_mod.EXPERIMENT_KINDS:

@@ -13,14 +13,16 @@ import csv
 import io
 import math
 import os
+import stat
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import starmap
+from functools import partial
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .rng import derive_stream
+from .rng import derive_stream, fork_map
 
 SLOTS_PER_DAY = 96
 SLOT_MINUTES = 15
@@ -32,9 +34,9 @@ PROFILE_CSV_HEADER = ["household_id"] + [
 
 _HEADER = ["household_id", "timestamp", "kw"]
 
-# Bytes of whole lines the columnar reader takes at a time; only three int32 codes
-# per row outlive a block, which holds ~3.5 bytes per byte while it is cut. Twice this
-# peaked 2.6 MiB higher on an 806,400-row file; half this ran slower, and no lower.
+# Bytes of whole lines a columnar reader worker takes at a time; a block holds ~3.5 bytes
+# per byte while it is cut, and leaves three uint16 codes per row. Twice this peaked 2.6 MiB
+# higher on an 806,400-row file read in one process; half this ran slower, and no lower.
 _BLOCK_BYTES = 1 << 20
 _CHUNK = 1 << 14  # rows per gather: numpy copies int32 indices to intp whole
 
@@ -120,15 +122,15 @@ def ingest_readings(sources) -> ProfileMatrix:
     household carries the UTC offset of its first row (naive counts as one
     offset), so its samples slot and de-duplicate by one wall clock.
 
-    Each source is a path or bytes (anything else is a TypeError), read as
-    a file opened with ``newline=""`` in blocks of whole lines; each
-    distinct household, timestamp and kW string is parsed once. Input
-    outside the plain grammar (quotes, blank lines, a wrong comma count,
-    bytes that are not UTF-8), with no rows, or breaking a rule goes to the
-    row parser, which raises the line-numbered error. All sources are read
-    before any median is taken. The households come out in sorted id order;
-    the first one with an empty slot or no energy raises, and one in two
-    sources gives two rows, which :class:`ProfileMatrix` rejects.
+    Each source is a path to a regular file (else a ValueError) or bytes
+    (else a TypeError), read as a file opened with ``newline=""`` in blocks
+    of whole lines, cut in forked workers; each distinct household, timestamp
+    and kW string is parsed once. Input outside the plain grammar (quotes,
+    blank lines, a wrong comma count, non-UTF-8 bytes), with no rows, or
+    breaking a rule goes to the row parser, which raises the line-numbered
+    error. All sources are read before any median. The households come out
+    in sorted id order; the first with an empty slot or no energy raises,
+    and one in two sources gives two rows, which :class:`ProfileMatrix` rejects.
     """
     files = [_read(source) for source in sources]
     if not files:
@@ -152,10 +154,8 @@ def _parse_rows(lines) -> _Readings:
     """The row-by-row parser, one stamp per row: the reference for the
     columnar reader, and the one place that words the line-numbered errors."""
     reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvFormatError(1, "empty input, expected header household_id,timestamp,kw") from None
+    if (header := next(reader, None)) is None:
+        raise CsvFormatError(1, "empty input, expected header household_id,timestamp,kw")
     if [h.strip() for h in header] != _HEADER:
         raise CsvFormatError(1, f"unexpected header {header!r}")
 
@@ -182,11 +182,8 @@ def _parse_rows(lines) -> _Readings:
             raise CsvFormatError(line, f"negative kW value {kw}")
         offset = ts.utcoffset()
         if offset != offsets.setdefault(hid, offset):
-            raise CsvFormatError(
-                line,
-                f"mixed UTC offsets for {hid}: {_offset_name(offset)} here, "
-                f"{_offset_name(offsets[hid])} on its first row",
-            )
+            raise CsvFormatError(line, f"mixed UTC offsets for {hid}: {_offset_name(offset)} "
+                                 f"here, {_offset_name(offsets[hid])} on its first row")
         if (hid, ts) in seen:
             raise CsvFormatError(line, f"duplicate reading for {hid} at {ts.isoformat()}")
         seen.add((hid, ts))
@@ -221,14 +218,20 @@ class _Readings(NamedTuple):
     loads: np.ndarray
 
 
+def _open(source):
+    return open(source, "rb") if isinstance(source, (str, os.PathLike)) else io.BytesIO(source)
+
+
 def _read(source) -> _Readings:
-    """One path or bytes, through the columnar reader or else the row parser."""
+    """One path or bytes, through the columnar reader or else the row parser. A
+    path must be a regular file: the blocks are read by offset, and a FIFO blocks."""
     path = isinstance(source, (str, os.PathLike))
     if not path and not isinstance(source, bytes):
         raise TypeError(f"readings source must be a path or bytes, not {type(source).__name__}")
+    if path and not stat.S_ISREG(os.stat(source).st_mode):  # stat never blocks
+        raise ValueError(f"readings input is not a regular file: {source}")
     try:
-        with open(source, "rb") if path else io.BytesIO(source) as fh:
-            return _read_columns(fh)
+        return _read_columns(source)
     except _RowPath:
         pass
     return _parse_rows(_text_lines(source))
@@ -279,8 +282,9 @@ def _each(parse, raws) -> list:
         raise _RowPath from None
 
 
-def _distinct(column: np.ndarray) -> tuple[list[bytes], np.ndarray]:
-    """The column's distinct values, and each row's int32 index among them."""
+def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column's distinct values, and each row's index among them: uint16
+    if fewer than 65,536, else int32."""
     # Coded 8 bytes at a time: integers sort several times faster than
     # byte strings (no value holds a NUL, so the padding keeps values apart).
     width = -(-column.itemsize // 8)
@@ -294,13 +298,13 @@ def _distinct(column: np.ndarray) -> tuple[list[bytes], np.ndarray]:
             code = inverse
     first = np.empty(code.max(initial=-1) + 1, dtype=np.intp)
     first[code] = np.arange(column.size)
-    return column[first].tolist(), code.astype(np.int32)
+    return column[first], code.astype(np.uint16 if first.size < 1 << 16 else np.int32)
 
 
-def _coded(column: np.ndarray, table: dict[bytes, int]) -> np.ndarray:
-    """Codes of the column's values, numbering the values new to ``table``."""
-    distinct, inverse = _distinct(column)
-    return np.array([table.setdefault(v, len(table)) for v in distinct], dtype=np.int32)[inverse]
+def _merged(tables: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct strings of ``tables``, and each table's indices into them."""
+    distinct, inverse = _distinct(np.concatenate(tables))
+    return distinct, np.split(inverse, np.cumsum([t.size for t in tables[:-1]]))
 
 
 def _ranked(tables: list[np.ndarray]) -> tuple[np.ndarray, Iterator[np.ndarray]]:
@@ -323,39 +327,55 @@ def _sort_keys(digits, sizes) -> np.ndarray:
     return keys
 
 
-def _read_columns(fh) -> _Readings:
-    """The rows of a plain, valid binary stream, read in bytearrays of whole
-    lines, none held once its successor is read; :class:`_RowPath` otherwise."""
-    if _each(str.strip, [f[0] for f in _block_fields(bytearray(fh.readline()))]) != _HEADER:
-        raise _RowPath
-    households, stamps = {}, {}  # raw bytes -> code, in order of appearance
+def _block_table(source, span: tuple[int, int]) -> list[np.ndarray]:
+    """The lines in a byte span, read by offset: their distinct household strings,
+    timestamp strings and kW values, each followed by the rows' codes into it."""
+    with _open(source) as fh:
+        fh.seek(span[0])
+        fields = _block_fields(bytearray(fh.read(span[1] - span[0])))
+    (hids, house), (stamps, stamp), (kws, load) = map(_distinct, fields)
+    # kW strings are parsed per block: a table of them could grow with the row count.
+    return [hids, house, stamps, stamp, np.array(_each(float, kws)), load]
 
-    def code(hid, ts, kw):
-        # kW strings are parsed per block: a table of them could grow with the row count.
-        kws, load = _distinct(kw)
-        return _coded(hid, households), _coded(ts, stamps), load, np.array(_each(float, kws))
 
-    # No block's fields outlive its codes: starmap holds none.
-    blocks = map(_block_fields, iter(lambda: bytearray(fh.read(_BLOCK_BYTES)) + fh.readline(), b""))
-    columns = list(map(list, zip(*starmap(code, blocks))))
-    if not columns:  # no rows
+def _read_columns(source) -> _Readings:
+    """The rows of a plain, valid path or bytes; :class:`_RowPath` otherwise. The
+    blocks are cut and coded in :func:`fork_map` workers, and merged a column at a time."""
+    with _open(source) as fh:
+        if _each(str.strip, [f[0] for f in _block_fields(bytearray(fh.readline()))]) != _HEADER:
+            raise _RowPath
+        cuts, size = [fh.tell()], fh.seek(0, os.SEEK_END)
+        while cuts[-1] < size:  # a block: _BLOCK_BYTES and the rest of the line
+            fh.seek(cuts[-1] + _BLOCK_BYTES)
+            fh.readline()
+            cuts.append(min(fh.tell(), size))
+    tables = fork_map(partial(_block_table, source), zip(cuts, cuts[1:]))
+    if not tables:  # no rows
         raise _RowPath
-    loads, ranks = _ranked(columns.pop())  # the kW tables go once each is ranked
-    names = _each(str.strip, households)
+    (hids, house_of), (stamps, stamp_of) = (_merged([t[i] for t in tables]) for i in (0, 2))
+    loads, load_of = _ranked([t[4] for t in tables])
+    names = _each(str.strip, hids)
     times = _each(lambda text: _parse_timestamp(text, 0), stamps)
-    del households, stamps
     if "" in names or not np.all(np.isfinite(loads) & (loads >= 0)):
         raise _RowPath
     ids = sorted(set(names))
-    house_of = np.searchsorted(ids, names).astype(np.int32)
-    for hid, kw, rank in zip(columns[0], columns[2], ranks):  # a block at a time
-        hid[:], kw[:] = house_of[hid], rank[kw]
-    # Each column leaves the list as it is joined, so no code is held twice.
-    house, stamp, load = (np.concatenate(columns.pop(0)) for _ in range(3))
+    house_id, rows = np.searchsorted(ids, names).astype(np.int32), sum(t[1].size for t in tables)
+
+    def merge(i, maps):  # column i of every block through its map, each block's codes dropped
+        joined, at = np.empty(rows, np.int32), 0
+        for table, mapping in zip(tables, maps):
+            codes, table[i] = table[i], None
+            joined[at : at + codes.size] = mapping[codes]
+            at += codes.size
+        return joined
+
+    house, stamp = merge(1, (house_id[m] for m in house_of)), merge(3, stamp_of)
+    load = merge(5, load_of)
+    del tables  # the distinct strings are parsed: only the codes stay
 
     def pairs(of):  # distinct (household, ``of`` of the timestamp) pairs of the rows
-        table = {v: r for r, v in enumerate(dict.fromkeys(map(of, times)))}
-        column = np.array([table[of(t)] for t in times], dtype=np.int32)
+        table = {}
+        column = np.array([table.setdefault(of(t), len(table)) for t in times], dtype=np.int32)
         keys = _sort_keys([(None, house), (column, stamp)], (len(ids), len(table)))
         keys.sort()
         steps = (np.diff(keys[i : i + _CHUNK + 1]) for i in range(0, keys.size, _CHUNK))
@@ -521,18 +541,19 @@ def generate_synthetic(spec: SynthSpec) -> tuple[ProfileMatrix, np.ndarray]:
 
     width = max(3, len(str(len(rows) - 1)))
     households = tuple(f"synth-{i:0{width}d}" for i in range(len(rows)))
-    matrix = ProfileMatrix(households=households, values=np.array(rows, dtype=float))
-    return matrix, labels
+    return ProfileMatrix(households=households, values=np.array(rows, dtype=float)), labels
 
 
 def write_profiles_csv(matrix: ProfileMatrix, stream) -> None:
     """Write the profile matrix as CSV to a text stream (opened with
     ``newline=""`` if it is a file), each value as its shortest round-trip
     ``repr``, so :func:`read_profiles_csv` gets back the same bits."""
-    writer = csv.writer(stream)
-    writer.writerow(PROFILE_CSV_HEADER)
-    for hid, row in zip(matrix.households, matrix.values):
-        writer.writerow([hid] + [repr(v) for v in row.tolist()])
+    csv.writer(stream).writerow(PROFILE_CSV_HEADER)
+    heads = []  # "<id>,\r\n" as csv writes it: an id quoted where the row would quote it
+    ids = csv.writer(SimpleNamespace(write=heads.append))
+    for hid, row in zip(matrix.households, matrix.values):  # row by row: nothing joined whole
+        ids.writerow([hid, ""])
+        stream.write(heads.pop()[:-2] + repr(row.tolist())[1:-1].replace(", ", ",") + "\r\n")
 
 
 def read_profiles_csv(source) -> ProfileMatrix:

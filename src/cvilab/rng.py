@@ -3,8 +3,8 @@
 Everything stochastic in this package runs off numpy's PCG64 generator.
 Repetition units (Monte-Carlo trials, restart attempts) get their own child
 stream so that running them serially, in forked worker processes, or out
-of order cannot change any result. The workers are bare forks that take
-item numbers from one pipe; no helper thread runs beside them.
+of order cannot change any result. The workers (which also read readings
+blocks) are bare forks that take item numbers from one pipe, with no helper thread.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ def derive_stream(seed: int, index: int) -> np.random.Generator:
 
 def worker_count() -> int:
     """Worker cap: CVILAB_THREADS when set, at most the CPUs this process
-    may run on, else that CPU count. The trials and the FPC k-selection run
-    in up to this many forked workers (:func:`fork_map`); results never
-    depend on the count."""
+    may run on, else that CPU count. The trials, the FPC k-selection and the
+    blocks of a readings file run in up to this many forked workers
+    (:func:`fork_map`); results never depend on the count."""
     usable = getattr(os, "sched_getaffinity", None)
     cpus = len(usable(0)) if usable else os.cpu_count() or 1
     raw = os.environ.get("CVILAB_THREADS", "").strip()

@@ -220,11 +220,31 @@ class TestElbow:
 
 class TestSerialization:
     def test_json_round_trip_exact(self):
+        """The record keeps the leading d' rows, and they come back bit for bit."""
         model = fit_pca(random_data(8)).with_dprime(3)
         back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         assert np.array_equal(back.mean, model.mean)
-        assert np.array_equal(back.components, model.components)
+        assert back.components.tobytes() == model.components[:3].tobytes()
         assert np.array_equal(
             back.explained_variance_ratio, model.explained_variance_ratio
         )
         assert back.chosen_dprime == 3
+        data = random_data(9)
+        for dprime in (2, 3):
+            assert project(back, data, dprime).tobytes() == project(model, data, dprime).tobytes()
+
+    def test_two_components_kept_for_the_scatter(self):
+        record = model_to_dict(fit_pca(random_data(8)).with_dprime(1))
+        assert len(record["components"]) == 2
+        assert len(model_from_dict(record).components) == 2
+
+    def test_fewer_components_than_used_refused(self):
+        record = model_to_dict(fit_pca(random_data(8)).with_dprime(3))
+        record["components"].pop()
+        with pytest.raises(ValueError, match="2 components for dprime 3"):
+            model_from_dict(record)
+
+    def test_full_basis_record_still_loads(self):
+        model = fit_pca(random_data(8)).with_dprime(3)
+        record = {**model_to_dict(model), "components": model.components.tolist()}
+        assert model_from_dict(record).components.tobytes() == model.components.tobytes()

@@ -903,6 +903,23 @@ class TestReadingsFlow:
         assert labels[0] != labels[1]
         assert pl.verify_manifest(out) == []
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_fifo_input_is_refused_not_awaited(self, readings_csv, tmp_path):
+        """An input that is not a regular file is refused before it is
+        opened: a FIFO with no writer would block the read (and one with a
+        writer the digest after it). A missing path keeps its error."""
+        fifo = tmp_path / "readings.fifo"
+        os.mkfifo(fifo)
+        for path, error, message in (
+            (fifo, "ValueError", f"readings input is not a regular file: {fifo}"),
+            (tmp_path / "nowhere.csv", "FileNotFoundError",
+             f"[Errno 2] No such file or directory: '{tmp_path / 'nowhere.csv'}'"),
+        ):
+            proc = run_child(tmp_path, "-m", "cvilab", "preprocess", "--input", str(readings_csv),
+                             "--input", str(path), "--out", str(tmp_path / "out"), timeout=60)
+            assert proc.returncode == 1
+            assert json.loads(proc.stderr) == {"error": error, "message": message}
+
 
 def write_readings(path, rows):
     path.write_text("\n".join(["household_id,timestamp,kw", *rows]) + "\n")
@@ -1535,14 +1552,14 @@ class TestStagedMatchesRun:
         self.assert_same_outputs(staged, run)
 
 
-def run_child(cwd, *args):
+def run_child(cwd, *args, timeout=300):
     """``python *args`` in a fresh interpreter that imports the cvilab this
     suite imported, with two trial workers."""
     package_root = str(Path(cvilab.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=pythonpath, CVILAB_THREADS="2")
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, cwd=cwd, timeout=300)
+                          env=env, cwd=cwd, timeout=timeout)
 
 
 # Runs the CLI on its arguments, then prints whether any module of
@@ -1840,6 +1857,32 @@ class TestCliErrors:
         err = cli_error(capsys, ["validate", "--out", str(out)])
         assert err["error"] == "CsvFormatError"
         assert err["message"].startswith("line 3: duplicate household_id")
+
+    def test_pca_json_keeps_the_basis_it_uses(self, capsys, tmp_path):
+        """pca.json holds max(d', 2) components; one fewer, its digest
+        re-listed, is malformed, and a full basis still loads."""
+        out = tmp_path / "x"
+        assert cli.main(["synth", "--synth.clusters", "2", "--out", str(out)]) == 0
+        for dprime, kept in (("1", 2), ("3", 3)):
+            assert cli.main(["cluster", "--dprime", dprime, "--out", str(out)]) == 0
+            payload = json.loads((out / "pca.json").read_text())
+            assert len(payload["components"]) == kept
+        assert cli.main(["validate", "--out", str(out)]) == 0
+        scores = (out / "cvi.json").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        matrix = pl._load_stored(pl.build_run_config({"out": [str(out)]}), "profiles.csv")[0]
+        full = cvilab.fit_pca(matrix).components.tolist()
+        for rows, outcome in ((payload["components"][:2], "malformed"), (full, "loads")):
+            text = json.dumps({**payload, "components": rows})
+            (out / "pca.json").write_text(text)
+            manifest["artifacts"]["pca.json"] = hashlib.sha256(text.encode()).hexdigest()
+            (out / "manifest.json").write_text(json.dumps(manifest))
+            if outcome == "malformed":
+                err = cli_error(capsys, ["validate", "--out", str(out)])
+                assert err == {"error": "ValueError", "message": "malformed artifact: pca.json"}
+            else:
+                assert cli.main(["validate", "--out", str(out)]) == 0
+                assert (out / "cvi.json").read_bytes() == scores
 
     @pytest.mark.parametrize("command", [["validate"], ["experiment", "outliers"],
                                          ["experiment", "density"]], ids="-".join)

@@ -1,5 +1,6 @@
 """Reading ingestion, median profiles, normalization, synthesis."""
 
+import csv
 import gc
 import io
 import tracemalloc
@@ -537,6 +538,65 @@ class TestColumnarReader:
             assert not other.closed
 
 
+class TestWorkerCount:
+    """The blocks are cut and coded in forked workers: profiles and errors
+    are the same at every worker count, from a path and from bytes."""
+
+    @pytest.fixture
+    def export(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(profiles, "_BLOCK_BYTES", 4096)  # a block is ~110 rows
+        path = tmp_path / "readings.csv"
+        meter_export(path, households=5, days=3)
+        return path
+
+    @staticmethod
+    def outcomes(monkeypatch, sources):
+        """Each source's outcome at one and at two workers, and the largest
+        number of blocks handed to the pool."""
+        blocks, real_map = [], profiles.fork_map
+
+        def counted_map(fn, items):
+            items = list(items)
+            blocks.append(len(items))
+            return real_map(fn, items)
+
+        monkeypatch.setattr(profiles, "fork_map", counted_map)
+        seen = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CVILAB_THREADS", workers)
+            seen += [profile_outcome(lambda: ingest_readings([source])) for source in sources]
+        return seen, max(blocks)
+
+    def test_profiles_do_not_depend_on_the_worker_count(self, export, monkeypatch):
+        forbid_row_parser(monkeypatch)
+        seen, blocks = self.outcomes(monkeypatch, (export, export.read_bytes()))
+        assert blocks > 10
+        households, values = seen[0]
+        assert len(households) == 5
+        assert seen == [(households, values)] * 4
+        monkeypatch.setattr(profiles, "_BLOCK_BYTES", 1 << 20)  # one block, read in-process
+        assert profile_outcome(lambda: ingest_readings([export])) == seen[0]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines + [lines[1]], "duplicate reading for hh-0000 at 2024-03-04"),
+        (lambda lines: lines[:-1] + [lines[-1].replace("Z,", "+01:00,")],
+         "mixed UTC offsets for hh-0004: UTC+01:00 here, UTC on its first row"),
+        (lambda lines: lines[:-1] + [lines[-1].rpartition(",")[0] + ",1;5"],
+         "bad kW value '1;5'"),
+    ], ids=["duplicate", "mixed-offsets", "bad-kw-in-last-block"])
+    def test_rule_broken_across_blocks(self, export, monkeypatch, edit, message):
+        """A row in the last block that breaks a rule set by the first
+        block gives the row parser's error, with its line, at both counts."""
+        lines = edit(export.read_text().splitlines())
+        export.write_text("\n".join(lines) + "\n")
+        want = outcome(row_parse, export)
+        assert want[0] is CsvFormatError and want[2] == len(lines)
+        assert message in want[1]
+        seen, blocks = self.outcomes(monkeypatch, (export, export.read_bytes()))
+        assert blocks > 10
+        assert seen == [want] * 4
+
+
 def meter_export(path, households, days, seed=0):
     """A household-major, time-ascending readings CSV at one offset (``Z``),
     kW to 3 decimals, as a meter export writes it; returns the row count."""
@@ -963,6 +1023,27 @@ class TestProfileCsv:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write_profiles_csv(edges, fh)
         assert read_profiles_csv(path).values.tobytes() == edges.values.tobytes()
+
+    @given(
+        ids=st.lists(st.text(st.sampled_from(',"\n\r x\u00dc\u20ac'), max_size=5),
+                     min_size=1, max_size=4, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_writer_matches_the_csv_writer(self, ids, data):
+        """Each row's text is the one csv.writer writes for the id and each
+        value's repr: ids that need quoting, and the edge floats."""
+        value = st.floats() | st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e308, -1e308])
+        rows = [data.draw(st.lists(value, min_size=SLOTS_PER_DAY, max_size=SLOTS_PER_DAY))
+                for _ in ids]
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(PROFILE_CSV_HEADER)
+        for hid, row in zip(ids, rows):
+            writer.writerow([hid] + [repr(v) for v in row])
+        got = io.StringIO()
+        write_profiles_csv(ProfileMatrix(households=tuple(ids), values=np.array(rows)), got)
+        assert got.getvalue() == want.getvalue()
 
     def test_read_rejects_non_finite(self):
         for bad in ("nan", "inf"):
